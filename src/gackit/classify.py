@@ -21,10 +21,7 @@ from .model import (
     range_variable,
 )
 from .encoders import build_encoding
-from .gac_check import (
-    ASSIGNMENT_STYLE, FULL_SUBDOMAINS, RANDOM_SAMPLE, EnumerationPolicy,
-    check_gac_reduction, count_states,
-)
+from .gac_check import auto_policy, check_gac_reduction
 
 CONSISTENT_WITH_MPC = "consistent-with-MPC-membership"
 GAC_LOSS_WITNESSED = "GAC-loss-witnessed"
@@ -109,22 +106,13 @@ def _instances(family: str, size: int):
     raise UsageError(f"unknown constraint family {family!r}")
 
 
-def _policy_for(variables, seed: int, max_states: int) -> EnumerationPolicy:
-    full = EnumerationPolicy(FULL_SUBDOMAINS, seed=seed, max_states=max_states)
-    if count_states(variables, full) <= max_states:
-        return full
-    assign = EnumerationPolicy(ASSIGNMENT_STYLE, seed=seed, max_states=max_states)
-    if count_states(variables, assign) <= max_states:
-        return assign
-    return EnumerationPolicy(RANDOM_SAMPLE, seed=seed, max_states=max_states)
-
-
 def run_class_suite(config: dict | None = None) -> EvidenceReport:
     """One evidence row per (family, encoding, sizes) job; deterministic under
     a fixed seed. Budget overruns are recorded in the affected size entry,
     never fatal."""
     if config is None:
         config = default_config()
+    _validate_config(config)
     seed = config.get("seed", 42)
     max_states = config.get("max_states", 1_000_000)
     rows = []
@@ -136,6 +124,19 @@ def run_class_suite(config: dict | None = None) -> EvidenceReport:
         "tool_version": __version__,
     }
     return EvidenceReport(rows, environment)
+
+
+def _validate_config(config) -> None:
+    jobs = config.get("jobs") if isinstance(config, dict) else None
+    if not isinstance(jobs, list) or not all(
+            isinstance(job, dict) and isinstance(job.get("family"), str)
+            and isinstance(job.get("encoding"), str) and isinstance(job.get("sizes"), list)
+            and all(type(size) is int and size >= 1 for size in job["sizes"])
+            for job in jobs):
+        raise UsageError('suite config needs a "jobs" list of '
+                         '{"family", "encoding", "sizes": [positive int, ...]} objects')
+    if any(type(config.get(key, 0)) is not int for key in ("seed", "max_states")):
+        raise UsageError('suite config "seed" and "max_states" must be integers')
 
 
 def _run_job(job: dict, seed: int, max_states: int) -> EvidenceRow:
@@ -152,7 +153,7 @@ def _run_job(job: dict, seed: int, max_states: int) -> EvidenceRow:
                 enc = build_encoding(encoding, constraint, variables)
                 target_kinds.add(enc.channel.kind)
                 verdict = check_gac_reduction(
-                    constraint, enc, policy=_policy_for(variables, seed, max_states))
+                    constraint, enc, policy=auto_policy(variables, seed, max_states))
                 entry["instances"] += 1
                 entry["states"] += verdict.states_checked
                 if not verdict.passed:
@@ -182,12 +183,6 @@ def report_to_json_dict(report: EvidenceReport) -> dict:
         "rows": [asdict(row) for row in report.rows],
         "footnotes": list(FOOTNOTES),
     }
-
-
-def report_from_json(text: str) -> EvidenceReport:
-    doc = json.loads(text)
-    rows = [EvidenceRow(**{k: v for k, v in row.items()}) for row in doc["rows"]]
-    return EvidenceReport(rows, doc["environment"])
 
 
 def _verdict_cell(row: EvidenceRow) -> str:

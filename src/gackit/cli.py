@@ -14,9 +14,7 @@ import sys
 
 from .model import Network, ResourceError, UsageError
 from .propagation import gac_closure, solve_brute_force, DEFAULT_BRUTE_FORCE_BUDGET
-from .encoders import (
-    ENCODING_NAMES, PAIRWISE, SEQUENTIAL, build_encoding, compile_network,
-)
+from .encoders import ENCODING_NAMES, PAIRWISE, SEQUENTIAL, build_encoding, compile_network
 from .gac_check import (
     ASSIGNMENT_STYLE, FULL_SUBDOMAINS, RANDOM_SAMPLE, EnumerationPolicy,
     check_equiconsistency, check_gac_reduction, check_soundness,
@@ -51,7 +49,10 @@ def _parse_policy(spec: str, seed: int) -> EnumerationPolicy | None:
     if spec in ("assign", "assignment"):
         return EnumerationPolicy(ASSIGNMENT_STYLE, seed=seed)
     if spec.startswith("sample:"):
-        count = int(spec.split(":", 1)[1])
+        try:
+            count = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"bad sample count in policy {spec!r}") from None
         return EnumerationPolicy(RANDOM_SAMPLE, sample_count=count, seed=seed)
     raise UsageError(
         f"bad policy {spec!r}; expected auto, full, assignment or sample:<count>")
@@ -71,22 +72,14 @@ def _single_source(doc: CnetDocument):
 
 def _cmd_encode(args) -> int:
     doc = parse_cnet(_read(args.infile))
-    net = doc.network
-    if args.scheme.startswith("clause-to-neq:") or args.scheme in (
-            "identity",):
-        constraint, variables = _single_source(doc)
-        enc = build_encoding(args.scheme, constraint, variables)
-        if isinstance(enc.target, Network):
-            out = write_cnet(CnetDocument(enc.target, enc.target.initial_box()))
-        else:
-            out = write_dimacs(enc.target, enc.channel)
-    elif args.scheme in ENCODING_NAMES and args.scheme not in ("totalizer", "binary-adder"):
-        constraint, variables = _single_source(doc)
-        enc = build_encoding(args.scheme, constraint, variables)
-        out = write_dimacs(enc.target, enc.channel)
-    else:
-        enc = compile_network(net, doc.box, card_scheme=args.scheme,
+    if args.scheme in ("totalizer", "binary-adder"):
+        enc = compile_network(doc.network, doc.box, card_scheme=args.scheme,
                               eo_scheme=args.eo)
+    else:
+        enc = build_encoding(args.scheme, *_single_source(doc))
+    if isinstance(enc.target, Network):
+        out = write_cnet(CnetDocument(enc.target, enc.target.initial_box()))
+    else:
         out = write_dimacs(enc.target, enc.channel)
     _write(args.out, out)
     return EXIT_PASS
@@ -106,12 +99,11 @@ def _cmd_propagate(args) -> int:
     return EXIT_PASS
 
 
-def _run_check(args, checker) -> int:
+def _run_check(args, checker, **options) -> int:
     doc = parse_cnet(_read(args.source))
     constraint, variables = _single_source(doc)
     enc = build_encoding(args.encoding, constraint, variables)
-    policy = _parse_policy(args.policy, args.seed)
-    verdict = checker(constraint, enc, policy=policy)
+    verdict = checker(constraint, enc, **options)
     if args.out:
         _write(args.out, verdict.to_json())
     sys.stdout.write(verdict.digest() + "\n")
@@ -119,26 +111,18 @@ def _run_check(args, checker) -> int:
 
 
 def _cmd_check_gac(args) -> int:
-    return _run_check(args, check_gac_reduction)
+    return _run_check(args, check_gac_reduction, policy=_parse_policy(args.policy, args.seed))
 
 
 def _cmd_check_sound(args) -> int:
-    return _run_check(args, check_soundness)
+    return _run_check(args, check_soundness, policy=_parse_policy(args.policy, args.seed))
 
 
 def _cmd_equiconsistency(args) -> int:
-    doc = parse_cnet(_read(args.source))
-    constraint, variables = _single_source(doc)
-    enc = build_encoding(args.encoding, constraint, variables)
     sampler = None
     if args.sample:
-        sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=args.sample,
-                                    seed=args.seed)
-    verdict = check_equiconsistency(constraint, enc, sampler)
-    if args.out:
-        _write(args.out, verdict.to_json())
-    sys.stdout.write(verdict.digest() + "\n")
-    return EXIT_PASS if verdict.passed else EXIT_FAIL
+        sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=args.sample, seed=args.seed)
+    return _run_check(args, check_equiconsistency, sampler=sampler)
 
 
 def _cmd_solve(args) -> int:
@@ -155,7 +139,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = default_config() if args.config is None else json.loads(_read(args.config))
+    config = default_config()
+    if args.config is not None:
+        try:
+            config = json.loads(_read(args.config))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"suite config {args.config}: {exc}") from None
     report = run_class_suite(config)
     _write(args.out, render_report(report, args.format))
     return EXIT_PASS
@@ -229,10 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (UsageError, ResourceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,5 +1,5 @@
-"""DIMACS CNF writer and parser. Output is byte-deterministic for a given
-formula; channel maps ride along as `c map <name> <value> <lit>` comments."""
+"""DIMACS CNF writer. Output is byte-deterministic for a given formula;
+channel maps ride along as `c map <name> <value> <lit>` comments."""
 
 from __future__ import annotations
 
@@ -21,35 +21,3 @@ def write_dimacs(formula: CnfFormula, channel: ChannelMap | None = None) -> str:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
 
-
-def parse_dimacs(text: str) -> CnfFormula:
-    num_vars = None
-    clauses = []
-    pending: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise UsageError(f"line {lineno}: malformed problem line {line!r}")
-            num_vars = int(parts[2])
-            continue
-        if num_vars is None:
-            raise UsageError(f"line {lineno}: clause before the problem line")
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(tuple(pending))
-                pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        raise UsageError("unterminated clause at end of input")
-    if num_vars is None:
-        raise UsageError("missing problem line")
-    formula = CnfFormula(num_vars)
-    for cl in clauses:
-        formula.add_clause(cl)
-    return formula

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .model import (
     FALSE, TRUE, AllDiff, Card, ChannelMap, Clause, Constraint, Neq, Network,
     ResourceError, UsageError, Variable, Xor, bool_variable, lit_false_value,
-    lit_truth_value, lit_var,
+    lit_truth_value, lit_var, map_knowledge,
 )
 from .propagation import CnfFormula
 
@@ -44,10 +44,10 @@ class EncodingStats:
 class Encoding:
     target: object        # CnfFormula or Network
     channel: ChannelMap
-    stats: EncodingStats
 
-    def recount_stats(self) -> EncodingStats:
-        """Recount sizes from the target; must equal `stats`."""
+    @property
+    def stats(self) -> EncodingStats:
+        """Sizes counted from the target."""
         if isinstance(self.target, CnfFormula):
             return EncodingStats(self.target.num_vars, len(self.channel.aux),
                                  len(self.target.clauses))
@@ -55,20 +55,27 @@ class Encoding:
                              len(self.target.constraints))
 
 
-def _boolean_channel(formula: CnfFormula, variables) -> dict:
-    """Direct channel for Boolean sources: one CNF var per source variable."""
-    forward = {}
-    for var in variables:
-        idx = formula.new_var(var.name)
-        forward[(var.id, TRUE)] = idx
-        forward[(var.id, FALSE)] = -idx
-    return forward
-
-
 def _check_boolean(variables):
     for var in variables:
         if not var.is_boolean:
             raise UsageError(f"{var.name!r} must be Boolean for this encoder")
+
+
+def _encode_boolean(constraint, variables, emit) -> Encoding:
+    """Shared frame of the Boolean-source encoders: one CNF variable per
+    source variable (direct channel), then `emit(formula, lits)` appends the
+    clauses over the constraint's literals and returns the aux variables
+    (or None when it adds none)."""
+    _check_boolean(variables)
+    formula = CnfFormula()
+    forward = {}
+    for var in variables:
+        idx = formula.new_var()
+        forward[(var.id, TRUE)] = idx
+        forward[(var.id, FALSE)] = -idx
+    lits = [forward[(lit_var(l), lit_truth_value(l))] for l in constraint.lits]
+    aux = emit(formula, lits) or ()
+    return Encoding(formula, ChannelMap(ChannelMap.CNF, variables, forward, aux))
 
 
 # --- exactly-one -------------------------------------------------------------
@@ -95,7 +102,7 @@ def encode_exactly_one(formula: CnfFormula, lits: list[int], scheme: str) -> lis
                 formula.add_clause([-lits[i], -lits[j]])
         return []
     # sequential: s_i <-> (lits[0] or ... or lits[i])
-    s = [formula.new_var(f"s{i+1}") for i in range(n - 1)]
+    s = [formula.new_var() for _ in range(n - 1)]
     formula.add_clause([-lits[0], s[0]])
     formula.add_clause([-s[0], lits[0]])
     for i in range(1, n - 1):
@@ -112,58 +119,44 @@ def one_hot_vars(variable: Variable, scheme: str = PAIRWISE) -> Encoding:
     """One-hot encode a single variable: selector a_v per value v, with
     exactly-one clauses per the chosen scheme."""
     formula = CnfFormula()
-    forward = {}
-    sel = []
-    for value in variable.domain:
-        idx = formula.new_var(f"{variable.name}.{variable.label(value)}")
-        forward[(variable.id, value)] = idx
-        sel.append(idx)
-    aux = encode_exactly_one(formula, sel, scheme)
-    channel = ChannelMap(ChannelMap.CNF, [variable], forward, aux)
-    return Encoding(formula, channel,
-                    EncodingStats(formula.num_vars, len(aux), len(formula.clauses)))
+    forward: dict = {}
+    aux = _one_hot_into(formula, forward, variable, scheme)
+    return Encoding(formula, ChannelMap(ChannelMap.CNF, [variable], forward, aux))
 
 
 def _one_hot_into(formula: CnfFormula, forward: dict, variable: Variable,
-                  scheme: str) -> tuple[dict[int, int], list[int]]:
-    sel = {}
+                  scheme: str) -> list[int]:
+    """Add one selector per value to `forward` plus their exactly-one
+    clauses; returns the aux variables."""
+    sel = []
     for value in variable.domain:
-        idx = formula.new_var(f"{variable.name}.{variable.label(value)}")
+        idx = formula.new_var()
         forward[(variable.id, value)] = idx
-        sel[value] = idx
-    aux = encode_exactly_one(formula, [sel[v] for v in variable.domain], scheme)
-    return sel, aux
+        sel.append(idx)
+    return encode_exactly_one(formula, sel, scheme)
+
+
+def _forbid_shared(formula: CnfFormula, forward: dict, a: Variable, b: Variable):
+    """Difference clauses: `a` and `b` may not take a common value."""
+    for value in a.domain:
+        if (b.id, value) in forward:
+            formula.add_clause([-forward[(a.id, value)], -forward[(b.id, value)]])
 
 
 def encode_exactly_one_constraint(constraint: Card, variables, scheme: str) -> Encoding:
     """Encoding for a card[1..1] source built purely from an exactly-one scheme."""
     if (constraint.lo, constraint.hi) != (1, 1):
         raise UsageError("exactly-one encoder needs a card[1..1] source")
-    _check_boolean(variables)
-    formula = CnfFormula()
-    forward = _boolean_channel(formula, variables)
-    lits = [forward[(lit_var(l), lit_truth_value(l))] for l in constraint.lits]
-    aux = encode_exactly_one(formula, lits, scheme)
-    channel = ChannelMap(ChannelMap.CNF, variables, forward, aux)
-    return Encoding(formula, channel,
-                    EncodingStats(formula.num_vars, len(aux), len(formula.clauses)))
+    return _encode_boolean(constraint, variables,
+                           lambda formula, lits: encode_exactly_one(formula, lits, scheme))
 
 
 # --- binary difference and alldiff -------------------------------------------
 
 def encode_neq(a: Variable, b: Variable, scheme: str = PAIRWISE) -> Encoding:
-    """One-hot both variables, then forbid sharing any common value."""
-    formula = CnfFormula()
-    forward: dict = {}
-    sel_a, aux_a = _one_hot_into(formula, forward, a, scheme)
-    sel_b, aux_b = _one_hot_into(formula, forward, b, scheme)
-    for value in a.domain:
-        if value in sel_b:
-            formula.add_clause([-sel_a[value], -sel_b[value]])
-    aux = aux_a + aux_b
-    channel = ChannelMap(ChannelMap.CNF, [a, b], forward, aux)
-    return Encoding(formula, channel,
-                    EncodingStats(formula.num_vars, len(aux), len(formula.clauses)))
+    """One-hot both variables, then forbid sharing any common value: the
+    pairwise alldiff decomposition of two variables."""
+    return encode_alldiff_pairwise([a, b], scheme)
 
 
 def encode_alldiff_pairwise(variables, scheme: str = PAIRWISE) -> Encoding:
@@ -174,19 +167,13 @@ def encode_alldiff_pairwise(variables, scheme: str = PAIRWISE) -> Encoding:
         raise UsageError("alldiff needs at least one variable")
     formula = CnfFormula()
     forward: dict = {}
-    sels = {}
     aux: list[int] = []
     for var in variables:
-        sels[var.id], new_aux = _one_hot_into(formula, forward, var, scheme)
-        aux.extend(new_aux)
+        aux.extend(_one_hot_into(formula, forward, var, scheme))
     for i, va in enumerate(variables):
         for vb in variables[i + 1:]:
-            for value in va.domain:
-                if value in sels[vb.id]:
-                    formula.add_clause([-sels[va.id][value], -sels[vb.id][value]])
-    channel = ChannelMap(ChannelMap.CNF, variables, forward, aux)
-    return Encoding(formula, channel,
-                    EncodingStats(formula.num_vars, len(aux), len(formula.clauses)))
+            _forbid_shared(formula, forward, va, vb)
+    return Encoding(formula, ChannelMap(ChannelMap.CNF, variables, forward, aux))
 
 
 # --- cardinality: unary counters ---------------------------------------------
@@ -203,7 +190,7 @@ def _totalizer_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> l
         left = merge(counters[:mid])
         right = merge(counters[mid:])
         p, q = len(left), len(right)
-        out = [formula.new_var(f"t{len(aux)+k+1}") for k in range(p + q)]
+        out = [formula.new_var() for _ in range(p + q)]
         aux.extend(out)
         for k in range(p + q - 1):
             formula.add_clause([-out[k + 1], out[k]])  # ordered counter
@@ -246,14 +233,8 @@ def encode_card_totalizer(constraint: Card, variables) -> Encoding:
     using true/false sentinels at the index ends. The lo/hi range lands as
     unit clauses on the root counter.
     """
-    _check_boolean(variables)
-    formula = CnfFormula()
-    forward = _boolean_channel(formula, variables)
-    lits = [forward[(lit_var(l), lit_truth_value(l))] for l in constraint.lits]
-    aux = _totalizer_into(formula, lits, constraint.lo, constraint.hi)
-    channel = ChannelMap(ChannelMap.CNF, variables, forward, aux)
-    return Encoding(formula, channel,
-                    EncodingStats(formula.num_vars, len(aux), len(formula.clauses)))
+    return _encode_boolean(constraint, variables, lambda formula, lits: _totalizer_into(
+        formula, lits, constraint.lo, constraint.hi))
 
 
 # --- cardinality: binary adders (negative control) ----------------------------
@@ -377,14 +358,8 @@ def encode_card_binary_adder(constraint: Card, variables) -> Encoding:
     adder circuit is too weak to restore domain consistency in general;
     shipped as the negative control.
     """
-    _check_boolean(variables)
-    formula = CnfFormula()
-    forward = _boolean_channel(formula, variables)
-    lits = [forward[(lit_var(l), lit_truth_value(l))] for l in constraint.lits]
-    aux = _binary_adder_into(formula, lits, constraint.lo, constraint.hi)
-    channel = ChannelMap(ChannelMap.CNF, variables, forward, aux)
-    return Encoding(formula, channel,
-                    EncodingStats(formula.num_vars, len(aux), len(formula.clauses)))
+    return _encode_boolean(constraint, variables, lambda formula, lits: _binary_adder_into(
+        formula, lits, constraint.lo, constraint.hi))
 
 
 # --- parity -------------------------------------------------------------------
@@ -422,14 +397,8 @@ def encode_xor_direct(constraint: Xor, variables,
     """Direct expansion of one XOR equation: all 2^(k-1) parity-violating
     assignments become forbidding clauses. Exponential in arity, so only
     valid below `arity_limit`."""
-    _check_boolean(variables)
-    formula = CnfFormula()
-    forward = _boolean_channel(formula, variables)
-    lits = [forward[(lit_var(l), lit_truth_value(l))] for l in constraint.lits]
-    _xor_into(formula, lits, constraint.parity, arity_limit)
-    channel = ChannelMap(ChannelMap.CNF, variables, forward, ())
-    return Encoding(formula, channel,
-                    EncodingStats(formula.num_vars, 0, len(formula.clauses)))
+    return _encode_boolean(constraint, variables, lambda formula, lits: _xor_into(
+        formula, lits, constraint.parity, arity_limit))
 
 
 # --- clause -> difference network ---------------------------------------------
@@ -460,7 +429,6 @@ def encode_clause_to_neq(constraint: Clause, variables,
         raise UsageError(f"unknown clause gadget variant {variant!r}")
     if not constraint.lits:
         raise UsageError("clause gadget needs at least one literal")
-    by_id = {v.id: v for v in variables}
 
     tvars: list[Variable] = []
     constraints = []
@@ -525,9 +493,7 @@ def encode_clause_to_neq(constraint: Clause, variables,
 
     target = Network(tvars, constraints)
     aux = [v.id for v in tvars if v.id > len(variables)]
-    channel = ChannelMap(ChannelMap.NETWORK, variables, forward, aux)
-    return Encoding(target, channel,
-                    EncodingStats(len(tvars), len(aux), len(constraints)))
+    return Encoding(target, ChannelMap(ChannelMap.NETWORK, variables, forward, aux))
 
 
 def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
@@ -542,24 +508,16 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
     formula = CnfFormula()
     forward: dict = {}
     aux: list[int] = []
-    sel: dict[int, dict[int, int]] = {}
     for var in net.variables:
         if var.is_boolean:
-            idx = formula.new_var(var.name)
+            idx = formula.new_var()
             forward[(var.id, TRUE)] = idx
             forward[(var.id, FALSE)] = -idx
-            sel[var.id] = {TRUE: idx, FALSE: -idx}
         else:
-            sel[var.id], new_aux = _one_hot_into(formula, forward, var, eo_scheme)
-            aux.extend(new_aux)
+            aux.extend(_one_hot_into(formula, forward, var, eo_scheme))
 
     def cnf_lits(lits):
         return [forward[(lit_var(l), lit_truth_value(l))] for l in lits]
-
-    def diff_clauses(a: int, b: int):
-        for value in net.variable(a).domain:
-            if value in sel[b]:
-                formula.add_clause([-sel[a][value], -sel[b][value]])
 
     for c in net.constraints:
         if isinstance(c, Clause):
@@ -574,29 +532,21 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
         elif isinstance(c, Xor):
             _xor_into(formula, cnf_lits(c.lits), c.parity)
         elif isinstance(c, Neq):
-            diff_clauses(c.a, c.b)
+            _forbid_shared(formula, forward, net.variable(c.a), net.variable(c.b))
         elif isinstance(c, AllDiff):
             for i, a in enumerate(c.scope):
                 for b in c.scope[i + 1:]:
-                    diff_clauses(a, b)
+                    _forbid_shared(formula, forward, net.variable(a), net.variable(b))
         else:
             raise UsageError(f"no CNF encoder for {c.kind()} constraints")
 
-    if box is not None:
-        if box.inconsistent:
-            formula.add_clause([])
-        else:
-            for var in net.variables:
-                dom = box.domain(var.id)
-                for value in var.domain:
-                    if value not in dom:
-                        formula.add_clause([-forward[(var.id, value)]])
-                if len(dom) == 1:
-                    formula.add_clause([forward[(var.id, next(iter(dom)))]])
-
     channel = ChannelMap(ChannelMap.CNF, net.variables, forward, aux)
-    return Encoding(formula, channel,
-                    EncodingStats(formula.num_vars, len(aux), len(formula.clauses)))
+    if box is not None and box.inconsistent:
+        formula.add_clause([])
+    elif box is not None:
+        for lit in map_knowledge(channel, box):
+            formula.add_clause([lit])
+    return Encoding(formula, channel)
 
 
 # Name-based dispatch shared by the CLI and the classification suite.
@@ -659,6 +609,4 @@ def identity_encoding(constraint: Constraint, variables) -> Encoding:
         for value in var.domain:
             forward[(var.id, value)] = (var.id, value)
     target = Network(variables, [constraint] if constraint is not None else [])
-    channel = ChannelMap(ChannelMap.NETWORK, variables, forward, ())
-    return Encoding(target, channel,
-                    EncodingStats(len(target.variables), 0, len(target.constraints)))
+    return Encoding(target, ChannelMap(ChannelMap.NETWORK, variables, forward, ()))

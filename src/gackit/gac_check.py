@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 from .model import (
     ChannelMap, Constraint, DomainBox, Network, ResourceError, UsageError,
-    Variable,
+    Variable, is_restriction, map_knowledge,
 )
 from .propagation import (
-    PropagationResult, UnitPropagator, gac_closure, gac_filter, sat_solve,
-    solve_brute_force,
+    UnitPropagator, gac_closure, gac_filter, sat_solve, solve_brute_force,
 )
 from .encoders import Encoding
 
@@ -58,6 +57,8 @@ class EnumerationPolicy:
     def __post_init__(self):
         if self.mode not in (FULL_SUBDOMAINS, ASSIGNMENT_STYLE, RANDOM_SAMPLE):
             raise UsageError(f"unknown enumeration mode {self.mode!r}")
+        if self.sample_count < 1:
+            raise UsageError(f"sample count must be at least 1, got {self.sample_count}")
 
 
 def count_states(variables, policy: EnumerationPolicy) -> int:
@@ -71,17 +72,16 @@ def count_states(variables, policy: EnumerationPolicy) -> int:
     return total
 
 
-def auto_policy(variables) -> EnumerationPolicy:
+def auto_policy(variables, seed: int = DEFAULT_SEED,
+                max_states: int = DEFAULT_STATE_BUDGET) -> EnumerationPolicy:
     """Exhaustive where affordable, deterministic everywhere: full subdomain
     enumeration up to the state budget, then assignment-style, then seeded
     random sampling."""
-    full = EnumerationPolicy(FULL_SUBDOMAINS)
-    if count_states(variables, full) <= full.max_states:
-        return full
-    assign = EnumerationPolicy(ASSIGNMENT_STYLE)
-    if count_states(variables, assign) <= assign.max_states:
-        return assign
-    return EnumerationPolicy(RANDOM_SAMPLE)
+    for mode in (FULL_SUBDOMAINS, ASSIGNMENT_STYLE):
+        policy = EnumerationPolicy(mode, seed=seed, max_states=max_states)
+        if count_states(variables, policy) <= max_states:
+            return policy
+    return EnumerationPolicy(RANDOM_SAMPLE, seed=seed, max_states=max_states)
 
 
 def enumerate_knowledge_states(variables, policy: EnumerationPolicy | None = None):
@@ -192,37 +192,6 @@ def _source_propagator(source):
     raise UsageError(f"source must be a Constraint or Network, got {type(source)}")
 
 
-def map_knowledge(channel: ChannelMap, knowledge: DomainBox):
-    """Express source knowledge on the target side.
-
-    Removed source values assert the negation of their image; assigned
-    values assert the image itself. Auxiliary target variables stay
-    unrestricted. Returns assumption literals for CNF channels and a
-    restricted target DomainBox for network channels.
-    """
-    if channel.kind == ChannelMap.CNF:
-        assumptions = []
-        for var in channel.source_vars:
-            kdom = knowledge.domain(var.id)
-            for value in var.domain:
-                if value not in kdom:
-                    assumptions.append(-channel.forward[(var.id, value)])
-            if len(kdom) == 1:
-                assumptions.append(channel.forward[(var.id, next(iter(kdom)))])
-        return assumptions
-    removals: dict[int, set] = {}
-    pins: dict[int, set] = {}
-    for var in channel.source_vars:
-        kdom = knowledge.domain(var.id)
-        for value in var.domain:
-            tvid, tval = channel.forward[(var.id, value)]
-            if value not in kdom:
-                removals.setdefault(tvid, set()).add(tval)
-            elif len(kdom) == 1:
-                pins.setdefault(tvid, set()).add(tval)
-    return removals, pins
-
-
 def _target_box(target: Network, mapped) -> DomainBox:
     removals, pins = mapped
     domains = {}
@@ -237,178 +206,138 @@ def _target_box(target: Network, mapped) -> DomainBox:
     return DomainBox._raw(domains)
 
 
-def map_back(channel: ChannelMap, target_result, base: DomainBox | None = None) -> DomainBox:
+def map_back(channel: ChannelMap, payload, base: DomainBox | None = None) -> DomainBox:
     """Project a target deduction back to the source variables.
 
-    A source value survives unless its image is refuted in the target
-    deduction; auxiliary variables are ignored; a target inconsistency maps
-    to the source inconsistent state. When `base` is given the result is
-    additionally intersected with it (deduction from that knowledge).
+    `payload` is the target engine's output: the value list of
+    `UnitPropagator.propagate` (indexed by CNF variable, entries
+    True/False/None) for CNF channels, the target DomainBox for network
+    channels, and None for a target inconsistency, which maps to the source
+    inconsistent state. A source value survives unless its image is refuted;
+    auxiliary variables are ignored. When `base` is given only its values
+    are candidates (deduction from that knowledge).
     """
-    if isinstance(target_result, PropagationResult):
-        if target_result.inconsistent:
-            return DomainBox.bottom()
-        payload = target_result.assignment if channel.kind == ChannelMap.CNF \
-            else target_result.box
-    else:
-        payload = target_result
     if payload is None:
         return DomainBox.bottom()
+    cnf = channel.kind == ChannelMap.CNF
+    forward = channel.forward
     domains = {}
     for var in channel.source_vars:
-        candidates = var.domain if base is None else sorted(base.domain(var.id))
+        vid = var.id
         keep = set()
-        for value in candidates:
-            image = channel.forward[(var.id, value)]
-            if channel.kind == ChannelMap.CNF:
+        for value in (var.domain if base is None else base.domain(vid)):
+            image = forward[(vid, value)]
+            if cnf:
                 iv = payload[image] if image > 0 else payload[-image]
-                refuted = iv is not None and iv != (image > 0)
-            else:
-                tvid, tval = image
-                refuted = tval not in payload.domain(tvid)
-            if not refuted:
+                if iv is None or iv == (image > 0):
+                    keep.add(value)
+            elif image[1] in payload.domain(image[0]):
                 keep.add(value)
         if not keep:
             return DomainBox.bottom()
-        domains[var.id] = frozenset(keep)
+        domains[vid] = frozenset(keep)
     return DomainBox._raw(domains)
 
 
 class _CnfTarget:
-    def __init__(self, enc: Encoding, custom=None):
+    def __init__(self, enc: Encoding):
         self.channel = enc.channel
-        self.custom = custom
-        self.prop = None if custom else UnitPropagator(enc.target)
         self.formula = enc.target
+        self.prop = UnitPropagator(enc.target)
 
     def deduce_back(self, knowledge: DomainBox) -> DomainBox:
-        assumptions = map_knowledge(self.channel, knowledge)
-        if self.custom is not None:
-            result = self.custom(self.formula, assumptions)
-            if result.inconsistent:
-                return DomainBox.bottom()
-            values = {v: result.assignment.get(v) for v in range(self.formula.num_vars + 1)}
-        else:
-            raw = self.prop.propagate(assumptions)
-            if raw is None:
-                return DomainBox.bottom()
-            values = raw
-        # inline map_back against the raw value table, restricted to K
-        domains = {}
-        forward = self.channel.forward
-        for var in self.channel.source_vars:
-            keep = set()
-            for value in knowledge.domain(var.id):
-                image = forward[(var.id, value)]
-                iv = values[image] if image > 0 else values[-image]
-                if iv is None or iv == (image > 0):
-                    keep.add(value)
-            if not keep:
-                return DomainBox.bottom()
-            domains[var.id] = frozenset(keep)
-        return DomainBox._raw(domains)
+        values = self.prop.propagate(map_knowledge(self.channel, knowledge))
+        return map_back(self.channel, values, base=knowledge)
 
     def satisfiable(self, assignment: DomainBox) -> bool:
         return sat_solve(self.formula, map_knowledge(self.channel, assignment)).sat
 
 
 class _NetworkTarget:
-    def __init__(self, enc: Encoding, custom=None):
+    def __init__(self, enc: Encoding):
         self.channel = enc.channel
         self.network = enc.target
-        self.custom = custom or (lambda net, box: gac_closure(net, box))
 
     def deduce_back(self, knowledge: DomainBox) -> DomainBox:
         start = _target_box(self.network, map_knowledge(self.channel, knowledge))
-        result = self.custom(self.network, start)
-        if result.inconsistent:
-            return DomainBox.bottom()
-        return map_back(self.channel, result.box, base=knowledge)
+        result = gac_closure(self.network, start)
+        return map_back(self.channel, None if result.inconsistent else result.box,
+                        base=knowledge)
 
     def satisfiable(self, assignment: DomainBox) -> bool:
         start = _target_box(self.network, map_knowledge(self.channel, assignment))
         return solve_brute_force(self.network, start).sat
 
 
-def _target_engine(enc: Encoding, target_propagator=None):
-    if isinstance(enc.target, Network):
-        return _NetworkTarget(enc, target_propagator)
-    return _CnfTarget(enc, target_propagator)
+def _target_engine(enc: Encoding):
+    return (_NetworkTarget if isinstance(enc.target, Network) else _CnfTarget)(enc)
 
 
-def check_gac_reduction(source, enc: Encoding, target_propagator=None,
-                        policy: EnumerationPolicy | None = None,
-                        first_failure_only: bool = False) -> Verdict:
+def _deduce(deduce_source, engine, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:
+    """(D_source, D_back) for one knowledge state."""
+    src = deduce_source(knowledge)
+    return (DomainBox.bottom() if src.inconsistent else src.box), engine.deduce_back(knowledge)
+
+
+def _drive(states, judge, mode: str, check: str, svars) -> Verdict:
+    """The one check loop: `judge(state)` returns a Counterexample or None;
+    counterexamples are kept in enumeration order."""
+    counterexamples = []
+    count = 0
+    for state in states:
+        count += 1
+        ce = judge(state)
+        if ce is not None:
+            counterexamples.append(ce)
+    return Verdict(count, counterexamples, mode, check, svars)
+
+
+def _drive_knowledge(enc: Encoding, policy, judge, check: str) -> Verdict:
+    svars = enc.channel.source_vars
+    if policy is None:
+        policy = auto_policy(svars)
+    return _drive(enumerate_knowledge_states(svars, policy), judge, policy.mode,
+                  check, svars)
+
+
+def check_gac_reduction(source, enc: Encoding,
+                        policy: EnumerationPolicy | None = None) -> Verdict:
     """Completeness check: for every knowledge state, the mapped-back target
     deduction must be a restriction of (at least as strong as) the source
     deduction. Records a completeness gap per offending state."""
-    svars = enc.channel.source_vars
-    if policy is None:
-        policy = auto_policy(svars)
-    deduce_source = _source_propagator(source)
-    engine = _target_engine(enc, target_propagator)
-    counterexamples = []
-    states = 0
-    for knowledge in enumerate_knowledge_states(svars, policy):
-        states += 1
-        src = deduce_source(knowledge)
-        back = engine.deduce_back(knowledge)
-        if back.inconsistent:
-            continue  # bottom is the strongest deduction
-        if src.inconsistent or not _weaker_or_equal(back, src.box, svars):
-            counterexamples.append(Counterexample(
-                COMPLETENESS_GAP, knowledge,
-                DomainBox.bottom() if src.inconsistent else src.box, back))
-            if first_failure_only:
-                break
-    return Verdict(states, counterexamples, policy.mode, "gac-reduction", svars)
+    deduce_source, engine = _source_propagator(source), _target_engine(enc)
+
+    def judge(knowledge):
+        src, back = _deduce(deduce_source, engine, knowledge)
+        if not is_restriction(back, src):  # bottom is the strongest deduction
+            return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
+    return _drive_knowledge(enc, policy, judge, "gac-reduction")
 
 
-def _weaker_or_equal(back: DomainBox, src: DomainBox, svars) -> bool:
-    for var in svars:
-        if not back.domain(var.id) <= src.domain(var.id):
-            return False
-    return True
-
-
-def check_soundness(source, enc: Encoding, target_propagator=None,
-                    policy: EnumerationPolicy | None = None,
-                    first_failure_only: bool = False) -> Verdict:
+def check_soundness(source, enc: Encoding,
+                    policy: EnumerationPolicy | None = None) -> Verdict:
     """Guard against over-pruning: the target may not refute a value that
     still extends to a full source solution inside the knowledge state."""
+    deduce_source, engine = _source_propagator(source), _target_engine(enc)
     svars = enc.channel.source_vars
-    if policy is None:
-        policy = auto_policy(svars)
-    deduce_source = _source_propagator(source)
-    engine = _target_engine(enc, target_propagator)
     is_network = isinstance(source, Network)
-    counterexamples = []
-    states = 0
-    for knowledge in enumerate_knowledge_states(svars, policy):
-        states += 1
+
+    def extends(knowledge):
+        return not is_network or solve_brute_force(source, knowledge).sat
+
+    def judge(knowledge):
         src = deduce_source(knowledge)
         if src.inconsistent:
-            continue  # nothing extends to a solution; no over-pruning possible
+            return None  # nothing extends to a solution; no over-pruning possible
         back = engine.deduce_back(knowledge)
-        violated = False
         if back.inconsistent:
-            violated = (not is_network) or solve_brute_force(source, knowledge).sat
+            violated = extends(knowledge)
         else:
-            for var in svars:
-                over = src.box.domain(var.id) - back.domain(var.id)
-                for value in sorted(over):
-                    if not is_network or solve_brute_force(
-                            source, knowledge.assign(var.id, value)).sat:
-                        violated = True
-                        break
-                if violated:
-                    break
+            violated = any(extends(knowledge.assign(var.id, value)) for var in svars
+                           for value in sorted(src.box.domain(var.id) - back.domain(var.id)))
         if violated:
-            counterexamples.append(Counterexample(
-                SOUNDNESS_VIOLATION, knowledge, src.box, back))
-            if first_failure_only:
-                break
-    return Verdict(states, counterexamples, policy.mode, "soundness", svars)
+            return Counterexample(SOUNDNESS_VIOLATION, knowledge, src.box, back)
+    return _drive_knowledge(enc, policy, judge, "soundness")
 
 
 def check_equiconsistency(source, enc: Encoding, sampler=None,
@@ -418,11 +347,7 @@ def check_equiconsistency(source, enc: Encoding, sampler=None,
     random-sample mode to spot-check instead."""
     svars = enc.channel.source_vars
     engine = _target_engine(enc)
-    if isinstance(source, Network):
-        source_sat = lambda box: solve_brute_force(source, box).sat
-    else:
-        net = Network(list(svars), [source])
-        source_sat = lambda box: solve_brute_force(net, box).sat
+    net = source if isinstance(source, Network) else Network(list(svars), [source])
 
     if sampler is None:
         total = 1
@@ -441,29 +366,23 @@ def check_equiconsistency(source, enc: Encoding, sampler=None,
         mode = RANDOM_SAMPLE
 
     vids = [v.id for v in svars]
-    counterexamples = []
-    states = 0
-    for values in assignments:
-        states += 1
-        box = DomainBox._raw({vid: frozenset((val,)) for vid, val in zip(vids, values)})
-        s = source_sat(box)
+    boxes = (DomainBox._raw({vid: frozenset((val,)) for vid, val in zip(vids, values)})
+             for values in assignments)
+
+    def judge(box):
+        s = solve_brute_force(net, box).sat
         t = engine.satisfiable(box)
         if s != t:
-            counterexamples.append(Counterexample(
-                CONSISTENCY_MISMATCH, box,
-                box if s else DomainBox.bottom(),
-                box if t else DomainBox.bottom()))
-    return Verdict(states, counterexamples, mode, "equiconsistency", svars)
+            return Counterexample(CONSISTENCY_MISMATCH, box,
+                                  box if s else DomainBox.bottom(),
+                                  box if t else DomainBox.bottom())
+    return _drive(boxes, judge, mode, "equiconsistency", svars)
 
 
-def replay(source, enc: Encoding, knowledge: DomainBox,
-           target_propagator=None) -> tuple[DomainBox, DomainBox]:
+def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:
     """Re-run both pipelines on one knowledge state; returns (D_source, D_back).
 
     Counterexamples are replayable: feeding a recorded K back through here
     reproduces the recorded deductions exactly.
     """
-    src = _source_propagator(source)(knowledge)
-    back = _target_engine(enc, target_propagator).deduce_back(knowledge)
-    src_box = DomainBox.bottom() if src.inconsistent else src.box
-    return src_box, back
+    return _deduce(_source_propagator(source), _target_engine(enc), knowledge)

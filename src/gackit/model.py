@@ -115,9 +115,6 @@ class DomainBox:
         box.inconsistent = False
         return box
 
-    def var_ids(self):
-        return self._domains.keys()
-
     def domain(self, vid: int) -> frozenset:
         if self.inconsistent:
             return frozenset()
@@ -128,9 +125,6 @@ class DomainBox:
 
     def domains(self) -> dict:
         return dict(self._domains)
-
-    def is_singleton(self, vid: int) -> bool:
-        return len(self.domain(vid)) == 1
 
     def value_of(self, vid: int) -> int:
         dom = self.domain(vid)
@@ -228,17 +222,8 @@ class Constraint:
         return type(self).__name__.lower()
 
 
-def _lit_scope(lits: Sequence[int]) -> tuple[int, ...]:
-    seen = []
-    for lit in lits:
-        v = lit_var(lit)
-        if v not in seen:
-            seen.append(v)
-    return tuple(seen)
-
-
-class Clause(Constraint):
-    """Propositional clause: disjunction of literals over Boolean variables."""
+class _LiteralConstraint(Constraint):
+    """Constraint over literals; `scope` lists each literal's variable once."""
 
     __slots__ = ("lits", "scope", "_positions")
 
@@ -246,9 +231,19 @@ class Clause(Constraint):
         self.lits = tuple(lits)
         if any(l == 0 for l in self.lits):
             raise UsageError("literal 0 is not allowed")
-        self.scope = _lit_scope(self.lits)
+        self.scope = tuple(dict.fromkeys(lit_var(l) for l in self.lits))
         pos = {v: i for i, v in enumerate(self.scope)}
         self._positions = tuple(pos[lit_var(l)] for l in self.lits)
+
+    def _true_count(self, values) -> int:
+        return sum(1 for l, p in zip(self.lits, self._positions)
+                   if values[p] == lit_truth_value(l))
+
+
+class Clause(_LiteralConstraint):
+    """Propositional clause: disjunction of literals over Boolean variables."""
+
+    __slots__ = ()
 
     def accepts(self, values):
         return any(values[p] == lit_truth_value(l)
@@ -258,52 +253,38 @@ class Clause(Constraint):
         return f"Clause({list(self.lits)})"
 
 
-class Card(Constraint):
+class Card(_LiteralConstraint):
     """Boolean cardinality range: lo <= #true literals <= hi."""
 
-    __slots__ = ("lits", "lo", "hi", "scope", "_positions")
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lits: Iterable[int], lo: int, hi: int):
-        self.lits = tuple(lits)
-        if any(l == 0 for l in self.lits):
-            raise UsageError("literal 0 is not allowed")
+        super().__init__(lits)
         if not (0 <= lo <= hi <= len(self.lits)):
             raise UsageError(f"card bounds must satisfy 0 <= {lo} <= {hi} <= {len(self.lits)}")
         self.lo = lo
         self.hi = hi
-        self.scope = _lit_scope(self.lits)
-        pos = {v: i for i, v in enumerate(self.scope)}
-        self._positions = tuple(pos[lit_var(l)] for l in self.lits)
 
     def accepts(self, values):
-        count = sum(1 for l, p in zip(self.lits, self._positions)
-                    if values[p] == lit_truth_value(l))
-        return self.lo <= count <= self.hi
+        return self.lo <= self._true_count(values) <= self.hi
 
     def __repr__(self):
         return f"Card({list(self.lits)}, {self.lo}, {self.hi})"
 
 
-class Xor(Constraint):
+class Xor(_LiteralConstraint):
     """Parity equation: XOR of literal truths equals `parity` (0 or 1)."""
 
-    __slots__ = ("lits", "parity", "scope", "_positions")
+    __slots__ = ("parity",)
 
     def __init__(self, lits: Iterable[int], parity: int):
-        self.lits = tuple(lits)
-        if any(l == 0 for l in self.lits):
-            raise UsageError("literal 0 is not allowed")
+        super().__init__(lits)
         if parity not in (0, 1):
             raise UsageError(f"parity must be 0 or 1, got {parity}")
         self.parity = parity
-        self.scope = _lit_scope(self.lits)
-        pos = {v: i for i, v in enumerate(self.scope)}
-        self._positions = tuple(pos[lit_var(l)] for l in self.lits)
 
     def accepts(self, values):
-        count = sum(1 for l, p in zip(self.lits, self._positions)
-                    if values[p] == lit_truth_value(l))
-        return count % 2 == self.parity
+        return self._true_count(values) % 2 == self.parity
 
     def __repr__(self):
         return f"Xor({list(self.lits)}, {self.parity})"
@@ -420,14 +401,37 @@ class ChannelMap:
         if image_vars & self.aux:
             raise UsageError("auxiliary target variables may not carry channel images")
 
-    def image(self, vid: int, value: int):
-        return self.forward[(vid, value)]
 
-    def source_var(self, vid: int) -> Variable:
-        for var in self.source_vars:
-            if var.id == vid:
-                return var
-        raise UsageError(f"variable id {vid} is not a channel source")
+def map_knowledge(channel: ChannelMap, knowledge: DomainBox):
+    """Express source knowledge on the target side.
+
+    Removed source values assert the negation of their image; assigned
+    values assert the image itself. Auxiliary target variables stay
+    unrestricted. Returns assumption literals for CNF channels; for network
+    channels returns `(removals, pins)`, two maps from a target variable id
+    to the values removed from it and to the values it is pinned to.
+    """
+    if channel.kind == ChannelMap.CNF:
+        assumptions = []
+        for var in channel.source_vars:
+            kdom = knowledge.domain(var.id)
+            for value in var.domain:
+                if value not in kdom:
+                    assumptions.append(-channel.forward[(var.id, value)])
+            if len(kdom) == 1:
+                assumptions.append(channel.forward[(var.id, next(iter(kdom)))])
+        return assumptions
+    removals: dict[int, set] = {}
+    pins: dict[int, set] = {}
+    for var in channel.source_vars:
+        kdom = knowledge.domain(var.id)
+        for value in var.domain:
+            tvid, tval = channel.forward[(var.id, value)]
+            if value not in kdom:
+                removals.setdefault(tvid, set()).add(tval)
+            elif len(kdom) == 1:
+                pins.setdefault(tvid, set()).add(tval)
+    return removals, pins
 
 
 class Network:
@@ -445,7 +449,7 @@ class Network:
             for vid in c.scope:
                 if vid not in self.by_id:
                     raise UsageError(f"constraint {c!r} references undeclared variable id {vid}")
-            if isinstance(c, (Clause, Card, Xor)):
+            if isinstance(c, _LiteralConstraint):
                 for vid in c.scope:
                     if not self.by_id[vid].is_boolean:
                         raise UsageError(

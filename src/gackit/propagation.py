@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
-    FALSE, TRUE, AllDiff, Card, Clause, Constraint, DomainBox, Neq, Network,
-    ResourceError, Table, UsageError, Xor, lit_false_value, lit_truth_value,
-    lit_var,
+    AllDiff, Card, Clause, Constraint, DomainBox, Neq, Network, ResourceError,
+    Table, UsageError, Xor, lit_false_value, lit_truth_value, lit_var,
 )
 
 FIXPOINT = "fixpoint"
@@ -45,18 +44,14 @@ class SolveResult:
 class CnfFormula:
     """CNF over variables 1..num_vars; clauses are tuples of signed indices."""
 
-    def __init__(self, num_vars: int = 0, clauses: Iterable[Sequence[int]] = (),
-                 names: dict[int, str] | None = None):
+    def __init__(self, num_vars: int = 0, clauses: Iterable[Sequence[int]] = ()):
         self.num_vars = num_vars
         self.clauses: list[tuple[int, ...]] = []
-        self.names = dict(names) if names else {}
         for cl in clauses:
             self.add_clause(cl)
 
-    def new_var(self, name: str | None = None) -> int:
+    def new_var(self) -> int:
         self.num_vars += 1
-        if name is not None:
-            self.names[self.num_vars] = name
         return self.num_vars
 
     def add_clause(self, lits: Sequence[int]):
@@ -65,9 +60,6 @@ class CnfFormula:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise UsageError(f"literal {lit} out of range for {self.num_vars} variables")
         self.clauses.append(cl)
-
-    def name(self, var: int) -> str:
-        return self.names.get(var, f"v{var}")
 
     def __repr__(self):
         return f"CnfFormula({self.num_vars} vars, {len(self.clauses)} clauses)"
@@ -110,13 +102,8 @@ def _apply_scope_domains(box: DomainBox, scope, supported) -> PropagationResult:
     return PropagationResult(FIXPOINT, DomainBox._raw(domains))
 
 
-def gac_filter(constraint: Constraint, box: DomainBox,
-               alldiff_mode: str = "matching") -> PropagationResult:
-    """Fast per-variant GAC filter; output contract identical to gac_oracle.
-
-    `alldiff_mode` switches the AllDiff path between the matching-based
-    filter ("matching") and the tuple-enumeration oracle ("oracle").
-    """
+def gac_filter(constraint: Constraint, box: DomainBox) -> PropagationResult:
+    """Fast per-variant GAC filter; output contract identical to gac_oracle."""
     if box.inconsistent:
         return PropagationResult(INCONSISTENT, box)
     if isinstance(constraint, Clause):
@@ -128,8 +115,6 @@ def gac_filter(constraint: Constraint, box: DomainBox,
     if isinstance(constraint, Neq):
         return _filter_neq(constraint, box)
     if isinstance(constraint, AllDiff):
-        if alldiff_mode == "oracle":
-            return gac_oracle(constraint, box)
         return _filter_alldiff(constraint, box)
     if isinstance(constraint, Table):
         return _filter_table(constraint, box)
@@ -306,8 +291,7 @@ def _filter_table(c: Table, box: DomainBox) -> PropagationResult:
 
 # --- network closure ---------------------------------------------------------
 
-def gac_closure(net: Network, box: DomainBox,
-                alldiff_mode: str = "matching") -> PropagationResult:
+def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
     """Least fixpoint of gac_filter over all constraints (FIFO worklist).
 
     The fixpoint is order-independent, so scheduling is purely a
@@ -327,7 +311,7 @@ def gac_closure(net: Network, box: DomainBox,
         queued.discard(ci)
         c = net.constraints[ci]
         before = current
-        res = gac_filter(c, current, alldiff_mode=alldiff_mode)
+        res = gac_filter(c, current)
         if res.inconsistent:
             return PropagationResult(INCONSISTENT, DomainBox.bottom())
         current = res.box

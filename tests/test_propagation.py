@@ -67,11 +67,6 @@ class TestGacFilter:
         c = AllDiff([1, 2, 3])
         assert gac_filter(c, box).box == gac_oracle(c, box).box
 
-    def test_alldiff_oracle_mode_switch(self):
-        _, box = hall_instance()
-        c = AllDiff([1, 2, 3])
-        assert gac_filter(c, box, alldiff_mode="oracle").box == gac_oracle(c, box).box
-
     def test_inconsistent_passthrough(self):
         out = gac_filter(Clause([1]), DomainBox.bottom())
         assert out.inconsistent
