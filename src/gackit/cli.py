@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_equiconsistency)
 
-    p = sub.add_parser("solve", help="exact satisfiability by enumeration")
+    p = sub.add_parser("solve", help="exact satisfiability by backtracking search")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BRUTE_FORCE_BUDGET)
     p.set_defaults(func=_cmd_solve)

@@ -242,7 +242,6 @@ def map_back(channel: ChannelMap, payload, base: DomainBox | None = None) -> Dom
 class _CnfTarget:
     def __init__(self, enc: Encoding):
         self.channel = enc.channel
-        self.formula = enc.target
         self.prop = UnitPropagator(enc.target)
 
     def deduce_back(self, knowledge: DomainBox) -> DomainBox:
@@ -250,7 +249,7 @@ class _CnfTarget:
         return map_back(self.channel, values, base=knowledge)
 
     def satisfiable(self, assignment: DomainBox) -> bool:
-        return sat_solve(self.formula, map_knowledge(self.channel, assignment)).sat
+        return sat_solve(self.prop, map_knowledge(self.channel, assignment)).sat
 
 
 class _NetworkTarget:
@@ -273,9 +272,8 @@ def _target_engine(enc: Encoding):
     return (_NetworkTarget if isinstance(enc.target, Network) else _CnfTarget)(enc)
 
 
-def _deduce(deduce_source, engine, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:
-    """(D_source, D_back) for one knowledge state."""
-    src = deduce_source(knowledge)
+def _deduce(src, engine, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:
+    """(D_source, D_back) for one knowledge state, given the source result."""
     return (DomainBox.bottom() if src.inconsistent else src.box), engine.deduce_back(knowledge)
 
 
@@ -304,11 +302,17 @@ def check_gac_reduction(source, enc: Encoding,
                         policy: EnumerationPolicy | None = None) -> Verdict:
     """Completeness check: for every knowledge state, the mapped-back target
     deduction must be a restriction of (at least as strong as) the source
-    deduction. Records a completeness gap per offending state."""
+    deduction. Records a completeness gap per offending state. Where the
+    source deduces nothing (its propagator hands back K itself) the target
+    side is skipped: the mapped-back deduction keeps only values of K, so
+    it restricts K whatever the target deduces."""
     deduce_source, engine = _source_propagator(source), _target_engine(enc)
 
     def judge(knowledge):
-        src, back = _deduce(deduce_source, engine, knowledge)
+        res = deduce_source(knowledge)
+        if not res.inconsistent and res.box is knowledge:
+            return None
+        src, back = _deduce(res, engine, knowledge)
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "gac-reduction")
@@ -385,4 +389,4 @@ def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, Doma
     Counterexamples are replayable: feeding a recorded K back through here
     reproduces the recorded deductions exactly.
     """
-    return _deduce(_source_propagator(source), _target_engine(enc), knowledge)
+    return _deduce(_source_propagator(source)(knowledge), _target_engine(enc), knowledge)

@@ -1,6 +1,7 @@
 """Propagation engines: per-constraint GAC filtering, network closure via a
-FIFO worklist fixpoint, watched-literal unit propagation for CNF, a
-brute-force consistency oracle and a small deterministic DPLL solver.
+FIFO worklist fixpoint, watched-literal unit propagation for CNF, and two
+deterministic complete solvers: a backtracking search over a network that
+tests constraints only through `accepts`, and a small DPLL solver.
 
 All engines are single-threaded per invocation and hold no global state.
 """
@@ -213,70 +214,101 @@ def _filter_neq(c: Neq, box: DomainBox) -> PropagationResult:
 
 
 def _filter_alldiff(c: AllDiff, box: DomainBox) -> PropagationResult:
-    """Matching-based AllDiff filter (maximum matching + alternating reachability)."""
+    """Matching-based AllDiff filter (Régin, AAAI 1994): a maximum matching,
+    then one SCC pass and one search towards the free values."""
     vars_ = c.scope
     doms = {v: sorted(box.domain(v)) for v in vars_}
+    values = sorted(set().union(*doms.values()))
+    if len(values) < len(vars_):  # pigeonhole: no matching can cover the scope
+        return PropagationResult(INCONSISTENT, DomainBox.bottom())
     match_of_var: dict[int, int] = {}
     match_of_val: dict[int, int] = {}
-
-    def augment(x, visited):
-        for val in doms[x]:
-            if val in visited:
+    for x in vars_:  # augmenting-path search from x, depth-first, iterative
+        visited: set[int] = set()
+        path = [(x, iter(doms[x]))]
+        vals: list[int] = []  # vals[i] is the value path[i][0] would take
+        while path:
+            for val in path[-1][1]:
+                if val not in visited:
+                    visited.add(val)
+                    vals.append(val)
+                    break
+            else:
+                path.pop()
+                if vals:
+                    vals.pop()
                 continue
-            visited.add(val)
             owner = match_of_val.get(val)
-            if owner is None or augment(owner, visited):
-                match_of_var[x] = val
-                match_of_val[val] = x
-                return True
-        return False
-
-    for x in vars_:
-        if not augment(x, set()):
+            if owner is None:
+                for (var, _), v in zip(path, vals):
+                    match_of_var[var], match_of_val[v] = v, var
+                break
+            path.append((owner, iter(doms[owner])))
+        if not path:
             return PropagationResult(INCONSISTENT, DomainBox.bottom())
 
-    # Digraph on ('x', var) / ('v', val) nodes: matched edges val -> var,
+    # Digraph over variables 0..k-1 and values k..: matched edges val -> var,
     # unmatched edges var -> val. An unmatched edge (x, val) survives iff it
     # lies on an alternating cycle (same SCC) or val has a path to a free value.
-    all_vals = sorted(set().union(*(doms[v] for v in vars_)))
-    nodes = [("x", v) for v in vars_] + [("v", val) for val in all_vals]
-    succ = {n: [] for n in nodes}
-    for x in vars_:
+    k = len(vars_)
+    node = {val: k + i for i, val in enumerate(values)}
+    succ: list[list[int]] = [[] for _ in range(k + len(node))]
+    pred: list[list[int]] = [[] for _ in succ]
+    for i, x in enumerate(vars_):
         for val in doms[x]:
-            if match_of_var[x] == val:
-                succ[("v", val)].append(("x", x))
-            else:
-                succ[("x", x)].append(("v", val))
-
-    reaches = {n: _reachable(n, succ) for n in nodes}
-    free_vals = [val for val in all_vals if val not in match_of_val]
-
-    supported = []
-    for x in vars_:
-        keep = set()
-        for val in doms[x]:
-            if match_of_var[x] == val:
-                keep.add(val)
-                continue
-            xn, vn = ("x", x), ("v", val)
-            if xn in reaches[vn]:  # closes an alternating cycle with x -> val
-                keep.add(val)
-            elif any(("v", f) in reaches[vn] for f in free_vals):
-                keep.add(val)
-        supported.append(keep)
+            a, b = (node[val], i) if match_of_var[x] == val else (i, node[val])
+            succ[a].append(b)
+            pred[b].append(a)
+    comp = _strong_components(succ)
+    to_free = {n for val, n in node.items() if val not in match_of_val}
+    stack = list(to_free)
+    while stack:
+        for a in pred[stack.pop()]:
+            if a not in to_free:
+                to_free.add(a)
+                stack.append(a)
+    supported = [{val for val in doms[x] if match_of_var[x] == val
+                  or comp[i] == comp[node[val]] or node[val] in to_free}
+                 for i, x in enumerate(vars_)]
     return _apply_scope_domains(box, vars_, supported)
 
 
-def _reachable(start, succ):
-    seen = {start}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        for m in succ[n]:
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Component id of every node of a digraph (Tarjan 1972, iterative)."""
+    n = len(succ)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    count = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:  # pass the low-link up to the parent
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+    return comp
 
 
 def _filter_table(c: Table, box: DomainBox) -> PropagationResult:
@@ -333,7 +365,8 @@ class UnitPropagator:
 
     Watches persist between calls; that is sound because every call starts
     from the empty assignment, exactly as in assumption-based incremental
-    SAT solving.
+    SAT solving (Een & Sorensson, SAT 2003). `sat_solve` runs its DPLL on
+    the same object, so one propagator serves a whole check.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -424,7 +457,11 @@ def unit_propagate(formula: CnfFormula,
 
 def solve_brute_force(net: Network, box: DomainBox | None = None,
                       budget: int = DEFAULT_BRUTE_FORCE_BUDGET) -> SolveResult:
-    """Exact satisfiability of a network by full enumeration inside `box`."""
+    """Exact satisfiability of a network inside `box` by chronological
+    backtracking: variables in network order, values ascending, and each
+    constraint tested with `accepts` once its last scope variable is set,
+    so the model found is the lexicographically first. `budget` caps the
+    size of the product of the domains, checked before the search."""
     if box is None:
         box = net.initial_box()
     if box.inconsistent:
@@ -437,33 +474,52 @@ def solve_brute_force(net: Network, box: DomainBox | None = None,
         if total > budget:
             raise ResourceError(
                 f"brute-force enumeration needs more than {budget} tuples")
-    checks = [(c, tuple(vids.index(v) for v in c.scope)) for c in net.constraints]
-    for tup in itertools.product(*doms):
-        if all(c.accepts([tup[p] for p in pos]) for c, pos in checks):
+    pos = {vid: i for i, vid in enumerate(vids)}
+    checks_at: list[list] = [[] for _ in range(len(vids) + 1)]  # by depth + 1
+    for c in net.constraints:
+        scope_pos = tuple(pos[v] for v in c.scope)
+        checks_at[max(scope_pos, default=-1) + 1].append((c, scope_pos))
+    if not all(c.accepts([]) for c, _ in checks_at[0]):
+        return SolveResult(False)
+    tup = [None] * len(vids)
+    tried = [0] * len(vids)  # values tried so far at each depth
+    depth = 0
+    while depth >= 0:
+        if depth == len(vids):
             return SolveResult(True, dict(zip(vids, tup)))
+        i = tried[depth]
+        if i == len(doms[depth]):
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = i + 1
+        tup[depth] = doms[depth][i]
+        if all(c.accepts([tup[p] for p in scope_pos])
+               for c, scope_pos in checks_at[depth + 1]):
+            depth += 1
     return SolveResult(False)
 
 
-def sat_solve(formula: CnfFormula,
+def sat_solve(formula: CnfFormula | UnitPropagator,
               assumptions: Iterable[int] = ()) -> SolveResult:
     """DPLL: unit propagation plus branching on the lowest-index unassigned
-    variable, trying False before True. Deterministic by construction."""
-    prop = UnitPropagator(formula)
-    n = formula.num_vars
-    base = list(assumptions)
-
-    def descend(assums: list[int]) -> dict[int, bool] | None:
+    variable, trying False before True, with an explicit decision stack.
+    Deterministic by construction. Given a `UnitPropagator` it searches on
+    that propagator, which repeated calls can share."""
+    prop = formula if isinstance(formula, UnitPropagator) else UnitPropagator(formula)
+    n = prop.num_vars
+    assums = list(assumptions)
+    base = len(assums)
+    while True:
         val = prop.propagate(assums)
-        if val is None:
-            return None
-        branch = next((v for v in range(1, n + 1) if val[v] is None), None)
-        if branch is None:
-            return {v: val[v] for v in range(1, n + 1)}
-        for lit in (-branch, branch):
-            model = descend(assums + [lit])
-            if model is not None:
-                return model
-        return None
-
-    model = descend(base)
-    return SolveResult(model is not None, model)
+        if val is not None:
+            branch = next((v for v in range(1, n + 1) if val[v] is None), None)
+            if branch is None:
+                return SolveResult(True, {v: val[v] for v in range(1, n + 1)})
+            assums.append(-branch)
+            continue
+        while len(assums) > base and assums[-1] > 0:  # both branches failed
+            assums.pop()
+        if len(assums) == base:
+            return SolveResult(False)
+        assums[-1] = -assums[-1]

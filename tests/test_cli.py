@@ -78,3 +78,15 @@ def test_check_gac_exit_code_is_the_verdict(files, capsys, encoding, code):
                  "--encoding", encoding]) == code
     assert capsys.readouterr().out.startswith(
         "gac-reduction: " + ("PASS" if code == 0 else "FAIL"))
+
+
+def test_propagate_long_alldiff_chain(files, capsys):
+    # x1 in {1}, xi in {i-1, i}: the matching and pruning paths are 1,500 long
+    n = 1500
+    lines = ["var x1 1..1"] + [f"var x{i} {i - 1}..{i}" for i in range(2, n + 1)]
+    lines.append("alldiff " + " ".join(f"x{i}" for i in range(1, n + 1)))
+    (files / "chain.cnet").write_text("\n".join(lines) + "\n")
+    assert main(["propagate", "--in", str(files / "chain.cnet")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [f"x{i} = {{{i}}}" for i in range(1, n + 1)]

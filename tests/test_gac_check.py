@@ -5,16 +5,21 @@ import pytest
 
 from gackit.model import (
     FALSE, TRUE, Card, Clause, DomainBox, UsageError, bool_variable,
-    range_variable,
+    is_restriction, range_variable,
 )
 from gackit.propagation import UnitPropagator, gac_closure, gac_oracle
 from gackit.encoders import build_encoding, encode_card_totalizer
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
-    EnumerationPolicy, auto_policy, check_gac_reduction, map_back,
-    map_knowledge, replay,
+    EnumerationPolicy, auto_policy, check_equiconsistency, check_gac_reduction,
+    check_soundness, enumerate_knowledge_states, map_back, map_knowledge,
+    replay,
 )
-from gackit.classify import _instances, render_report, run_class_suite
+from gackit.classify import _instances, default_config, render_report, run_class_suite
+
+BUNDLED_JOBS = [pytest.param(job["family"], job["encoding"], job["sizes"],
+                             id=job["encoding"])
+                for job in default_config()["jobs"]]
 
 
 def bools(*names):
@@ -78,6 +83,34 @@ def test_replay_reproduces_every_counterexample(family, encoding, size):
                 DomainBox.bottom() if oracle.inconsistent else oracle.box)
             seen += 1
     assert seen > 0
+
+
+@pytest.mark.parametrize("family, encoding, sizes", BUNDLED_JOBS)
+def test_skipping_the_target_keeps_every_counterexample(family, encoding, sizes):
+    # the check skips the target side where the source deduces nothing;
+    # replay always runs both sides
+    for size in (s for s in sizes if s <= 4):
+        for constraint, variables in _instances(family, size):
+            enc = build_encoding(encoding, constraint, variables)
+            got = [(ce.knowledge, ce.deduced_source, ce.deduced_back)
+                   for ce in check_gac_reduction(constraint, enc).counterexamples]
+            want = []
+            for knowledge in enumerate_knowledge_states(enc.channel.source_vars):
+                src, back = replay(constraint, enc, knowledge)
+                if not is_restriction(back, src):
+                    want.append((knowledge, src, back))
+            assert got == want, (encoding, size)
+
+
+@pytest.mark.parametrize("family, encoding, sizes", BUNDLED_JOBS)
+def test_every_shipped_encoding_is_sound_and_equiconsistent(family, encoding, sizes):
+    for size in sizes:
+        for constraint, variables in _instances(family, size):
+            enc = build_encoding(encoding, constraint, variables)
+            for verdict in (check_soundness(constraint, enc),
+                            check_equiconsistency(constraint, enc)):
+                assert verdict.passed, (verdict.check, encoding, size)
+                assert verdict.states_checked > 0
 
 
 class TestAutoPolicy:

@@ -10,7 +10,7 @@ from gackit.model import (
     Table, Xor, bool_variable, range_variable,
 )
 from gackit.propagation import (
-    CnfFormula, gac_closure, gac_filter, gac_oracle, sat_solve,
+    CnfFormula, UnitPropagator, gac_closure, gac_filter, gac_oracle, sat_solve,
     solve_brute_force, unit_propagate,
 )
 
@@ -117,6 +117,38 @@ class TestOracleEquivalence:
             if not a.inconsistent:
                 assert a.box == b.box, (c, box)
 
+    def test_alldiff_filter_equals_oracle_on_wide_scopes(self):
+        # the matching, SCC and free-value search past the arity-3 cases above
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            variables = [range_variable(i, f"X{i}", 1, rng.randint(1, n + 1))
+                         for i in range(1, n + 1)]
+            c = AllDiff(rng.sample([v.id for v in variables], rng.randint(2, n)))
+            box = random_box(rng, variables)
+            a, b = gac_filter(c, box), gac_oracle(c, box)
+            assert a.status == b.status, (c, box)
+            if not a.inconsistent:
+                assert a.box == b.box, (c, box)
+
+    def test_no_pruning_hands_back_the_input_box(self):
+        # check_gac_reduction skips the target side on exactly this identity
+        rng = random.Random(5)
+        booleans = bools("a", "b", "c")
+        ints = [range_variable(i, f"X{i}", 1, 3) for i in (1, 2, 3)]
+        unpruned = set()
+        for trial in range(2000):
+            variables = booleans if trial % 2 == 0 else ints
+            c = random_constraint(rng, variables)
+            if isinstance(c, (Clause, Card, Xor)) and variables is ints:
+                continue
+            box = random_box(rng, variables)
+            for out in (gac_filter(c, box), gac_closure(Network(variables, [c]), box)):
+                if not out.inconsistent and out.box == box:
+                    assert out.box is box, (c, box)
+                    unpruned.add(c.kind())
+        assert unpruned == {"clause", "card", "xor", "alldiff", "neq", "table"}
+
 
 class TestGacClosure:
     def test_gac_gadget_network_chains_to_assignment(self):
@@ -218,6 +250,50 @@ class TestSolvers:
                        for v in (FALSE, TRUE)]
         from gackit.model import satisfies
         assert not any(satisfies(card, box) for box in completions)
+
+    def test_sat_solve_deep_search_is_not_recursive(self):
+        # 1,199 decisions deep: x1..x1199 False, then x1200 is forced True
+        result = sat_solve(CnfFormula(1200, [tuple(range(1, 1201))]))
+        assert result.sat
+        assert result.model == {**{v: False for v in range(1, 1200)}, 1200: True}
+
+    def test_brute_force_matches_product_enumeration(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            variables = [range_variable(i, f"X{i}", 1, rng.randint(1, 3))
+                         for i in range(1, n + 1)]
+            rng.shuffle(variables)  # search order is network order, not id order
+            constraints = [random_constraint(rng, variables)
+                           for _ in range(rng.randint(0, 4))]
+            constraints = [c for c in constraints
+                           if not isinstance(c, (Clause, Card, Xor))]
+            net = Network(variables, constraints)
+            box = random_box(rng, variables)
+            vids = [v.id for v in variables]
+            first = next((dict(zip(vids, tup)) for tup in itertools.product(
+                *(sorted(box.domain(v)) for v in vids))
+                if all(c.accepts([dict(zip(vids, tup))[v] for v in c.scope])
+                       for c in constraints)), None)
+            result = solve_brute_force(net, box)
+            assert (result.sat, result.model) == (first is not None, first)
+
+    def test_dpll_on_a_used_propagator_equals_a_fresh_one(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            nv = rng.randint(1, 8)
+            clauses = [[rng.choice((1, -1)) * rng.randint(1, nv)
+                        for _ in range(rng.randint(1, 3))]
+                       for _ in range(rng.randint(0, 20))]
+            formula = CnfFormula(nv, clauses)
+            shared = UnitPropagator(formula)
+            for _ in range(4):
+                shared.propagate([rng.choice((1, -1)) * rng.randint(1, nv)
+                                  for _ in range(rng.randint(0, 3))])
+                assumptions = [rng.choice((1, -1)) * rng.randint(1, nv)
+                               for _ in range(rng.randint(0, 2))]
+                assert sat_solve(shared, assumptions) == \
+                    sat_solve(formula, assumptions), (clauses, assumptions)
 
 
 class TestClosureLaws:
