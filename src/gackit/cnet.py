@@ -291,7 +291,14 @@ def write_cnet(doc: CnetDocument) -> str:
         lines.append(f"var {var.name} {_domain_text(var)}")
     for c in net.constraints:
         lines.append(_constraint_text(c, net))
-    if not doc.box.inconsistent:
+    if doc.box.inconsistent:
+        # an empty domain has no CNET form; two disjoint restricts parse to it
+        var = next((v for v in net.variables if len(v.domain) > 1), None)
+        if var is None:
+            raise UsageError("cannot write an inconsistent box over single-valued variables")
+        lines += [f"restrict {var.name} {{{_value_text(var, value)}}}"
+                  for value in var.domain[:2]]
+    else:
         for var in net.variables:
             dom = doc.box.domain(var.id)
             if dom != frozenset(var.domain):

@@ -193,16 +193,16 @@ def _source_propagator(source):
 
 
 def _target_box(target: Network, mapped) -> DomainBox:
+    """The target's initial box, rebuilt only where `mapped` restricts it."""
     removals, pins = mapped
-    domains = {}
-    for var in target.variables:
-        dom = set(var.domain)
-        dom -= removals.get(var.id, set())
-        if var.id in pins:
-            dom &= pins[var.id]
+    domains = dict(target.initial_domains)
+    for tvid in {**removals, **pins}:
+        dom = domains[tvid].difference(removals.get(tvid, ()))
+        if tvid in pins:
+            dom = dom.intersection(pins[tvid])
         if not dom:
             return DomainBox.bottom()
-        domains[var.id] = frozenset(dom)
+        domains[tvid] = dom
     return DomainBox._raw(domains)
 
 

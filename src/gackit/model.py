@@ -6,11 +6,14 @@ indices) can meet inside one binary constraint. Boolean domains are fixed
 as {FALSE, TRUE} = {0, 1} with F < T.
 
 Everything here is immutable after construction and safe to share across
-threads; "mutation" always produces a new DomainBox.
+threads; "mutation" always produces a new DomainBox. Caches fill lazily but
+never change an answer: `ChannelMap.images`, and a `Network`'s initial
+domains and search schedule (so never edit a network's lists after use).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping, Sequence
 
@@ -370,10 +373,11 @@ class ChannelMap:
     For CNF targets the image of a pair is a signed literal; for network
     targets it is a (target variable id, target value) membership atom.
     `aux` lists target variables that never appear as images and are
-    projected out of deductions.
+    projected out of deductions. `images` memoizes, per source variable,
+    what each knowledge subdomain mapped so far asserts on the target.
     """
 
-    __slots__ = ("kind", "source_vars", "forward", "aux")
+    __slots__ = ("kind", "source_vars", "forward", "aux", "images")
 
     CNF = "cnf"
     NETWORK = "network"
@@ -400,6 +404,25 @@ class ChannelMap:
                     image_vars.add(image[0])
         if image_vars & self.aux:
             raise UsageError("auxiliary target variables may not carry channel images")
+        self.images = tuple({} for _ in self.source_vars)
+
+    def _image(self, var: Variable, kdom: frozenset) -> tuple:
+        """What knowing `var` in `kdom` asserts on the target: literals for
+        CNF channels, `(tvid, removed, pinned)` per target variable for
+        network channels."""
+        forward = self.forward
+        if self.kind == self.CNF:
+            lits = [-forward[(var.id, value)] for value in var.domain if value not in kdom]
+            if len(kdom) == 1:
+                lits.append(forward[(var.id, next(iter(kdom)))])
+            return tuple(lits)
+        by_target: dict[int, list] = {}
+        for value in var.domain:
+            tvid, tval = forward[(var.id, value)]
+            by_target.setdefault(tvid, []).append((value, tval))
+        return tuple((tvid, frozenset(t for v, t in pairs if v not in kdom),
+                      frozenset(t for v, t in pairs if v in kdom and len(kdom) == 1))
+                     for tvid, pairs in by_target.items())
 
 
 def map_knowledge(channel: ChannelMap, knowledge: DomainBox):
@@ -410,27 +433,26 @@ def map_knowledge(channel: ChannelMap, knowledge: DomainBox):
     unrestricted. Returns assumption literals for CNF channels; for network
     channels returns `(removals, pins)`, two maps from a target variable id
     to the values removed from it and to the values it is pinned to.
+    Each source variable's image comes from the channel's memo, keyed by
+    its knowledge subdomain and computed on first use; this only joins them.
     """
+    images = []
+    for var, memo in zip(channel.source_vars, channel.images):
+        kdom = knowledge.domain(var.id)
+        image = memo.get(kdom)
+        if image is None:
+            image = memo[kdom] = channel._image(var, kdom)
+        images.append(image)
     if channel.kind == ChannelMap.CNF:
-        assumptions = []
-        for var in channel.source_vars:
-            kdom = knowledge.domain(var.id)
-            for value in var.domain:
-                if value not in kdom:
-                    assumptions.append(-channel.forward[(var.id, value)])
-            if len(kdom) == 1:
-                assumptions.append(channel.forward[(var.id, next(iter(kdom)))])
-        return assumptions
+        return list(itertools.chain.from_iterable(images))
     removals: dict[int, set] = {}
     pins: dict[int, set] = {}
-    for var in channel.source_vars:
-        kdom = knowledge.domain(var.id)
-        for value in var.domain:
-            tvid, tval = channel.forward[(var.id, value)]
-            if value not in kdom:
-                removals.setdefault(tvid, set()).add(tval)
-            elif len(kdom) == 1:
-                pins.setdefault(tvid, set()).add(tval)
+    for image in images:
+        for tvid, removed, pinned in image:
+            if removed:
+                removals.setdefault(tvid, set()).update(removed)
+            if pinned:
+                pins.setdefault(tvid, set()).update(pinned)
     return removals, pins
 
 
@@ -461,6 +483,23 @@ class Network:
                         if val not in self.by_id[vid].domain:
                             raise UsageError(
                                 f"table value {val} outside domain of {self.by_id[vid].name!r}")
+
+    @functools.cached_property
+    def initial_domains(self) -> dict:
+        """Variable id -> initial domain as a frozenset."""
+        return {var.id: frozenset(var.domain) for var in self.variables}
+
+    @functools.cached_property
+    def search_schedule(self) -> list:
+        """What the backtracking search tests at each depth: entry d lists
+        `(constraint, scope positions)` for the constraints whose last scope
+        variable, in network order, is the d-th (entry 0: empty scopes)."""
+        pos = {var.id: i for i, var in enumerate(self.variables)}
+        schedule: list[list] = [[] for _ in range(len(self.variables) + 1)]
+        for c in self.constraints:
+            scope_pos = tuple(pos[v] for v in c.scope)
+            schedule[max(scope_pos, default=-1) + 1].append((c, scope_pos))
+        return schedule
 
     def initial_box(self) -> DomainBox:
         return DomainBox.from_variables(self.variables)

@@ -223,8 +223,12 @@ def _filter_alldiff(c: AllDiff, box: DomainBox) -> PropagationResult:
         return PropagationResult(INCONSISTENT, DomainBox.bottom())
     match_of_var: dict[int, int] = {}
     match_of_val: dict[int, int] = {}
-    for x in vars_:  # augmenting-path search from x, depth-first, iterative
-        visited: set[int] = set()
+    for x in vars_:
+        free = next((val for val in doms[x] if val not in match_of_val), None)
+        if free is not None:  # a free value needs no search
+            match_of_var[x], match_of_val[free] = free, x
+            continue
+        visited: set[int] = set()  # augmenting-path search, depth-first, iterative
         path = [(x, iter(doms[x]))]
         vals: list[int] = []  # vals[i] is the value path[i][0] would take
         while path:
@@ -361,56 +365,86 @@ def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
 # --- unit propagation --------------------------------------------------------
 
 class UnitPropagator:
-    """Two-watched-literal unit propagation, reusable across assumption sets.
+    """Two-watched-literal unit propagation on a trail (MiniSat's, Een &
+    Sorensson, SAT 2003), reusable across assumption lists.
 
-    Watches persist between calls; that is sound because every call starts
-    from the empty assignment, exactly as in assumption-based incremental
-    SAT solving (Een & Sorensson, SAT 2003). `sat_solve` runs its DPLL on
-    the same object, so one propagator serves a whole check.
+    It keeps the values, the trail of literals set, the assumptions
+    propagated so far and the trail mark before each. A call undoes the
+    trail to the end of the prefix it shares with the previous call's
+    assumptions and asserts the rest one at a time, BCP after each; watches
+    stay put. The formula's units are propagated once, at construction.
+    The unit-rule closure, and whether it conflicts, do not depend on order,
+    so this equals a fresh propagation. `sat_solve` runs its DPLL on the
+    same object, so one propagator serves a whole check.
     """
 
     def __init__(self, formula: CnfFormula):
-        self.num_vars = formula.num_vars
-        self.falsum = False
-        self.units: list[int] = []
+        self.num_vars = n = formula.num_vars
         self.clauses: list[list[int]] = []
-        n = formula.num_vars
         self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.val: list = [None] * (n + 1)
+        self.trail, self.assumed, self.marks = [], [], []
+        units = []
         for cl in formula.clauses:
-            if len(cl) == 0:
-                self.falsum = True
-            elif len(cl) == 1:
-                self.units.append(cl[0])
-            else:
+            if len(cl) == 1:
+                units.append(cl[0])
+            elif len(cl) > 1:
                 idx = len(self.clauses)
                 self.clauses.append(list(cl))
                 self.watches[cl[0] + n].append(idx)
                 self.watches[cl[1] + n].append(idx)
+        self.falsum = (any(not cl for cl in formula.clauses)
+                       or not self._assert(units))
+        self.assumed, self.marks = [], []  # the units stay on the trail for good
 
     def propagate(self, assumptions: Iterable[int] = ()) -> list | None:
         """Closure under the unit rule; returns values list or None on conflict.
 
         The returned list is indexed by variable (1-based); entries are
-        True/False/None.
+        True/False/None. It is a copy: the caller may keep or change it.
         """
         if self.falsum:
             return None
-        n = self.num_vars
-        val: list = [None] * (n + 1)
-        queue: list[int] = []
-        for lit in itertools.chain(self.units, assumptions):
+        lits = list(assumptions)
+        assumed = self.assumed
+        keep = 0
+        for old, new in zip(assumed, lits):
+            if old != new:
+                break
+            keep += 1
+        if keep < len(assumed):
+            self._undo(self.marks[keep])
+            del assumed[keep:], self.marks[keep:]
+        if not self._assert(lits[keep:]):
+            return None
+        return self.val[:]
+
+    def _assert(self, lits) -> bool:
+        """Assume each literal in turn, with BCP after each. On a conflict,
+        undo to the failing literal's mark and return False."""
+        val, trail = self.val, self.trail
+        for lit in lits:
+            self.marks.append(len(trail))
+            self.assumed.append(lit)
             v = lit if lit > 0 else -lit
-            want = lit > 0
             if val[v] is None:
-                val[v] = want
-                queue.append(lit)
-            elif val[v] != want:
-                return None
-        watches = self.watches
-        clauses = self.clauses
-        head = 0
-        while head < len(queue):
-            falsified = -queue[head]
+                val[v] = lit > 0
+                trail.append(lit)
+                ok = self._bcp(len(trail) - 1)
+            else:
+                ok = val[v] == (lit > 0)
+            if not ok:
+                self._undo(self.marks.pop())
+                self.assumed.pop()
+                return False
+        return True
+
+    def _bcp(self, head: int) -> bool:
+        """Unit rule from trail position `head` on; False on a conflict."""
+        n = self.num_vars
+        val, trail, watches, clauses = self.val, self.trail, self.watches, self.clauses
+        while head < len(trail):
+            falsified = -trail[head]
             head += 1
             wl = watches[falsified + n]
             i = 0
@@ -434,13 +468,18 @@ class UnitPropagator:
                         wl.pop()
                         break
                 else:
-                    if ov is None:
-                        val[other if other > 0 else -other] = other > 0
-                        queue.append(other)
-                        i += 1
-                    else:
-                        return None  # clause became empty
-        return val
+                    if ov is not None:
+                        return False  # clause became empty
+                    val[other if other > 0 else -other] = other > 0
+                    trail.append(other)
+                    i += 1
+        return True
+
+    def _undo(self, mark: int):
+        val, trail = self.val, self.trail
+        for lit in trail[mark:]:
+            val[lit if lit > 0 else -lit] = None
+        del trail[mark:]
 
 
 def unit_propagate(formula: CnfFormula,
@@ -460,8 +499,10 @@ def solve_brute_force(net: Network, box: DomainBox | None = None,
     """Exact satisfiability of a network inside `box` by chronological
     backtracking: variables in network order, values ascending, and each
     constraint tested with `accepts` once its last scope variable is set,
-    so the model found is the lexicographically first. `budget` caps the
-    size of the product of the domains, checked before the search."""
+    so the model found is the lexicographically first. Which constraints
+    to test at which depth comes from `net.search_schedule`, built once per
+    network. `budget` caps the size of the product of the domains, checked
+    before the search."""
     if box is None:
         box = net.initial_box()
     if box.inconsistent:
@@ -474,28 +515,26 @@ def solve_brute_force(net: Network, box: DomainBox | None = None,
         if total > budget:
             raise ResourceError(
                 f"brute-force enumeration needs more than {budget} tuples")
-    pos = {vid: i for i, vid in enumerate(vids)}
-    checks_at: list[list] = [[] for _ in range(len(vids) + 1)]  # by depth + 1
-    for c in net.constraints:
-        scope_pos = tuple(pos[v] for v in c.scope)
-        checks_at[max(scope_pos, default=-1) + 1].append((c, scope_pos))
+    checks_at = net.search_schedule
     if not all(c.accepts([]) for c, _ in checks_at[0]):
         return SolveResult(False)
-    tup = [None] * len(vids)
-    tried = [0] * len(vids)  # values tried so far at each depth
+    n = len(vids)
+    tup = [None] * n
+    tried = [0] * n  # values tried so far at each depth
     depth = 0
     while depth >= 0:
-        if depth == len(vids):
+        if depth == n:
             return SolveResult(True, dict(zip(vids, tup)))
-        i = tried[depth]
-        if i == len(doms[depth]):
+        dom, i = doms[depth], tried[depth]
+        if i == len(dom):
             tried[depth] = 0
             depth -= 1
             continue
         tried[depth] = i + 1
-        tup[depth] = doms[depth][i]
-        if all(c.accepts([tup[p] for p in scope_pos])
-               for c, scope_pos in checks_at[depth + 1]):
+        tup[depth] = dom[i]
+        checks = checks_at[depth + 1]
+        if not checks or all(c.accepts([tup[p] for p in scope_pos])
+                             for c, scope_pos in checks):
             depth += 1
     return SolveResult(False)
 

@@ -4,11 +4,11 @@ the policy chooser, and the pinned verdicts of the bundled report."""
 import pytest
 
 from gackit.model import (
-    FALSE, TRUE, Card, Clause, DomainBox, UsageError, bool_variable,
+    FALSE, TRUE, Card, ChannelMap, Clause, DomainBox, UsageError, bool_variable,
     is_restriction, range_variable,
 )
 from gackit.propagation import UnitPropagator, gac_closure, gac_oracle
-from gackit.encoders import build_encoding, encode_card_totalizer
+from gackit.encoders import ENCODING_NAMES, build_encoding, encode_card_totalizer
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     EnumerationPolicy, auto_policy, check_equiconsistency, check_gac_reduction,
@@ -111,6 +111,63 @@ def test_every_shipped_encoding_is_sound_and_equiconsistent(family, encoding, si
                             check_equiconsistency(constraint, enc)):
                 assert verdict.passed, (verdict.check, encoding, size)
                 assert verdict.states_checked > 0
+
+
+def reference_map_knowledge(channel, knowledge):
+    """`map_knowledge` as a plain loop over every source value, unmemoized."""
+    if channel.kind == ChannelMap.CNF:
+        assumptions = []
+        for var in channel.source_vars:
+            kdom = knowledge.domain(var.id)
+            for value in var.domain:
+                if value not in kdom:
+                    assumptions.append(-channel.forward[(var.id, value)])
+            if len(kdom) == 1:
+                assumptions.append(channel.forward[(var.id, next(iter(kdom)))])
+        return assumptions
+    removals, pins = {}, {}
+    for var in channel.source_vars:
+        kdom = knowledge.domain(var.id)
+        for value in var.domain:
+            tvid, tval = channel.forward[(var.id, value)]
+            if value not in kdom:
+                removals.setdefault(tvid, set()).add(tval)
+            elif len(kdom) == 1:
+                pins.setdefault(tvid, set()).add(tval)
+    return removals, pins
+
+
+ENCODING_FAMILIES = {
+    "totalizer": ["card"], "binary-adder": ["card"],
+    "exactly-one:pairwise": ["exactly-one"], "exactly-one:sequential": ["exactly-one"],
+    "neq:pairwise": ["neq"], "neq:sequential": ["neq"],
+    "alldiff-pairwise": ["alldiff"], "alldiff-pairwise:sequential": ["alldiff"],
+    "xor-direct": ["xor"],
+    "clause-to-neq:gac": ["clause"], "clause-to-neq:non-gac": ["clause"],
+    "identity": ["card", "neq", "alldiff", "xor", "clause"],
+}
+
+
+@pytest.mark.parametrize("encoding", ENCODING_NAMES)
+def test_memoized_map_knowledge_equals_the_plain_loop(encoding):
+    # Every subdomain of every source variable (full enumeration), then
+    # random-sample boxes, whose frozensets are fresh objects that must hit
+    # the memo by value; and the inconsistent box.
+    kinds = set()
+    for family in ENCODING_FAMILIES[encoding]:
+        for size in range(2 if family == "alldiff" else 1, 4):
+            for constraint, variables in _instances(family, size):
+                channel = build_encoding(encoding, constraint, variables).channel
+                kinds.add(channel.kind)
+                states = [*enumerate_knowledge_states(variables, EnumerationPolicy()),
+                          *enumerate_knowledge_states(variables, EnumerationPolicy(
+                              RANDOM_SAMPLE, sample_count=50, seed=size)),
+                          DomainBox.bottom()]
+                for knowledge in states + states:  # second pass: memo hits only
+                    want = reference_map_knowledge(channel, knowledge)
+                    assert map_knowledge(channel, knowledge) == want, knowledge
+    network = encoding.startswith(("clause-to-neq", "identity"))
+    assert kinds == {ChannelMap.NETWORK if network else ChannelMap.CNF}
 
 
 class TestAutoPolicy:

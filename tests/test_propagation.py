@@ -203,6 +203,70 @@ class TestUnitPropagation:
         out = unit_propagate(f)
         assert out.assignment == {1: True, 2: True, 3: True, 4: False}
 
+    def test_trail_reuse_equals_fresh_propagation(self):
+        # One propagator fed sequences of assumption lists that share
+        # prefixes must answer every list as a fresh one and as a naive
+        # clause-scan fixpoint do.
+        rng = random.Random(17)
+        for _ in range(300):
+            nv = rng.randint(1, 8)
+            clauses = [[rng.choice((1, -1)) * rng.randint(1, nv)
+                        for _ in range(rng.choice((1, 1, 2, 2, 3, 4)))]
+                       for _ in range(rng.randint(0, 14))]
+            if rng.random() < 0.05:
+                clauses.append([])
+            formula = CnfFormula(nv, clauses)
+            shared = UnitPropagator(formula)
+            lits: list[int] = []
+            for _ in range(12):
+                lits = self.next_assumptions(rng, nv, lits)
+                got = shared.propagate(lits)
+                assert got == UnitPropagator(formula).propagate(lits) == \
+                    naive_unit_closure(formula, lits), (clauses, lits)
+                if got is not None:
+                    got[1:] = [True] * nv  # the caller owns the returned list
+
+    @staticmethod
+    def next_assumptions(rng, nv, lits):
+        def lit():
+            return rng.choice((1, -1)) * rng.randint(1, nv)
+        move = rng.choice(("extend", "truncate", "flip", "repeat", "contradict",
+                           "fresh"))
+        if move == "extend":
+            return lits + [lit() for _ in range(rng.randint(1, 3))]
+        if move == "truncate":
+            return lits[:rng.randint(0, len(lits))]
+        if move == "flip" and lits:
+            return lits[:-1] + [-lits[-1]]
+        if move == "repeat" and lits:
+            return lits + [rng.choice(lits)]
+        if move == "contradict" and lits:  # conflicts mid-list, then goes on
+            at = rng.randint(0, len(lits))
+            return lits[:at] + [-rng.choice(lits)] + lits[at:] + [lit()]
+        return [lit() for _ in range(rng.randint(0, nv))]
+
+
+def naive_unit_closure(formula, assumptions):
+    """Unit-rule fixpoint by rescanning every clause until nothing changes."""
+    val = [None] * (formula.num_vars + 1)
+    for lit in [cl[0] for cl in formula.clauses if len(cl) == 1] + list(assumptions):
+        if val[abs(lit)] == (lit < 0):
+            return None
+        val[abs(lit)] = lit > 0
+    changed = True
+    while changed:
+        changed = False
+        for cl in formula.clauses:
+            if any(val[abs(l)] == (l > 0) for l in cl):
+                continue
+            free = [l for l in cl if val[abs(l)] is None]
+            if not free:
+                return None
+            if len(free) == 1:
+                val[abs(free[0])] = free[0] > 0
+                changed = True
+    return val
+
 
 class TestSolvers:
     def test_brute_force_falsified_clause(self):
