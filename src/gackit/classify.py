@@ -161,7 +161,7 @@ def _run_job(job: dict, seed: int, max_states: int) -> EvidenceRow:
                     entry["gaps"] += len(verdict.counterexamples)
                     saw_gap = True
                     if first_ce is None:
-                        first_ce = verdict.to_json_dict()["counterexamples"][0]
+                        first_ce = verdict.counterexample_json(verdict.counterexamples[0])
         except ResourceError as exc:
             entry = {"size": size, "error": str(exc)}
         verdicts.append(entry)

@@ -18,6 +18,6 @@ def write_dimacs(formula: CnfFormula, channel: ChannelMap | None = None) -> str:
                 lines.append(f"c map {var.name} {var.label(value)} {lit}")
     lines.append(f"p cnf {formula.num_vars} {len(formula.clauses)}")
     for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        lines.append(" ".join(map(str, [*clause, 0])))
     return "\n".join(lines) + "\n"
 

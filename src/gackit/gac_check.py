@@ -143,11 +143,23 @@ class Verdict:
     def passed(self) -> bool:
         return not self.counterexamples
 
+    @staticmethod
+    def _entry(var: Variable, subdomain) -> tuple:
+        """(name, labels): one variable's entry in a consistent box's JSON."""
+        return var.name, [var.label(v) for v in sorted(subdomain)]
+
     def _box_json(self, box: DomainBox):
         if box.inconsistent:
             return {"inconsistent": True}
-        return {var.name: [var.label(v) for v in sorted(box.domain(var.id))]
-                for var in self.source_vars}
+        return dict(self._entry(var, box.domain(var.id)) for var in self.source_vars)
+
+    def counterexample_json(self, ce: Counterexample) -> dict:
+        return {
+            "kind": ce.kind,
+            "knowledge": self._box_json(ce.knowledge),
+            "source_deduction": self._box_json(ce.deduced_source),
+            "target_deduction_mapped_back": self._box_json(ce.deduced_back),
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,19 +167,43 @@ class Verdict:
             "outcome": "pass" if self.passed else "fail",
             "states_checked": self.states_checked,
             "policy": self.policy_mode,
-            "counterexamples": [
-                {
-                    "kind": ce.kind,
-                    "knowledge": self._box_json(ce.knowledge),
-                    "source_deduction": self._box_json(ce.deduced_source),
-                    "target_deduction_mapped_back": self._box_json(ce.deduced_back),
-                }
-                for ce in self.counterexamples
-            ],
+            "counterexamples": [self.counterexample_json(ce) for ce in self.counterexamples],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """Byte for byte `json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True) + "\n"`, without the pure-Python indenting encoder:
+        each variable's indented `"name": [labels]` block is built once per
+        subdomain, and a box joins its blocks in sorted-name order (the last
+        variable of a repeated name wins, as in the dict)."""
+        order = sorted({var.name: var for var in self.source_vars}.values(),
+                       key=lambda var: var.name)
+        blocks = {}
+
+        def box(b):
+            if b.inconsistent:
+                return '{\n        "inconsistent": true\n      }'
+            lines = []
+            for var in order:
+                key = (var.id, b.domain(var.id))
+                if key not in blocks:  # a consistent box has no empty domain
+                    name, labels = self._entry(var, key[1])
+                    items = ",\n          ".join(map(json.dumps, labels))
+                    blocks[key] = f"        {json.dumps(name)}: [\n          {items}\n        ]"
+                lines.append(blocks[key])
+            return "{\n" + ",\n".join(lines) + "\n      }" if lines else "{}"
+
+        ces = ",\n".join(
+            f'    {{\n      "kind": {json.dumps(ce.kind)},\n'
+            f'      "knowledge": {box(ce.knowledge)},\n'
+            f'      "source_deduction": {box(ce.deduced_source)},\n'
+            f'      "target_deduction_mapped_back": {box(ce.deduced_back)}\n    }}'
+            for ce in self.counterexamples)
+        ces = f"[\n{ces}\n  ]" if ces else "[]"
+        return (f'{{\n  "check": {json.dumps(self.check)},\n  "counterexamples": {ces},\n'
+                f'  "outcome": "{"pass" if self.passed else "fail"}",\n'
+                f'  "policy": {json.dumps(self.policy_mode)},\n'
+                f'  "states_checked": {self.states_checked}\n}}\n')
 
     def digest(self) -> str:
         """Short human-readable summary."""
@@ -369,8 +405,10 @@ def check_equiconsistency(source, enc: Encoding, sampler=None,
             for _ in range(sampler.sample_count))
         mode = RANDOM_SAMPLE
 
-    vids = [v.id for v in svars]
-    boxes = (DomainBox._raw({vid: frozenset((val,)) for vid, val in zip(vids, values)})
+    singletons = [(var.id, {val: frozenset((val,)) for val in var.domain})
+                  for var in svars]
+    boxes = (DomainBox._raw({vid: single[val] for (vid, single), val
+                             in zip(singletons, values)})
              for values in assignments)
 
     def judge(box):

@@ -1,6 +1,7 @@
 """CLI contract: exit codes 0/1/2, `error: ...` on bad input (never a
 traceback), and byte-identical output for identical inputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -90,3 +91,19 @@ def test_propagate_long_alldiff_chain(files, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines() == [f"x{i} = {{{i}}}" for i in range(1, n + 1)]
+
+
+# sha256 of the verdict JSON as the checker wrote it before the direct renderer
+@pytest.mark.parametrize("command, encoding, code, digest", [
+    ("check-gac", "binary-adder", 1,  # 14 completeness gaps
+     "fa29641869bcebb233158502d231f6d5beb57a5b8916875b992c696019fcc7a0"),
+    ("equiconsistency", "totalizer", 0,
+     "b66b4b53d6ee35e8208f2654d2aa03dbf7c51a17e5b2cddbf60008b83f764c72"),
+])
+def test_verdict_json_bytes_are_pinned(tmp_path, command, encoding, code, digest):
+    source, out = tmp_path / "card4.cnet", tmp_path / "verdict.json"
+    source.write_text("".join(f"var x{i} bool\n" for i in range(1, 5))
+                      + "card 1 2 x1 x2 x3 x4\n")
+    assert main([command, "--source", str(source), "--encoding", encoding,
+                 "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

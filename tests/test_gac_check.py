@@ -1,19 +1,23 @@
 """Checker layer: map-back on both target kinds, counterexample replay,
-the policy chooser, and the pinned verdicts of the bundled report."""
+the policy chooser, the pinned verdicts of the bundled report, and the
+verdict JSON renderer against `json.dumps`."""
+
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gackit.model import (
-    FALSE, TRUE, Card, ChannelMap, Clause, DomainBox, UsageError, bool_variable,
-    is_restriction, range_variable,
+    FALSE, TRUE, Card, ChannelMap, Clause, DomainBox, UsageError, Variable,
+    bool_variable, is_restriction, range_variable,
 )
 from gackit.propagation import UnitPropagator, gac_closure, gac_oracle
 from gackit.encoders import ENCODING_NAMES, build_encoding, encode_card_totalizer
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
-    EnumerationPolicy, auto_policy, check_equiconsistency, check_gac_reduction,
-    check_soundness, enumerate_knowledge_states, map_back, map_knowledge,
-    replay,
+    Counterexample, EnumerationPolicy, Verdict, auto_policy,
+    check_equiconsistency, check_gac_reduction, check_soundness,
+    enumerate_knowledge_states, map_back, map_knowledge, replay,
 )
 from gackit.classify import _instances, default_config, render_report, run_class_suite
 
@@ -205,3 +209,83 @@ def test_bundled_report_verdicts():
         assert [v["pass"] for v in row.verdicts] == [g == 0 for g in want]
     assert {row.encoding for row in report.rows} >= set(gaps)
     assert render_report(report, "json") == render_report(run_class_suite(), "json")
+
+
+def assert_renders_as_json_dumps(verdict):
+    assert verdict.to_json() == json.dumps(
+        verdict.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_renderer_matches_json_dumps_on_the_bundled_suite():
+    config = default_config()
+    seen = 0
+    for job in config["jobs"]:
+        for size in job["sizes"]:
+            for constraint, variables in _instances(job["family"], size):
+                enc = build_encoding(job["encoding"], constraint, variables)
+                assert_renders_as_json_dumps(check_gac_reduction(
+                    constraint, enc, auto_policy(variables, config["seed"],
+                                                 config["max_states"])))
+                seen += 1
+    assert seen == 204
+
+
+@pytest.mark.parametrize("encoding", ENCODING_NAMES)
+def test_renderer_matches_json_dumps_on_soundness_and_equiconsistency(encoding):
+    for family in ENCODING_FAMILIES[encoding]:
+        for size in range(2 if family == "alldiff" else 1, 4):
+            for constraint, variables in _instances(family, size):
+                enc = build_encoding(encoding, constraint, variables)
+                assert_renders_as_json_dumps(check_soundness(constraint, enc))
+                assert_renders_as_json_dumps(check_equiconsistency(constraint, enc))
+
+
+# names and labels that need JSON escapes, non-ASCII ones, and names whose
+# string order differs from their id order
+AWKWARD = ["x10", "x2", "x1", 'q"uote', "back\\slash", "tab\tnl\n", "\x00\x1f",
+           "ümlaut", "雪", "\U0001f600", ""]
+TEXT = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=5))
+
+
+@st.composite
+def api_verdicts(draw):
+    """Verdicts built through the API: 0-4 source variables (names may
+    repeat), 0-4 counterexamples, boxes inconsistent or over subdomains."""
+    ids = draw(st.permutations(range(1, 5)))
+    variables = []
+    for vid in ids[:draw(st.integers(0, 4))]:
+        domain = sorted(draw(st.sets(st.integers(-2, 3), min_size=1, max_size=3)))
+        labels = draw(st.dictionaries(st.sampled_from(domain), TEXT, max_size=3))
+        variables.append(Variable(vid, draw(TEXT), domain, labels))
+
+    def box():
+        if draw(st.booleans()):
+            return DomainBox.bottom()
+        return DomainBox({var.id: draw(st.sets(st.sampled_from(var.domain), min_size=1))
+                          for var in variables})
+    counterexamples = [Counterexample(draw(TEXT), box(), box(), box())
+                       for _ in range(draw(st.integers(0, 4)))]
+    return Verdict(draw(st.integers(0, 10 ** 7)), counterexamples, draw(TEXT),
+                   draw(TEXT), tuple(variables))
+
+
+@settings(max_examples=300, deadline=None)
+@given(api_verdicts())
+def test_renderer_matches_json_dumps_on_api_built_verdicts(verdict):
+    assert_renders_as_json_dumps(verdict)
+
+
+def test_renderer_on_hand_built_edge_cases():
+    x2, x10 = bool_variable(1, "x2"), bool_variable(2, "x10")
+    twin = Variable(3, "x10", (1, 2, 3), {2: 'two "2"'})  # same name as id 2
+    escaped = Variable(4, "\u00e9\\\x07", (5,))
+    knowledge = DomainBox({1: [TRUE], 2: [FALSE, TRUE], 3: [2, 3], 4: [5]})
+    ce = Counterexample(COMPLETENESS_GAP, knowledge, DomainBox.bottom(), knowledge)
+    for verdict in (Verdict(9, [ce, ce], source_vars=(x2, x10, twin, escaped)),
+                    Verdict(1, [Counterexample(COMPLETENESS_GAP, DomainBox({}),
+                                               DomainBox.bottom(), DomainBox({}))]),
+                    Verdict(0), Verdict(5, source_vars=(x10, x2))):
+        assert_renders_as_json_dumps(verdict)
+    rendered = json.loads(Verdict(9, [ce], source_vars=(x2, x10, twin)).to_json())
+    assert list(rendered["counterexamples"][0]["knowledge"]) == ["x10", "x2"]
+    assert rendered["counterexamples"][0]["knowledge"]["x10"] == ['two "2"', "3"]

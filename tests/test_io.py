@@ -152,6 +152,10 @@ class TestWriteDimacs:
         assert write_dimacs(CnfFormula(2, [[-1, 2]])) == "p cnf 2 1\n-1 2 0\n"
         assert write_dimacs(CnfFormula()) == "p cnf 0 0\n"
 
+    def test_empty_clause_is_a_bare_terminator(self):
+        assert write_dimacs(CnfFormula(1, [[]])) == "p cnf 1 1\n0\n"
+        assert write_dimacs(CnfFormula(2, [[1], [], [-1, 2]])) == "p cnf 2 3\n1 0\n0\n-1 2 0\n"
+
     def test_network_channel_is_a_usage_error(self):
         enc = identity_encoding(Neq(1, 2), [range_variable(1, "A", 1, 2),
                                             range_variable(2, "B", 1, 2)])
