@@ -127,7 +127,10 @@ def _cmd_equiconsistency(args) -> int:
 
 def _cmd_solve(args) -> int:
     doc = parse_cnet(_read(args.infile))
-    result = solve_brute_force(doc.network, doc.box, budget=args.budget)
+    # Closure keeps every solution, so the search on the closed box finds
+    # the same first model; an inconsistent closure is the bottom box.
+    closed = gac_closure(doc.network, doc.box).box
+    result = solve_brute_force(doc.network, closed, budget=args.budget)
     if not result.sat:
         sys.stdout.write("UNSAT\n")
         return EXIT_FAIL
@@ -198,9 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_equiconsistency)
 
-    p = sub.add_parser("solve", help="exact satisfiability by backtracking search")
+    p = sub.add_parser("solve", help="exact satisfiability: GAC closure, then "
+                                      "backtracking search on the closed domains")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BRUTE_FORCE_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BRUTE_FORCE_BUDGET,
+                   help="largest product of the domains after closure that "
+                        "the search may face")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("report", help="run the classification evidence suite")

@@ -229,13 +229,15 @@ def _source_propagator(source):
 
 
 def _target_box(target: Network, mapped) -> DomainBox:
-    """The target's initial box, rebuilt only where `mapped` restricts it."""
-    removals, pins = mapped
+    """The target's initial box under the `(tvid, removed, pinned)` triples
+    of `map_knowledge`, applied in turn as a conjunction: each removes its
+    values and, if it pins, keeps only the pinned ones. Bottom as soon as a
+    domain empties."""
     domains = dict(target.initial_domains)
-    for tvid in {**removals, **pins}:
-        dom = domains[tvid].difference(removals.get(tvid, ()))
-        if tvid in pins:
-            dom = dom.intersection(pins[tvid])
+    for tvid, removed, pinned in mapped:
+        dom = domains[tvid] - removed
+        if pinned:
+            dom &= pinned
         if not dom:
             return DomainBox.bottom()
         domains[tvid] = dom

@@ -6,9 +6,10 @@ indices) can meet inside one binary constraint. Boolean domains are fixed
 as {FALSE, TRUE} = {0, 1} with F < T.
 
 Everything here is immutable after construction and safe to share across
-threads; "mutation" always produces a new DomainBox. Caches fill lazily but
-never change an answer: `ChannelMap.images`, and a `Network`'s initial
-domains and search schedule (so never edit a network's lists after use).
+threads; "mutation" always produces a new DomainBox, and every inconsistent
+box is one shared instance. Caches fill lazily but never change an answer:
+`ChannelMap.images`, and a `Network`'s initial domains, watch lists and
+search schedule (so never edit a network's lists after use).
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class DomainBox:
 
     @classmethod
     def bottom(cls) -> "DomainBox":
-        return cls({}, inconsistent=True)
+        """The canonical inconsistent box: one shared instance."""
+        return _BOTTOM
 
     @classmethod
     def _raw(cls, domains: dict) -> "DomainBox":
@@ -161,6 +163,9 @@ class DomainBox:
             vals = ",".join(var.label(v) for v in sorted(self.domain(var.id)))
             parts.append(f"{var.name}={{{vals}}}")
         return " ".join(parts)
+
+
+_BOTTOM = DomainBox({}, inconsistent=True)
 
 
 def is_restriction(d: DomainBox, k: DomainBox) -> bool:
@@ -372,6 +377,7 @@ class ChannelMap:
 
     For CNF targets the image of a pair is a signed literal; for network
     targets it is a (target variable id, target value) membership atom.
+    Source variable names must be distinct, since verdicts name variables.
     `aux` lists target variables that never appear as images and are
     projected out of deductions. `images` memoizes, per source variable,
     what each knowledge subdomain mapped so far asserts on the target.
@@ -391,8 +397,12 @@ class ChannelMap:
         self.source_vars = tuple(source_vars)
         self.forward = dict(forward)
         self.aux = frozenset(aux)
+        names = set()
         image_vars = set()
         for var in self.source_vars:
+            if var.name in names:
+                raise UsageError(f"two source variables named {var.name!r}")
+            names.add(var.name)
             for value in var.domain:
                 image = self.forward.get((var.id, value))
                 if image is None:
@@ -408,8 +418,10 @@ class ChannelMap:
 
     def _image(self, var: Variable, kdom: frozenset) -> tuple:
         """What knowing `var` in `kdom` asserts on the target: literals for
-        CNF channels, `(tvid, removed, pinned)` per target variable for
-        network channels."""
+        CNF channels; for network channels one `(tvid, removed, pinned)`
+        triple per target variable that the assertion restricts, where
+        `removed` holds the images of values outside `kdom` and `pinned`,
+        when `kdom` is a single value, that value's image (else empty)."""
         forward = self.forward
         if self.kind == self.CNF:
             lits = [-forward[(var.id, value)] for value in var.domain if value not in kdom]
@@ -420,19 +432,21 @@ class ChannelMap:
         for value in var.domain:
             tvid, tval = forward[(var.id, value)]
             by_target.setdefault(tvid, []).append((value, tval))
-        return tuple((tvid, frozenset(t for v, t in pairs if v not in kdom),
-                      frozenset(t for v, t in pairs if v in kdom and len(kdom) == 1))
-                     for tvid, pairs in by_target.items())
+        triples = ((tvid, frozenset(t for v, t in pairs if v not in kdom),
+                    frozenset(t for v, t in pairs if v in kdom and len(kdom) == 1))
+                   for tvid, pairs in by_target.items())
+        return tuple(triple for triple in triples if triple[1] or triple[2])
 
 
-def map_knowledge(channel: ChannelMap, knowledge: DomainBox):
+def map_knowledge(channel: ChannelMap, knowledge: DomainBox) -> list:
     """Express source knowledge on the target side.
 
     Removed source values assert the negation of their image; assigned
     values assert the image itself. Auxiliary target variables stay
-    unrestricted. Returns assumption literals for CNF channels; for network
-    channels returns `(removals, pins)`, two maps from a target variable id
-    to the values removed from it and to the values it is pinned to.
+    unrestricted. Returns assumption literals for CNF channels and
+    `(tvid, removed, pinned)` triples for network channels (see
+    `ChannelMap._image`); the triples are a conjunction, so a target
+    variable that carries the images of two source variables gets both.
     Each source variable's image comes from the channel's memo, keyed by
     its knowledge subdomain and computed on first use; this only joins them.
     """
@@ -443,17 +457,7 @@ def map_knowledge(channel: ChannelMap, knowledge: DomainBox):
         if image is None:
             image = memo[kdom] = channel._image(var, kdom)
         images.append(image)
-    if channel.kind == ChannelMap.CNF:
-        return list(itertools.chain.from_iterable(images))
-    removals: dict[int, set] = {}
-    pins: dict[int, set] = {}
-    for image in images:
-        for tvid, removed, pinned in image:
-            if removed:
-                removals.setdefault(tvid, set()).update(removed)
-            if pinned:
-                pins.setdefault(tvid, set()).update(pinned)
-    return removals, pins
+    return list(itertools.chain.from_iterable(images))
 
 
 class Network:
@@ -488,6 +492,15 @@ class Network:
     def initial_domains(self) -> dict:
         """Variable id -> initial domain as a frozenset."""
         return {var.id: frozenset(var.domain) for var in self.variables}
+
+    @functools.cached_property
+    def watchers(self) -> dict:
+        """Variable id -> indices of the constraints whose scope holds it."""
+        watching: dict[int, list[int]] = {var.id: [] for var in self.variables}
+        for ci, c in enumerate(self.constraints):
+            for vid in c.scope:
+                watching[vid].append(ci)
+        return watching
 
     @functools.cached_property
     def search_schedule(self) -> list:

@@ -9,6 +9,8 @@ All engines are single-threaded per invocation and hold no global state.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,12 +75,16 @@ def gac_oracle(constraint: Constraint, box: DomainBox) -> PropagationResult:
 
     Keeps value v for scope variable X iff some tuple inside the box
     satisfies the constraint with X=v. Variables outside the scope are
-    untouched.
+    untouched. Raises ResourceError, before enumerating, where the scope's
+    product exceeds DEFAULT_BRUTE_FORCE_BUDGET tuples.
     """
     if box.inconsistent:
         return PropagationResult(INCONSISTENT, box)
     scope = constraint.scope
     doms = [sorted(box.domain(v)) for v in scope]
+    if math.prod(map(len, doms)) > DEFAULT_BRUTE_FORCE_BUDGET:
+        raise ResourceError(f"support enumeration needs more than "
+                            f"{DEFAULT_BRUTE_FORCE_BUDGET} tuples")
     supported: list[set[int]] = [set() for _ in scope]
     accepts = constraint.accepts
     for tup in itertools.product(*doms):
@@ -107,39 +113,25 @@ def gac_filter(constraint: Constraint, box: DomainBox) -> PropagationResult:
     """Fast per-variant GAC filter; output contract identical to gac_oracle."""
     if box.inconsistent:
         return PropagationResult(INCONSISTENT, box)
-    if isinstance(constraint, Clause):
-        return _filter_clause(constraint, box)
-    if isinstance(constraint, Card):
-        return _filter_card(constraint, box)
-    if isinstance(constraint, Xor):
-        return _filter_xor(constraint, box)
-    if isinstance(constraint, Neq):
-        return _filter_neq(constraint, box)
-    if isinstance(constraint, AllDiff):
-        return _filter_alldiff(constraint, box)
-    if isinstance(constraint, Table):
-        return _filter_table(constraint, box)
-    return gac_oracle(constraint, box)
+    return _FILTERS.get(type(constraint), gac_oracle)(constraint, box)
 
 
 def _filter_clause(c: Clause, box: DomainBox) -> PropagationResult:
-    # Per scope variable, the set of its values that satisfy some literal.
-    can_satisfy: dict[int, set[int]] = {v: set() for v in c.scope}
+    # The one scope variable that can still satisfy a literal, and its value.
+    live = keep = None
     for lit in c.lits:
         v = lit_var(lit)
         tv = lit_truth_value(lit)
         if tv in box.domain(v):
-            can_satisfy[v].add(tv)
-    live = [v for v in c.scope if can_satisfy[v]]
-    if not live:
+            if live is None:
+                live, keep = v, tv
+            elif v != live or tv != keep:  # two supports: nothing to prune
+                return PropagationResult(FIXPOINT, box)
+    if live is None:
         return PropagationResult(INCONSISTENT, DomainBox.bottom())
-    if len(live) >= 2:
-        return PropagationResult(FIXPOINT, box)
-    # Single variable can still satisfy the clause: its domain shrinks to
-    # the satisfying values, everyone else keeps theirs.
-    supported = [set(box.domain(v)) if v != live[0] else can_satisfy[v]
-                 for v in c.scope]
-    return _apply_scope_domains(box, c.scope, supported)
+    # The live variable shrinks to its satisfying value; everyone else
+    # keeps theirs.
+    return _apply_scope_domains(box, (live,), ({keep},))
 
 
 def _filter_card(c: Card, box: DomainBox) -> PropagationResult:
@@ -215,15 +207,20 @@ def _filter_neq(c: Neq, box: DomainBox) -> PropagationResult:
 
 def _filter_alldiff(c: AllDiff, box: DomainBox) -> PropagationResult:
     """Matching-based AllDiff filter (Régin, AAAI 1994): a maximum matching,
-    then one SCC pass and one search towards the free values."""
+    then one SCC pass and one search towards the free values. GAC output is
+    unique, so the order in which domains are walked cannot change it."""
     vars_ = c.scope
-    doms = {v: sorted(box.domain(v)) for v in vars_}
-    values = sorted(set().union(*doms.values()))
-    if len(values) < len(vars_):  # pigeonhole: no matching can cover the scope
+    k = len(vars_)
+    doms = [box.domain(v) for v in vars_]  # by scope position
+    singles = [dom for dom in doms if len(dom) == 1]
+    if len(frozenset().union(*singles)) < len(singles):  # two share one value
         return PropagationResult(INCONSISTENT, DomainBox.bottom())
-    match_of_var: dict[int, int] = {}
+    values = frozenset().union(*doms)
+    if len(values) < k:  # pigeonhole: no matching can cover the scope
+        return PropagationResult(INCONSISTENT, DomainBox.bottom())
+    match_of_var: list = [None] * k
     match_of_val: dict[int, int] = {}
-    for x in vars_:
+    for x in range(k):
         free = next((val for val in doms[x] if val not in match_of_val), None)
         if free is not None:  # a free value needs no search
             match_of_var[x], match_of_val[free] = free, x
@@ -254,13 +251,12 @@ def _filter_alldiff(c: AllDiff, box: DomainBox) -> PropagationResult:
     # Digraph over variables 0..k-1 and values k..: matched edges val -> var,
     # unmatched edges var -> val. An unmatched edge (x, val) survives iff it
     # lies on an alternating cycle (same SCC) or val has a path to a free value.
-    k = len(vars_)
     node = {val: k + i for i, val in enumerate(values)}
     succ: list[list[int]] = [[] for _ in range(k + len(node))]
     pred: list[list[int]] = [[] for _ in succ]
-    for i, x in enumerate(vars_):
-        for val in doms[x]:
-            a, b = (node[val], i) if match_of_var[x] == val else (i, node[val])
+    for x, dom in enumerate(doms):
+        for val in dom:
+            a, b = (node[val], x) if match_of_var[x] == val else (x, node[val])
             succ[a].append(b)
             pred[b].append(a)
     comp = _strong_components(succ)
@@ -271,9 +267,9 @@ def _filter_alldiff(c: AllDiff, box: DomainBox) -> PropagationResult:
             if a not in to_free:
                 to_free.add(a)
                 stack.append(a)
-    supported = [{val for val in doms[x] if match_of_var[x] == val
-                  or comp[i] == comp[node[val]] or node[val] in to_free}
-                 for i, x in enumerate(vars_)]
+    supported = [{val for val in dom if match_of_var[x] == val
+                  or comp[x] == comp[node[val]] or node[val] in to_free}
+                 for x, dom in enumerate(doms)]
     return _apply_scope_domains(box, vars_, supported)
 
 
@@ -318,34 +314,36 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
 def _filter_table(c: Table, box: DomainBox) -> PropagationResult:
     doms = [box.domain(v) for v in c.scope]
     supported: list[set[int]] = [set() for _ in c.scope]
-    for row in sorted(c.tuples):
+    for row in c.tuples:
         if all(val in dom for val, dom in zip(row, doms)):
             for i, val in enumerate(row):
                 supported[i].add(val)
     return _apply_scope_domains(box, c.scope, supported)
 
 
+_FILTERS = {Clause: _filter_clause, Card: _filter_card, Xor: _filter_xor,
+            Neq: _filter_neq, AllDiff: _filter_alldiff, Table: _filter_table}
+
+
 # --- network closure ---------------------------------------------------------
 
 def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
-    """Least fixpoint of gac_filter over all constraints (FIFO worklist).
+    """Least fixpoint of gac_filter over all constraints (FIFO worklist over
+    the network's watch lists, built once).
 
     The fixpoint is order-independent, so scheduling is purely a
     performance choice.
     """
     if box.inconsistent:
         return PropagationResult(INCONSISTENT, box)
-    watching: dict[int, list[int]] = {v.id: [] for v in net.variables}
-    for ci, c in enumerate(net.constraints):
-        for vid in c.scope:
-            watching[vid].append(ci)
-    queue = list(range(len(net.constraints)))
-    queued = set(queue)
+    constraints, watching = net.constraints, net.watchers
+    queue = deque(range(len(constraints)))
+    queued = [True] * len(constraints)
     current = box
     while queue:
-        ci = queue.pop(0)
-        queued.discard(ci)
-        c = net.constraints[ci]
+        ci = queue.popleft()
+        queued[ci] = False
+        c = constraints[ci]
         before = current
         res = gac_filter(c, current)
         if res.inconsistent:
@@ -356,9 +354,9 @@ def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
         for vid in c.scope:
             if current.domain(vid) != before.domain(vid):
                 for cj in watching[vid]:
-                    if cj != ci and cj not in queued:
+                    if cj != ci and not queued[cj]:
                         queue.append(cj)
-                        queued.add(cj)
+                        queued[cj] = True
     return PropagationResult(FIXPOINT, current)
 
 

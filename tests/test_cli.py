@@ -3,10 +3,13 @@ traceback), and byte-identical output for identical inputs."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from gackit.cli import main
+from gackit.cnet import parse_cnet
+from gackit.propagation import solve_brute_force
 
 CARD = "var x1 bool\nvar x2 bool\nvar x3 bool\ncard 1 2 x1 -x2 x3\n"
 CLAUSE = "var x1 bool\nvar x2 bool\nvar x3 bool\nclause x1 -x2 x3\n"
@@ -81,16 +84,88 @@ def test_check_gac_exit_code_is_the_verdict(files, capsys, encoding, code):
         "gac-reduction: " + ("PASS" if code == 0 else "FAIL"))
 
 
-def test_propagate_long_alldiff_chain(files, capsys):
-    # x1 in {1}, xi in {i-1, i}: the matching and pruning paths are 1,500 long
-    n = 1500
+def write_chain(files, n=1500):
+    # x1 in {1}, xi in {i-1, i}: the matching and pruning paths are n long
     lines = ["var x1 1..1"] + [f"var x{i} {i - 1}..{i}" for i in range(2, n + 1)]
     lines.append("alldiff " + " ".join(f"x{i}" for i in range(1, n + 1)))
     (files / "chain.cnet").write_text("\n".join(lines) + "\n")
+    return n
+
+
+def test_propagate_long_alldiff_chain(files, capsys):
+    n = write_chain(files)
     assert main(["propagate", "--in", str(files / "chain.cnet")]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines() == [f"x{i} = {{{i}}}" for i in range(1, n + 1)]
+
+
+def test_solve_long_alldiff_chain(files, capsys):
+    # the raw product has 2**1499 tuples; closure settles every variable
+    n = write_chain(files)
+    assert main(["solve", "--in", str(files / "chain.cnet")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == ["SAT"] + [f"x{i} = {i}" for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("command", ["solve", "propagate"])
+def test_closure_refuses_an_unaffordable_support_enumeration(files, capsys, command):
+    # a repeated literal sends card to the enumerating filter: 2**25 tuples
+    names = [f"x{i}" for i in range(1, 26)]
+    (files / "wide.cnet").write_text("".join(f"var {v} bool\n" for v in names)
+                                     + "card 1 2 x1 " + " ".join(names) + "\n")
+    expect_usage_error([command, "--in", files / "wide.cnet"], capsys)
+
+
+def random_cnet(rng):
+    """A small network over Booleans b* and ranges v*, with restrict lines."""
+    bools = [f"b{i}" for i in range(rng.randint(0, 3))]
+    ints = {f"v{i}": range(lo, lo + rng.randint(1, 3))
+            for i, lo in enumerate(rng.choices((0, 1, 2), k=rng.randint(1, 4)))}
+    lines = [f"var {b} bool" for b in bools]
+    lines += [f"var {name} {dom[0]}..{dom[-1]}" for name, dom in ints.items()]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("clause", "card", "xor", "neq", "alldiff", "table"))
+        if kind in ("clause", "card", "xor") and bools:
+            chosen = rng.sample(bools, rng.randint(1, len(bools)))
+            lits = " ".join(rng.choice(("", "-")) + b for b in chosen)
+            lo = rng.randint(0, len(chosen))
+            lines.append({"clause": f"clause {lits}",
+                          "card": f"card {lo} {rng.randint(lo, len(chosen))} {lits}",
+                          "xor": f"xor {lits} = {rng.randint(0, 1)}"}[kind])
+        elif kind in ("neq", "alldiff", "table") and len(ints) >= 2:
+            chosen = rng.sample(sorted(ints), 2 if kind != "alldiff"
+                                else rng.randint(2, len(ints)))
+            if kind == "table":
+                rows = {(rng.choice(ints[chosen[0]]), rng.choice(ints[chosen[1]]))
+                        for _ in range(rng.randint(1, 4))}
+                chosen.append(": " + "".join(f"({x},{y})" for x, y in sorted(rows)))
+            lines.append(f"{kind} " + " ".join(chosen))
+    for name, dom in ints.items():
+        if rng.random() < 0.3:
+            keep = rng.sample(dom, rng.randint(1, len(dom)))
+            lines.append(f"restrict {name} {{{','.join(map(str, keep))}}}")
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_equals_search_on_the_raw_box(tmp_path, capsys):
+    # closure first must not change the answer or the first model
+    rng = random.Random(2024)
+    source = tmp_path / "net.cnet"
+    seen = set()
+    for _ in range(300):
+        text = random_cnet(rng)
+        source.write_text(text)
+        doc = parse_cnet(text)
+        want = solve_brute_force(doc.network, doc.box)
+        out = "UNSAT\n" if not want.sat else "SAT\n" + "".join(
+            f"{var.name} = {var.label(want.model[var.id])}\n"
+            for var in doc.network.variables)
+        assert main(["solve", "--in", str(source)]) == (0 if want.sat else 1), text
+        assert capsys.readouterr().out == out, text
+        seen.add(want.sat)
+    assert seen == {True, False}
 
 
 # sha256 of the verdict JSON as the checker wrote it before the direct renderer

@@ -316,6 +316,12 @@ class TestChannelValidation:
             ChannelMap(ChannelMap.CNF, [a],
                        {(1, TRUE): 1, (1, FALSE): -1}, aux=[1])
 
+    def test_two_source_variables_with_one_name_rejected(self):
+        # verdict JSON keys boxes by name, so one of the two would vanish
+        variables = [bool_variable(1, "x"), bool_variable(2, "x"), bool_variable(3, "y")]
+        with pytest.raises(UsageError, match="two source variables named 'x'"):
+            build_encoding("binary-adder", Card([1, 2, 3], 1, 2), variables)
+
 
 class TestBackMapping:
     def test_full_target_model_maps_to_satisfying_source_assignment(self):

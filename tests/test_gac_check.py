@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gackit.model import (
-    FALSE, TRUE, Card, ChannelMap, Clause, DomainBox, UsageError, Variable,
-    bool_variable, is_restriction, range_variable,
+    FALSE, TRUE, Card, ChannelMap, Clause, DomainBox, Network, UsageError,
+    Variable, bool_variable, is_restriction, range_variable,
 )
 from gackit.propagation import UnitPropagator, gac_closure, gac_oracle
 from gackit.encoders import ENCODING_NAMES, build_encoding, encode_card_totalizer
@@ -17,7 +17,7 @@ from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     Counterexample, EnumerationPolicy, Verdict, auto_policy,
     check_equiconsistency, check_gac_reduction, check_soundness,
-    enumerate_knowledge_states, map_back, map_knowledge, replay,
+    _target_box, enumerate_knowledge_states, map_back, map_knowledge, replay,
 )
 from gackit.classify import _instances, default_config, render_report, run_class_suite
 
@@ -129,16 +129,21 @@ def reference_map_knowledge(channel, knowledge):
             if len(kdom) == 1:
                 assumptions.append(channel.forward[(var.id, next(iter(kdom)))])
         return assumptions
-    removals, pins = {}, {}
+    triples = []
     for var in channel.source_vars:
         kdom = knowledge.domain(var.id)
+        by_target = {}  # tvid -> (removed, pinned), in order of first image
         for value in var.domain:
             tvid, tval = channel.forward[(var.id, value)]
+            removed, pinned = by_target.setdefault(tvid, (set(), set()))
             if value not in kdom:
-                removals.setdefault(tvid, set()).add(tval)
+                removed.add(tval)
             elif len(kdom) == 1:
-                pins.setdefault(tvid, set()).add(tval)
-    return removals, pins
+                pinned.add(tval)
+        for tvid, (removed, pinned) in by_target.items():
+            if removed or pinned:
+                triples.append((tvid, frozenset(removed), frozenset(pinned)))
+    return triples
 
 
 ENCODING_FAMILIES = {
@@ -172,6 +177,33 @@ def test_memoized_map_knowledge_equals_the_plain_loop(encoding):
                     assert map_knowledge(channel, knowledge) == want, knowledge
     network = encoding.startswith(("clause-to-neq", "identity"))
     assert kinds == {ChannelMap.NETWORK if network else ChannelMap.CNF}
+
+
+def test_network_channel_triples_are_a_conjunction():
+    # source variables a and b both map into target variable t: a's values
+    # to 0/1, b's to 0/2; target variable w carries no image
+    a, b = bools("a", "b")
+    target = Network([Variable(3, "t", (0, 1, 2)), Variable(4, "w", (5, 6))], [])
+    channel = ChannelMap(ChannelMap.NETWORK, [a, b], {
+        (1, FALSE): (3, 0), (1, TRUE): (3, 1), (2, FALSE): (3, 0), (2, TRUE): (3, 2)})
+
+    def start(da, db):
+        mapped = map_knowledge(channel, DomainBox({1: da, 2: db}))
+        return mapped, _target_box(target, mapped)
+
+    both = [FALSE, TRUE]
+    assert start(both, both) == ([], target.initial_box())  # nothing asserted
+    mapped, box = start([TRUE], both)  # b asserts nothing and is left out
+    assert mapped == [(3, frozenset({0}), frozenset({1}))]
+    assert box == DomainBox({3: [1], 4: [5, 6]})
+    assert start(both, [TRUE])[1] == DomainBox({3: [2], 4: [5, 6]})
+    assert start([FALSE], [FALSE])[1] == DomainBox({3: [0], 4: [5, 6]})
+    # a = T pins t to 1 and b = T pins it to 2; both hold, so t empties
+    mapped, box = start([TRUE], [TRUE])
+    assert mapped == [(3, frozenset({0}), frozenset({1})),
+                      (3, frozenset({0}), frozenset({2}))]
+    assert box is DomainBox.bottom()
+    assert start([TRUE], [FALSE])[1] is DomainBox.bottom()
 
 
 class TestAutoPolicy:

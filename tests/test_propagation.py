@@ -10,9 +10,13 @@ from gackit.model import (
     Table, Xor, bool_variable, range_variable,
 )
 from gackit.propagation import (
-    CnfFormula, UnitPropagator, gac_closure, gac_filter, gac_oracle, sat_solve,
-    solve_brute_force, unit_propagate,
+    CnfFormula, UnitPropagator, _filter_alldiff, _filter_clause, gac_closure,
+    gac_filter, gac_oracle, sat_solve, solve_brute_force, unit_propagate,
 )
+from gackit.gac_check import (
+    ASSIGNMENT_STYLE, EnumerationPolicy, enumerate_knowledge_states,
+)
+from gackit.classify import _instances
 
 
 def bools(*names):
@@ -130,6 +134,37 @@ class TestOracleEquivalence:
             assert a.status == b.status, (c, box)
             if not a.inconsistent:
                 assert a.box == b.box, (c, box)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_alldiff_filter_equals_oracle_on_hall_states(self, n):
+        # every assignment-style state, each box built twice with its domains
+        # and values inserted in opposite orders: the filter walks domains in
+        # whatever order the frozensets give, and GAC output must not care
+        (c, variables), = _instances("alldiff", n)
+        for state in enumerate_knowledge_states(
+                variables, EnumerationPolicy(ASSIGNMENT_STYLE)):
+            doms = state.domains()
+            boxes = (DomainBox({vid: frozenset(sorted(doms[vid])) for vid in sorted(doms)}),
+                     DomainBox({vid: frozenset(sorted(doms[vid], reverse=True))
+                                for vid in sorted(doms, reverse=True)}))
+            want = gac_oracle(c, boxes[0])
+            for box in boxes:
+                got = _filter_alldiff(c, box)
+                assert got.status == want.status, box
+                if not got.inconsistent:
+                    assert got.box == want.box, box
+
+    @pytest.mark.parametrize("lits", [[1, -1], [1, 1, 2], [-2, 1, -2], [1, -1, 2], [2, 2]])
+    def test_clause_filter_equals_oracle_with_repeated_variables(self, lits):
+        c = Clause(lits)
+        subdomains = ([FALSE], [TRUE], [FALSE, TRUE])
+        for d1, d2 in itertools.product(subdomains, repeat=2):
+            box = DomainBox({1: d1, 2: d2})
+            got, want = _filter_clause(c, box), gac_oracle(c, box)
+            assert got.status == want.status, box
+            if not got.inconsistent:
+                assert got.box == want.box, box
+                assert (got.box is box) == (want.box is box), box
 
     def test_no_pruning_hands_back_the_input_box(self):
         # check_gac_reduction skips the target side on exactly this identity
