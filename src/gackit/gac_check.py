@@ -9,7 +9,10 @@ the inconsistent state as the unique strongest deduction.
 
 Soundness is the guard in the other direction: the target must not refute
 values that still extend to source solutions. Equiconsistency compares
-satisfiability over complete source assignments.
+satisfiability over complete source assignments, walked as value tuples in
+channel order: each assignment redoes only the depths past the prefix it
+shares with the previous one, and a side that a prefix already refutes
+stays refuted for every extension of it.
 
 Knowledge states are independent work items; results aggregate in
 enumeration order, so any evaluation schedule yields the same verdict.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .model import (
@@ -286,8 +290,15 @@ class _CnfTarget:
         values = self.prop.propagate(map_knowledge(self.channel, knowledge))
         return map_back(self.channel, values, base=knowledge)
 
-    def satisfiable(self, assignment: DomainBox) -> bool:
-        return sat_solve(self.prop, map_knowledge(self.channel, assignment)).sat
+    def refuting_prefix(self, mapped: list) -> int | None:
+        """None if the target is satisfiable under the assumptions `mapped`,
+        else the length of a prefix of them that refutes it: on a unit
+        propagation conflict, up to the literal that failed."""
+        prop = self.prop
+        if prop.propagate(mapped) is None:
+            return len(prop.assumed) + 1
+        decided = len(prop.trail) == prop.num_vars  # no conflict, nothing open
+        return None if decided or sat_solve(prop, mapped).sat else len(mapped)
 
 
 class _NetworkTarget:
@@ -301,9 +312,10 @@ class _NetworkTarget:
         return map_back(self.channel, None if result.inconsistent else result.box,
                         base=knowledge)
 
-    def satisfiable(self, assignment: DomainBox) -> bool:
-        start = _target_box(self.network, map_knowledge(self.channel, assignment))
-        return solve_brute_force(self.network, start).sat
+    def refuting_prefix(self, mapped: list) -> int | None:
+        """None if the target is satisfiable under the triples, else their number."""
+        start = _target_box(self.network, mapped)
+        return None if solve_brute_force(self.network, start).sat else len(mapped)
 
 
 def _target_engine(enc: Encoding):
@@ -386,10 +398,17 @@ def check_equiconsistency(source, enc: Encoding, sampler=None,
                           budget: int = 1 << 20) -> Verdict:
     """Source and target must be satisfiable on exactly the same complete
     source assignments. Exhaustive by default; pass an EnumerationPolicy in
-    random-sample mode to spot-check instead."""
+    random-sample mode to spot-check instead (any other mode is a UsageError).
+
+    In the walk (see the module docstring) the source tests with `accepts`
+    the constraints whose last variable lies past the shared prefix, and a
+    CNF target propagates one assumption list of the channel's singleton
+    images, searching with `sat_solve` only where the trail leaves a target
+    variable open; a network target is solved per assignment. A refuted
+    prefix refutes every extension, under `accepts` and unit propagation.
+    """
     svars = enc.channel.source_vars
     engine = _target_engine(enc)
-    net = source if isinstance(source, Network) else Network(list(svars), [source])
 
     if sampler is None:
         total = 1
@@ -400,6 +419,8 @@ def check_equiconsistency(source, enc: Encoding, sampler=None,
                 f"{total} complete assignments exceed the budget of {budget}")
         assignments = itertools.product(*(var.domain for var in svars))
         mode = EXHAUSTIVE_ASSIGNMENTS
+    elif sampler.mode != RANDOM_SAMPLE:
+        raise UsageError(f"equiconsistency samples only in {RANDOM_SAMPLE!r} mode")
     else:
         rng = random.Random(sampler.seed)
         assignments = (
@@ -407,20 +428,44 @@ def check_equiconsistency(source, enc: Encoding, sampler=None,
             for _ in range(sampler.sample_count))
         mode = RANDOM_SAMPLE
 
-    singletons = [(var.id, {val: frozenset((val,)) for val in var.domain})
-                  for var in svars]
-    boxes = (DomainBox._raw({vid: single[val] for (vid, single), val
-                             in zip(singletons, values)})
-             for values in assignments)
+    if isinstance(source, Network) and not set(source.variables) <= set(svars):
+        raise UsageError("the source network has variables outside the channel")
+    constraints = source.constraints if isinstance(source, Network) else [source]
+    schedule = Network(list(svars), constraints).search_schedule
+    channel, n = enc.channel, len(svars)
+    singles = [{val: frozenset((val,)) for val in var.domain} for var in svars]
+    mapped, ends = [], [0]  # ends[j]: len(mapped) once j values are mapped
+    # Length of the value prefix that refutes each side; None while it holds.
+    src_fail = None if all(c.accepts([]) for c, _ in schedule[0]) else 0
+    tgt_fail, prev = None, ()
 
-    def judge(box):
-        s = solve_brute_force(net, box).sat
-        t = engine.satisfiable(box)
+    def judge(values):
+        nonlocal src_fail, tgt_fail, prev
+        p = next((i for i, (old, new) in enumerate(zip(prev, values)) if old != new),
+                 len(prev))
+        prev = values
+        if src_fail is None or src_fail > p:
+            src_fail = next((k for k in range(p + 1, n + 1) if schedule[k] and not all(
+                c.accepts([values[i] for i in pos]) for c, pos in schedule[k])), None)
+        if tgt_fail is None or tgt_fail > p:
+            del mapped[ends[p]:], ends[p + 1:]
+            for d in range(p, n):
+                kdom, memo = singles[d][values[d]], channel.images[d]
+                image = memo.get(kdom)
+                if image is None:
+                    image = memo[kdom] = channel._image(svars[d], kdom)
+                mapped.extend(image)
+                ends.append(len(mapped))
+            k = engine.refuting_prefix(mapped)
+            tgt_fail = None if k is None else bisect_left(ends, k)
+        s, t = src_fail is None, tgt_fail is None
         if s != t:
+            box = DomainBox._raw({var.id: single[val] for var, single, val
+                                  in zip(svars, singles, values)})
             return Counterexample(CONSISTENCY_MISMATCH, box,
                                   box if s else DomainBox.bottom(),
                                   box if t else DomainBox.bottom())
-    return _drive(boxes, judge, mode, "equiconsistency", svars)
+    return _drive(assignments, judge, mode, "equiconsistency", svars)
 
 
 def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:

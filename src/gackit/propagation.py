@@ -370,7 +370,10 @@ class UnitPropagator:
     propagated so far and the trail mark before each. A call undoes the
     trail to the end of the prefix it shares with the previous call's
     assumptions and asserts the rest one at a time, BCP after each; watches
-    stay put. The formula's units are propagated once, at construction.
+    stay put. After a call, `assumed` is the list of leading assumptions
+    that propagated without conflict: all of them, or those before the one
+    that failed, so its length locates a conflict. The formula's units are
+    propagated once, at construction.
     The unit-rule closure, and whether it conflicts, do not depend on order,
     so this equals a fresh propagation. `sat_solve` runs its DPLL on the
     same object, so one propagator serves a whole check.

@@ -1,0 +1,217 @@
+"""Equiconsistency: the incremental walk against the benchmark's naive
+reference and against a plain per-assignment loop, on shipped and on
+hand-broken encodings, exhaustive and sampled, plus its edge cases.
+`perfbench/` is read, never written."""
+
+import hashlib
+import importlib.util
+import itertools
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import gackit.cli
+from gackit.cli import main
+from gackit.classify import _instances
+from gackit.encoders import ENCODING_NAMES, Encoding, build_encoding
+from gackit.gac_check import (
+    ASSIGNMENT_STYLE, CONSISTENCY_MISMATCH, FULL_SUBDOMAINS, RANDOM_SAMPLE,
+    Counterexample, EnumerationPolicy, check_equiconsistency,
+)
+from gackit.model import (
+    TRUE, Card, DomainBox, Network, UsageError, bool_variable, map_knowledge,
+)
+from gackit.propagation import CnfFormula, sat_solve
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+FAMILIES = ("card", "exactly-one", "neq", "alldiff", "xor", "clause")
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def drop_clause(enc, index):
+    f = enc.target
+    return Encoding(CnfFormula(f.num_vars, f.clauses[:index] + f.clauses[index + 1:]),
+                    enc.channel)
+
+
+def add_clause(enc, clause):
+    f = enc.target
+    return Encoding(CnfFormula(f.num_vars, f.clauses + [tuple(clause)]), enc.channel)
+
+
+def broken_totalizers(size):
+    """(constraint, encoding) for every totalizer over `size` Booleans, once
+    with each clause dropped and once with each added unit clause over a
+    channel literal."""
+    for constraint, variables in _instances("card", size):
+        enc = build_encoding("totalizer", constraint, variables)
+        for index in range(len(enc.target.clauses)):
+            yield constraint, drop_clause(enc, index)
+        for lit in enc.channel.forward.values():
+            yield constraint, add_clause(enc, [lit])
+
+
+def test_shipped_encodings_match_the_reference(reference):
+    built = set()
+    for encoding, family in itertools.product(ENCODING_NAMES, FAMILIES):
+        for size in range(2 if family == "alldiff" else 1, 4):
+            for constraint, variables in _instances(family, size):
+                try:
+                    enc = build_encoding(encoding, constraint, variables)
+                except UsageError:
+                    continue  # encoding made for another family
+                built.add(encoding)
+                assert check_equiconsistency(constraint, enc).to_json() == \
+                    reference.equiconsistency_verdict(constraint, enc), (encoding, size)
+    assert built == set(ENCODING_NAMES)
+
+
+def test_broken_totalizers_match_the_reference(reference):
+    failed = checked = 0
+    for size in (1, 2, 3):
+        for constraint, enc in broken_totalizers(size):
+            got = check_equiconsistency(constraint, enc).to_json()
+            assert got == reference.equiconsistency_verdict(constraint, enc)
+            failed += '"outcome": "fail"' in got
+            checked += 1
+    assert 0 < failed < checked
+
+
+def plain_loop(source_sat, enc, assignments):
+    """Counterexamples of an equiconsistency check, one assignment at a
+    time: a fresh propagator and DPLL search for each."""
+    svars = enc.channel.source_vars
+    counterexamples = []
+    for values in assignments:
+        box = DomainBox({var.id: [val] for var, val in zip(svars, values)})
+        s = source_sat(values)
+        t = sat_solve(enc.target, map_knowledge(enc.channel, box)).sat
+        if s != t:
+            counterexamples.append(Counterexample(
+                CONSISTENCY_MISMATCH, box, box if s else DomainBox.bottom(),
+                box if t else DomainBox.bottom()))
+    return counterexamples
+
+
+def sampled(variables, count, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.choice(var.domain) for var in variables) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_sampled_walk_equals_a_plain_loop_over_the_same_stream(seed):
+    sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=40, seed=seed)
+    failed = 0
+    for constraint, enc in broken_totalizers(3):
+        svars = enc.channel.source_vars
+        stream = sampled(svars, 40, seed)
+        assert len(set(stream)) < len(stream)  # repeated assignments included
+        verdict = check_equiconsistency(constraint, enc, sampler)
+        assert verdict.policy_mode == RANDOM_SAMPLE and verdict.states_checked == 40
+        assert verdict.counterexamples == plain_loop(
+            constraint.accepts, enc, stream)
+        failed += not verdict.passed
+    assert failed > 0
+
+
+@pytest.mark.parametrize("mode", [FULL_SUBDOMAINS, ASSIGNMENT_STYLE])
+def test_a_sampler_must_be_in_random_sample_mode(mode):
+    constraint, variables = _instances("card", 3)[4]
+    enc = build_encoding("totalizer", constraint, variables)
+    with pytest.raises(UsageError):
+        check_equiconsistency(constraint, enc, EnumerationPolicy(mode, sample_count=5))
+
+
+CARD5 = "".join(f"var x{i} bool\n" for i in range(1, 6)) + "card 2 3 x1 -x2 x3 x4 -x5\n"
+
+
+# sha256 of the sampled verdict JSON as the per-assignment checker wrote it
+@pytest.mark.parametrize("breakage, digest", [
+    ("drop", "b98d13e44dedd911ace8428e8fa9ff25d27e0d61399d1328cc0f0b73a124e44d"),
+    ("unit", "bcd9de8ff4cc67b2b91ca02a587285d12bcd937b4986a20868cf565b2bde2fec"),
+])
+def test_sampled_verdict_bytes_are_pinned(tmp_path, monkeypatch, breakage, digest):
+    build = gackit.cli.build_encoding
+
+    def broken(name, constraint, variables):
+        enc = build(name, constraint, variables)
+        if breakage == "drop":
+            return drop_clause(enc, 1)
+        return add_clause(enc, [enc.channel.forward[(1, TRUE)]])  # x1 must hold
+    monkeypatch.setattr(gackit.cli, "build_encoding", broken)
+    source, out = tmp_path / "card5.cnet", tmp_path / "verdict.json"
+    source.write_text(CARD5)
+    assert main(["equiconsistency", "--source", str(source), "--encoding", "totalizer",
+                 "--sample", "300", "--seed", "7", "--out", str(out)]) == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_a_target_with_an_empty_clause_refutes_every_assignment(reference):
+    constraint, variables = _instances("card", 3)[3]  # card 0..3: always holds
+    enc = add_clause(build_encoding("totalizer", constraint, variables), [])
+    verdict = check_equiconsistency(constraint, enc)
+    assert verdict.to_json() == reference.equiconsistency_verdict(constraint, enc)
+    assert len(verdict.counterexamples) == verdict.states_checked == 8
+    assert all(ce.deduced_back.inconsistent for ce in verdict.counterexamples)
+    sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=20, seed=1)
+    assert len(check_equiconsistency(constraint, enc, sampler).counterexamples) == 20
+
+
+def test_a_target_that_unit_propagation_leaves_open(reference):
+    # Two fresh variables y, z with all four clauses over them, each guarded
+    # by -x1: under x1 = T propagation assigns neither, and only search
+    # refutes the target; under x1 = F search finds a model.
+    constraint, variables = _instances("card", 3)[3]  # card 0..3: always holds
+    enc = build_encoding("totalizer", constraint, variables)
+    f, x1 = enc.target, enc.channel.forward[(1, TRUE)]
+    y, z = f.num_vars + 1, f.num_vars + 2
+    guarded = [(-x1, sy * y, sz * z) for sy in (1, -1) for sz in (1, -1)]
+    enc = Encoding(CnfFormula(z, f.clauses + guarded), enc.channel)
+    verdict = check_equiconsistency(constraint, enc)
+    assert verdict.to_json() == reference.equiconsistency_verdict(constraint, enc)
+    assert [ce.knowledge.value_of(1) for ce in verdict.counterexamples] == [TRUE] * 4
+    sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=30, seed=5)
+    assert check_equiconsistency(constraint, enc, sampler).counterexamples == plain_loop(
+        constraint.accepts, enc, sampled(variables, 30, 5))
+
+
+def test_network_source_in_another_variable_order():
+    # `first` fails on a prefix of the channel order, so the walk carries
+    # source refutations over from one assignment to the next.
+    variables = [bool_variable(i, f"x{i}") for i in range(1, 5)]
+    first, second = Card([1, 2], 0, 1), Card([1, 2, 3, 4], 1, 3)
+    enc = build_encoding("totalizer", second, variables)
+    x4 = enc.channel.forward[(4, TRUE)]
+    both = Network(variables[::-1], [second, first])
+
+    def both_sat(values):
+        return first.accepts(values[:2]) and second.accepts(values)
+    sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=40, seed=3)
+    for target in (enc, drop_clause(enc, 2), add_clause(enc, [-x4])):
+        assert check_equiconsistency(Network(variables[::-1], [second]), target).to_json() \
+            == check_equiconsistency(second, target).to_json()
+        assert check_equiconsistency(both, target).counterexamples == plain_loop(
+            both_sat, target, itertools.product(*(var.domain for var in variables)))
+        assert check_equiconsistency(both, target, sampler).counterexamples == plain_loop(
+            both_sat, target, sampled(variables, 40, 3))
+
+
+def test_network_source_with_a_variable_outside_the_channel():
+    variables = [bool_variable(i, f"x{i}") for i in range(1, 4)]
+    extra = bool_variable(9, "y")
+    constraint = Card([1, 2, 3], 1, 2)
+    enc = build_encoding("totalizer", constraint, variables)
+    for source in (Network(variables + [extra], [constraint]),
+                   Network(variables + [extra], [constraint, Card([1, 9], 1, 1)])):
+        with pytest.raises(UsageError):
+            check_equiconsistency(source, enc)
