@@ -14,8 +14,16 @@ channel order: each assignment redoes only the depths past the prefix it
 shares with the previous one, and a side that a prefix already refutes
 stays refuted for every extension of it.
 
-Knowledge states are independent work items; results aggregate in
-enumeration order, so any evaluation schedule yields the same verdict.
+The gac and soundness checks walk knowledge states in one fixed order:
+product order over each variable's subdomains, last variable fastest (a
+mixed-radix odometer, Knuth TAOCP 7.2.1.1 Algorithm M), or the seeded
+samples. Each state comes with the first depth p at which it differs from
+the previous one, and per-depth work is redone only from p on: the counts
+that tell in constant time whether a Card, Xor or Clause source filter
+would hand K back unchanged, and a CNF target's assumption list. A
+DomainBox for K is built only where the source has to be filtered.
+Counterexamples are kept in walk order, so the verdict is the same as a
+state-by-state evaluation's.
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ from dataclasses import dataclass, field
 
 from .model import (
     ChannelMap, Constraint, DomainBox, Network, ResourceError, UsageError,
-    Variable, is_restriction, map_knowledge,
+    Variable, is_restriction, lit_var, map_knowledge,
 )
 from .propagation import (
-    UnitPropagator, gac_closure, gac_filter, sat_solve, solve_brute_force,
+    UnitPropagator, fixpoint_counts, gac_closure, gac_filter, sat_solve,
+    solve_brute_force,
 )
 from .encoders import Encoding
 
@@ -88,10 +97,19 @@ def auto_policy(variables, seed: int = DEFAULT_SEED,
     return EnumerationPolicy(RANDOM_SAMPLE, seed=seed, max_states=max_states)
 
 
-def enumerate_knowledge_states(variables, policy: EnumerationPolicy | None = None):
-    """Deterministically ordered stream of DomainBox knowledge states."""
-    if policy is None:
-        policy = auto_policy(variables)
+def _knowledge_walk(variables, policy: EnumerationPolicy):
+    """The knowledge states of `policy` as `(p, subdomains)` pairs.
+
+    `subdomains` lists each variable's subdomain in order; it is one list,
+    changed in place from state to state, so copy what you keep. `p` is the
+    first position at which the state may differ from the previous one:
+    0 for the first state, and `len(variables)` for a sample that repeats
+    its predecessor. Exhaustive modes run a mixed-radix odometer over each
+    variable's subdomains (last variable fastest); random-sample mode draws
+    one mask per variable from a generator seeded with `policy.seed`.
+    Raises ResourceError, before the first state, when a domain exceeds
+    the policy's cap or an exhaustive walk its state budget.
+    """
     for var in variables:
         if len(var.domain) > policy.max_domain_size:
             raise ResourceError(
@@ -101,29 +119,54 @@ def enumerate_knowledge_states(variables, policy: EnumerationPolicy | None = Non
         raise ResourceError(
             f"{count_states(variables, policy)} knowledge states exceed the "
             f"budget of {policy.max_states}")
-    vids = [v.id for v in variables]
+    doms = [var.domain for var in variables]
+    n = len(doms)
+
+    def subdomain(dom, mask):
+        return frozenset(val for i, val in enumerate(dom) if (mask >> i) & 1)
+
     if policy.mode == RANDOM_SAMPLE:
         rng = random.Random(policy.seed)
-        doms = [v.domain for v in variables]
+        prev, state = [0] * n, [None] * n
         for _ in range(policy.sample_count):
-            state = {}
-            for vid, dom in zip(vids, doms):
-                mask = rng.randrange(1, 2 ** len(dom))
-                state[vid] = frozenset(
-                    val for i, val in enumerate(dom) if (mask >> i) & 1)
-            yield DomainBox._raw(state)
+            masks = [rng.randrange(1, 2 ** len(dom)) for dom in doms]
+            p = next((d for d in range(n) if masks[d] != prev[d]), n)
+            for d in range(p, n):
+                state[d] = subdomain(doms[d], masks[d])
+            prev = masks
+            yield p, state
         return
-    options = []
-    for var in variables:
-        dom = var.domain
-        if policy.mode == FULL_SUBDOMAINS:
-            subs = [frozenset(val for i, val in enumerate(dom) if (mask >> i) & 1)
-                    for mask in range(1, 2 ** len(dom))]
-        else:  # assignment-style: unrestricted, or assigned to one value
-            subs = [frozenset(dom)] + [frozenset((val,)) for val in dom]
-        options.append(subs)
-    for combo in itertools.product(*options):
-        yield DomainBox._raw(dict(zip(vids, combo)))
+    if policy.mode == FULL_SUBDOMAINS:
+        options = [[subdomain(dom, mask) for mask in range(1, 2 ** len(dom))]
+                   for dom in doms]
+    else:  # assignment-style: unrestricted, or assigned to one value
+        options = [[frozenset(dom)] + [frozenset((val,)) for val in dom] for dom in doms]
+    last = [len(opts) - 1 for opts in options]
+    digits = [0] * n
+    state = [opts[0] for opts in options]
+    p = 0
+    while True:
+        yield p, state
+        p = n - 1
+        while p >= 0 and digits[p] == last[p]:  # carry: wrap this digit
+            digits[p] = 0
+            state[p] = options[p][0]
+            p -= 1
+        if p < 0:
+            return
+        digits[p] += 1
+        state[p] = options[p][digits[p]]
+
+
+def enumerate_knowledge_states(variables, policy: EnumerationPolicy | None = None):
+    """Deterministically ordered stream of DomainBox knowledge states: the
+    states of the checkers' walk (`_knowledge_walk`), in its order, product
+    order with the last variable fastest or the seeded samples."""
+    if policy is None:
+        policy = auto_policy(variables)
+    vids = [v.id for v in variables]
+    for _, state in _knowledge_walk(variables, policy):
+        yield DomainBox._raw(dict(zip(vids, state)))
 
 
 @dataclass
@@ -266,18 +309,21 @@ def map_back(channel: ChannelMap, payload, base: DomainBox | None = None) -> Dom
     domains = {}
     for var in channel.source_vars:
         vid = var.id
-        keep = set()
-        for value in (var.domain if base is None else base.domain(vid)):
+        candidates = var.domain if base is None else base.domain(vid)
+        keep = []
+        for value in candidates:
             image = forward[(vid, value)]
             if cnf:
                 iv = payload[image] if image > 0 else payload[-image]
                 if iv is None or iv == (image > 0):
-                    keep.add(value)
+                    keep.append(value)
             elif image[1] in payload.domain(image[0]):
-                keep.add(value)
+                keep.append(value)
         if not keep:
             return DomainBox.bottom()
-        domains[vid] = frozenset(keep)
+        # base's own subdomain where nothing was refuted
+        domains[vid] = (candidates if base is not None and len(keep) == len(candidates)
+                        else frozenset(keep))
     return DomainBox._raw(domains)
 
 
@@ -285,10 +331,23 @@ class _CnfTarget:
     def __init__(self, enc: Encoding):
         self.channel = enc.channel
         self.prop = UnitPropagator(enc.target)
+        self.mapped, self.ends = [], [0]  # ends[d]: len(mapped) once d variables are mapped
 
-    def deduce_back(self, knowledge: DomainBox) -> DomainBox:
-        values = self.prop.propagate(map_knowledge(self.channel, knowledge))
-        return map_back(self.channel, values, base=knowledge)
+    def deduce_back(self, knowledge: DomainBox, since: int = 0) -> DomainBox:
+        """The target's deduction from `knowledge`, mapped back. The
+        assumptions are `map_knowledge`'s; those of the source variables
+        before position `since` are kept from the previous call, so there
+        `knowledge` must have the previous call's subdomains."""
+        channel, mapped, ends = self.channel, self.mapped, self.ends
+        del mapped[ends[since]:], ends[since + 1:]
+        for var, memo in zip(channel.source_vars[since:], channel.images[since:]):
+            kdom = knowledge.domain(var.id)
+            image = memo.get(kdom)
+            if image is None:
+                image = memo[kdom] = channel._image(var, kdom)
+            mapped.extend(image)
+            ends.append(len(mapped))
+        return map_back(channel, self.prop.propagate(mapped), base=knowledge)
 
     def refuting_prefix(self, mapped: list) -> int | None:
         """None if the target is satisfiable under the assumptions `mapped`,
@@ -306,7 +365,9 @@ class _NetworkTarget:
         self.channel = enc.channel
         self.network = enc.target
 
-    def deduce_back(self, knowledge: DomainBox) -> DomainBox:
+    def deduce_back(self, knowledge: DomainBox, since: int = 0) -> DomainBox:
+        """As `_CnfTarget.deduce_back`, but the target box is built anew
+        from `knowledge` each time, so `since` goes unused."""
         start = _target_box(self.network, map_knowledge(self.channel, knowledge))
         result = gac_closure(self.network, start)
         return map_back(self.channel, None if result.inconsistent else result.box,
@@ -320,11 +381,6 @@ class _NetworkTarget:
 
 def _target_engine(enc: Encoding):
     return (_NetworkTarget if isinstance(enc.target, Network) else _CnfTarget)(enc)
-
-
-def _deduce(src, engine, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:
-    """(D_source, D_back) for one knowledge state, given the source result."""
-    return (DomainBox.bottom() if src.inconsistent else src.box), engine.deduce_back(knowledge)
 
 
 def _drive(states, judge, mode: str, check: str, svars) -> Verdict:
@@ -341,28 +397,86 @@ def _drive(states, judge, mode: str, check: str, svars) -> Verdict:
 
 
 def _drive_knowledge(enc: Encoding, policy, judge, check: str) -> Verdict:
+    """`_drive` over the knowledge walk; `judge` gets `(p, state)` pairs."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
-    return _drive(enumerate_knowledge_states(svars, policy), judge, policy.mode,
-                  check, svars)
+    return _drive(_knowledge_walk(svars, policy), judge, policy.mode, check, svars)
+
+
+def _unchanged_test(source, svars):
+    """For a Card, Xor or Clause source over distinct variables that all lie
+    among `svars`, a test `unchanged(p, state)` that is True exactly where
+    `gac_filter(source, K)` hands back K itself. It sums `fixpoint_counts`
+    per depth, redoing only the depths from p on, so it must see every
+    state of the walk, in order. None for any other source, which is
+    filtered on every state."""
+    counts = fixpoint_counts(source) if isinstance(source, Constraint) else None
+    vids = [var.id for var in svars]
+    if (counts is None or len(set(vids)) != len(vids)
+            or not set(source.scope) <= set(vids)):
+        return None
+    count, holds = counts
+    lit_of = {lit_var(lit): lit for lit in source.lits}
+    lits = [lit_of.get(vid) for vid in vids]
+    n = len(vids)
+    memos = [{} for _ in vids]  # per depth: subdomain -> its count
+    totals = [0] * (n + 1)  # totals[d]: the sum over the depths before d
+    holds_at = {}  # total -> holds(total)
+
+    def unchanged(p, state):
+        for d in range(p, n):
+            dom = state[d]
+            c = memos[d].get(dom)
+            if c is None:
+                c = memos[d][dom] = 0 if lits[d] is None else count(lits[d], dom)
+            totals[d + 1] = totals[d] + c
+        total = totals[n]
+        answer = holds_at.get(total)
+        if answer is None:
+            answer = holds_at[total] = holds(total)
+        return answer
+    return unchanged
 
 
 def check_gac_reduction(source, enc: Encoding,
                         policy: EnumerationPolicy | None = None) -> Verdict:
     """Completeness check: for every knowledge state, the mapped-back target
     deduction must be a restriction of (at least as strong as) the source
-    deduction. Records a completeness gap per offending state. Where the
-    source deduces nothing (its propagator hands back K itself) the target
-    side is skipped: the mapped-back deduction keeps only values of K, so
-    it restricts K whatever the target deduces."""
-    deduce_source, engine = _source_propagator(source), _target_engine(enc)
+    deduction. Records a completeness gap per offending state.
 
-    def judge(knowledge):
+    Where the source deduces nothing (its filter hands back K itself) the
+    target side is skipped: the mapped-back deduction keeps only values of
+    K, so it restricts K whatever the target deduces. For a Card, Xor or
+    Clause source over distinct variables the walk tells these states
+    apart without building K or filtering, from counts summed per depth
+    (see `fixpoint_counts`). With a fixed-true and b free literals, a card
+    `lo..hi` deduces nothing iff `lo <= a + b`, `a <= hi`, and `b == 0` or
+    (`a < hi` and `a + b > lo`); an xor iff `b >= 2`, or `b == 0` and
+    `a % 2` is its parity. A clause deduces nothing iff two literals can
+    still be true, or one can and its variable is already fixed to it.
+    Every other source is filtered on every state.
+    """
+    deduce_source, engine = _source_propagator(source), _target_engine(enc)
+    svars = enc.channel.source_vars
+    unchanged = _unchanged_test(source, svars)
+    vids = [var.id for var in svars]
+    since = 0  # first position that changed since the target last ran
+
+    def judge(step):
+        nonlocal since
+        p, state = step
+        if p < since:
+            since = p
+        if unchanged is not None and unchanged(p, state):
+            return None
+        knowledge = DomainBox._raw(dict(zip(vids, state)))
         res = deduce_source(knowledge)
         if not res.inconsistent and res.box is knowledge:
             return None
-        src, back = _deduce(res, engine, knowledge)
+        src = DomainBox.bottom() if res.inconsistent else res.box
+        back = engine.deduce_back(knowledge, since)
+        since = len(vids)
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "gac-reduction")
@@ -374,23 +488,36 @@ def check_soundness(source, enc: Encoding,
     still extends to a full source solution inside the knowledge state."""
     deduce_source, engine = _source_propagator(source), _target_engine(enc)
     svars = enc.channel.source_vars
+    unchanged = _unchanged_test(source, svars)
+    vids = [var.id for var in svars]
+    since = 0  # first position that changed since the target last ran
     is_network = isinstance(source, Network)
 
     def extends(knowledge):
         return not is_network or solve_brute_force(source, knowledge).sat
 
-    def judge(knowledge):
-        src = deduce_source(knowledge)
-        if src.inconsistent:
-            return None  # nothing extends to a solution; no over-pruning possible
-        back = engine.deduce_back(knowledge)
+    def judge(step):
+        nonlocal since
+        p, state = step
+        if p < since:
+            since = p
+        knowledge = DomainBox._raw(dict(zip(vids, state)))
+        if unchanged is not None and unchanged(p, state):
+            src = knowledge
+        else:
+            res = deduce_source(knowledge)
+            if res.inconsistent:
+                return None  # nothing extends to a solution; no over-pruning possible
+            src = res.box
+        back = engine.deduce_back(knowledge, since)
+        since = len(vids)
         if back.inconsistent:
             violated = extends(knowledge)
         else:
             violated = any(extends(knowledge.assign(var.id, value)) for var in svars
-                           for value in sorted(src.box.domain(var.id) - back.domain(var.id)))
+                           for value in sorted(src.domain(var.id) - back.domain(var.id)))
         if violated:
-            return Counterexample(SOUNDNESS_VIOLATION, knowledge, src.box, back)
+            return Counterexample(SOUNDNESS_VIOLATION, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "soundness")
 
 
@@ -474,4 +601,6 @@ def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, Doma
     Counterexamples are replayable: feeding a recorded K back through here
     reproduces the recorded deductions exactly.
     """
-    return _deduce(_source_propagator(source)(knowledge), _target_engine(enc), knowledge)
+    res = _source_propagator(source)(knowledge)
+    return ((DomainBox.bottom() if res.inconsistent else res.box),
+            _target_engine(enc).deduce_back(knowledge))

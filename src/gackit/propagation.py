@@ -159,9 +159,20 @@ def _filter_card(c: Card, box: DomainBox) -> PropagationResult:
     return PropagationResult(FIXPOINT, DomainBox._raw(domains))
 
 
+def _distinct_xor(c: Xor) -> Xor:
+    """The same relation over distinct variables. x ⊕ x = 0 and x ⊕ ¬x = 1,
+    so a variable with a positive and b negative literals keeps one positive
+    literal iff a + b is odd, and each negative literal flips the parity."""
+    occurrences: dict[int, int] = {}
+    for lit in c.lits:
+        occurrences[lit_var(lit)] = occurrences.get(lit_var(lit), 0) + 1
+    parity = c.parity ^ (sum(lit < 0 for lit in c.lits) & 1)
+    return Xor([v for v, k in occurrences.items() if k & 1], parity)
+
+
 def _filter_xor(c: Xor, box: DomainBox) -> PropagationResult:
     if len(c.scope) != len(c.lits):
-        return gac_oracle(c, box)  # duplicate literals cancel; let the oracle decide
+        c = _distinct_xor(c)
     fixed_parity = 0
     free: list[int] = []
     for lit in c.lits:
@@ -182,6 +193,58 @@ def _filter_xor(c: Xor, box: DomainBox) -> PropagationResult:
     domains = box.domains()
     domains[lit_var(lit)] = frozenset((value,))
     return PropagationResult(FIXPOINT, DomainBox._raw(domains))
+
+
+def fixpoint_counts(c: Constraint):
+    """The test "`gac_filter(c, box)` hands back `box` itself" as a sum of
+    per-literal counts, for a Card, Xor or Clause over distinct variables;
+    None for any other constraint, which must run its filter.
+
+    Returns `(count, holds)`. `count(lit, dom)` is what one literal adds
+    given its variable's domain: two counts a and b, packed as
+    `a + (b << shift)` with `shift = len(c.lits).bit_length()`. `holds` of
+    the sum over c's literals is True exactly when the kind's filter
+    returns its input box, as read off the filters above:
+    - card, with a fixed-true and b free literals:
+      `lo <= a + b`, `a <= hi`, and `b == 0` or (`a < hi` and `a + b > lo`);
+    - xor, with a fixed-true and b free literals:
+      `b >= 2`, or `b == 0` and `a % 2 == parity`;
+    - clause, with a literals whose true value is in the domain, b of them
+      in a domain of more values: `a >= 2`, or `a == 1` and `b == 0`.
+    """
+    kind = type(c)
+    if kind not in (Card, Xor, Clause) or len(c.scope) != len(c.lits):
+        return None
+    shift = len(c.lits).bit_length()
+    low = (1 << shift) - 1
+    if kind is Clause:
+        def count(lit, dom):
+            if lit_truth_value(lit) not in dom:
+                return 0
+            return 1 if len(dom) == 1 else 1 + (1 << shift)
+
+        def holds(total):
+            return total & low >= 2 or total == 1
+        return count, holds
+
+    def count(lit, dom):  # card and xor: "free" and "fixed true" as the filters read them
+        if len(dom) == 2:
+            return 1 << shift
+        return 1 if lit_truth_value(lit) in dom else 0
+
+    if kind is Card:
+        lo, hi = c.lo, c.hi
+
+        def holds(total):
+            a, b = total & low, total >> shift
+            return lo <= a + b and a <= hi and (b == 0 or (a < hi and a + b > lo))
+    else:
+        parity = c.parity
+
+        def holds(total):
+            b = total >> shift
+            return b >= 2 or (b == 0 and total & 1 == parity)
+    return count, holds
 
 
 def _filter_neq(c: Neq, box: DomainBox) -> PropagationResult:

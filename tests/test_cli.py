@@ -1,9 +1,11 @@
 """CLI contract: exit codes 0/1/2, `error: ...` on bad input (never a
-traceback), and byte-identical output for identical inputs."""
+traceback), byte-identical output for identical inputs, and the golden
+answers in `perfbench/expected/` (read here, never written)."""
 
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +184,52 @@ def test_verdict_json_bytes_are_pinned(tmp_path, command, encoding, code, digest
     assert main([command, "--source", str(source), "--encoding", encoding,
                  "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_propagate_xor_with_a_repeated_variable(files, capsys):
+    # x1 ⊕ x1 cancels: the filter reduces the literals instead of
+    # enumerating 2**40 tuples
+    names = [f"x{i}" for i in range(1, 41)]
+    (files / "xor.cnet").write_text("".join(f"var {v} bool\n" for v in names)
+                                    + "xor x1 " + " ".join(names) + " = 0\n")
+    assert main(["propagate", "--in", str(files / "xor.cnet")]) == 0
+    assert capsys.readouterr().out == "".join(f"{v} = {{F,T}}\n" for v in names)
+
+
+@pytest.mark.parametrize("text, policy", [
+    # 3**13 full-subdomain states exceed the 1,000,000-state budget
+    ("".join(f"var x{i} bool\n" for i in range(1, 14))
+     + "card 1 2 " + " ".join(f"x{i}" for i in range(1, 14)) + "\n", "full"),
+    # a 21-value domain exceeds the per-variable cap of 20, in every mode
+    ("var A 1..21\nvar B 1..2\nneq A B\n", "sample:5"),
+    ("var A 1..21\nvar B 1..2\nneq A B\n", "assignment"),
+])
+@pytest.mark.parametrize("command", ["check-gac", "check-sound"])
+def test_check_over_budget_is_a_resource_error(files, capsys, command, text, policy):
+    (files / "big.cnet").write_text(text)
+    encoding = "totalizer" if text.startswith("var x1") else "identity"
+    expect_usage_error([command, "--source", files / "big.cnet", "--encoding", encoding,
+                        "--policy", policy], capsys)
+
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+
+
+def test_report_json_is_the_golden_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["report", "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (EXPECTED / "suite_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("encoding", ["totalizer", "binary-adder"])
+def test_check_gac_on_the_cnf_large_instance(tmp_path, capsys, encoding):
+    entry = json.loads((EXPECTED / "cnf-large.json").read_text())["pool"][0]
+    want = entry["ops"][f"check-gac-{encoding}"]
+    source, out = tmp_path / "card.cnet", tmp_path / "verdict.json"
+    source.write_text(entry["inputs"]["card.cnet"])
+    assert main(["check-gac", "--source", str(source), "--encoding", encoding,
+                 "--out", str(out)]) == want["exit"]
+    verdict = json.loads(out.read_text())
+    assert (verdict["outcome"], verdict["states_checked"], len(verdict["counterexamples"])) \
+        == (want["outcome"], want["states"], want["gaps"])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
