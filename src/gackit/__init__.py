@@ -9,12 +9,11 @@ __version__ = "0.1.0"
 from .model import (
     FALSE, TRUE, AllDiff, Card, ChannelMap, Clause, Constraint, DomainBox,
     Neq, Network, ResourceError, Table, UsageError, Variable, Xor,
-    as_table, bool_variable, is_restriction, range_variable, restrict,
-    satisfies,
+    bool_variable, is_restriction, range_variable, restrict, satisfies,
 )
 from .propagation import (
     CnfFormula, PropagationResult, SolveResult, UnitPropagator, gac_closure,
-    gac_filter, gac_oracle, sat_solve, solve_brute_force, unit_propagate,
+    gac_filter, gac_oracle, sat_solve, solve_brute_force,
 )
 from .encoders import (
     Encoding, EncodingStats, build_encoding, compile_network,

@@ -214,7 +214,7 @@ def _totalizer_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> l
                     formula.add_clause(cl)  # out>=i+j+1 -> left>=i+1 | right>=j+1
         return out
 
-    root = merge([[l] for l in lits])
+    root = merge([[l] for l in lits]) if lits else []  # an empty sum counts to 0
     for k in range(lo):
         formula.add_clause([root[k]])
     for k in range(hi, len(root)):
@@ -314,7 +314,7 @@ def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -
         mid = (len(items) + 1) // 2
         return add_numbers(sum_tree(items[:mid]), sum_tree(items[mid:]))
 
-    bits = sum_tree(lits)
+    bits = sum_tree(lits) if lits else []  # an empty sum is 0
 
     def compare(kind: str, bound: int):
         # (sum >= bound) resp. (sum <= bound) as an LSB-to-MSB comparator fold
@@ -364,8 +364,7 @@ def encode_card_binary_adder(constraint: Card, variables) -> Encoding:
 
 # --- parity -------------------------------------------------------------------
 
-def _xor_into(formula: CnfFormula, lits: list[int], parity: int,
-              arity_limit: int = XOR_ARITY_LIMIT) -> None:
+def _xor_into(formula: CnfFormula, lits: list[int], parity: int) -> None:
     """Append the direct expansion of one XOR over CNF literals: every
     parity-violating assignment becomes a forbidding clause."""
     # fold literal signs and duplicate variables into the required parity
@@ -376,9 +375,9 @@ def _xor_into(formula: CnfFormula, lits: list[int], parity: int,
         counts[abs(l)] = counts.get(abs(l), 0) + 1
     cnf_vars = [v for v, c in counts.items() if c % 2 == 1]
     k = len(cnf_vars)
-    if k > arity_limit:
+    if k > XOR_ARITY_LIMIT:
         raise ResourceError(
-            f"xor arity {k} exceeds the direct-expansion limit {arity_limit}")
+            f"xor arity {k} exceeds the direct-expansion limit {XOR_ARITY_LIMIT}")
     if k == 0:
         if parity == 1:
             formula.add_clause([])  # falsum: 0 = 1
@@ -392,13 +391,12 @@ def _xor_into(formula: CnfFormula, lits: list[int], parity: int,
                 for i in range(k)])
 
 
-def encode_xor_direct(constraint: Xor, variables,
-                      arity_limit: int = XOR_ARITY_LIMIT) -> Encoding:
+def encode_xor_direct(constraint: Xor, variables) -> Encoding:
     """Direct expansion of one XOR equation: all 2^(k-1) parity-violating
     assignments become forbidding clauses. Exponential in arity, so only
-    valid below `arity_limit`."""
+    valid up to XOR_ARITY_LIMIT."""
     return _encode_boolean(constraint, variables, lambda formula, lits: _xor_into(
-        formula, lits, constraint.parity, arity_limit))
+        formula, lits, constraint.parity))
 
 
 # --- clause -> difference network ---------------------------------------------

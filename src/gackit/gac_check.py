@@ -9,27 +9,29 @@ the inconsistent state as the unique strongest deduction.
 
 Soundness is the guard in the other direction: the target must not refute
 values that still extend to source solutions. Equiconsistency compares
-satisfiability over complete source assignments, walked as value tuples in
-channel order: each assignment redoes only the depths past the prefix it
-shares with the previous one, and a side that a prefix already refutes
-stays refuted for every extension of it.
+satisfiability over complete source assignments.
 
-The gac and soundness checks walk knowledge states in one fixed order:
-product order over each variable's subdomains, last variable fastest (a
-mixed-radix odometer, Knuth TAOCP 7.2.1.1 Algorithm M), or the seeded
-samples. Each state comes with the first depth p at which it differs from
-the previous one, and per-depth work is redone only from p on: the counts
-that tell in constant time whether a Card, Xor or Clause source filter
-would hand K back unchanged, and a CNF target's assumption list. A
-DomainBox for K is built only where the source has to be filtered.
-Counterexamples are kept in walk order, so the verdict is the same as a
-state-by-state evaluation's.
+All three checks run one walk over per-position subdomains in channel
+order: product order over each position's options, last position fastest
+(a mixed-radix odometer, Knuth TAOCP 7.2.1.1 Algorithm M), or seeded
+samples. The options are a variable's subdomains for the gac and soundness
+checks and its singletons for equiconsistency. Each state comes with the
+first depth p at which it differs from the previous one, and per-depth
+work is redone only from p on: the counts that tell in constant time
+whether a Card, Xor or Clause source filter would hand K back unchanged,
+and the source constraints that equiconsistency tests with `accepts`. A
+side that a prefix of an assignment refutes stays refuted for every
+extension of it. The target side is one engine, `_Target`, which keeps the
+channel images of the subdomains it last mapped per depth and remaps only
+the depths past the prefix it shares with them. A DomainBox for K is built
+only where the source has to be filtered. Counterexamples are kept in walk
+order, so the verdict is the same as a state-by-state evaluation's.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -56,6 +58,8 @@ CONSISTENCY_MISMATCH = "consistency-mismatch"
 DEFAULT_STATE_BUDGET = 1_000_000
 DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_SEED = 42
+MAX_DOMAIN_SIZE = 20  # per source variable, in a knowledge walk
+EQUICONSISTENCY_BUDGET = 1 << 20  # complete assignments, when exhaustive
 
 
 @dataclass
@@ -65,7 +69,6 @@ class EnumerationPolicy:
     sample_count: int = DEFAULT_SAMPLE_COUNT
     seed: int = DEFAULT_SEED
     max_states: int = DEFAULT_STATE_BUDGET
-    max_domain_size: int = 20
 
     def __post_init__(self):
         if self.mode not in (FULL_SUBDOMAINS, ASSIGNMENT_STYLE, RANDOM_SAMPLE):
@@ -97,50 +100,12 @@ def auto_policy(variables, seed: int = DEFAULT_SEED,
     return EnumerationPolicy(RANDOM_SAMPLE, seed=seed, max_states=max_states)
 
 
-def _knowledge_walk(variables, policy: EnumerationPolicy):
-    """The knowledge states of `policy` as `(p, subdomains)` pairs.
-
-    `subdomains` lists each variable's subdomain in order; it is one list,
-    changed in place from state to state, so copy what you keep. `p` is the
-    first position at which the state may differ from the previous one:
-    0 for the first state, and `len(variables)` for a sample that repeats
-    its predecessor. Exhaustive modes run a mixed-radix odometer over each
-    variable's subdomains (last variable fastest); random-sample mode draws
-    one mask per variable from a generator seeded with `policy.seed`.
-    Raises ResourceError, before the first state, when a domain exceeds
-    the policy's cap or an exhaustive walk its state budget.
-    """
-    for var in variables:
-        if len(var.domain) > policy.max_domain_size:
-            raise ResourceError(
-                f"domain of {var.name!r} exceeds the per-variable cap "
-                f"({len(var.domain)} > {policy.max_domain_size})")
-    if policy.mode != RANDOM_SAMPLE and count_states(variables, policy) > policy.max_states:
-        raise ResourceError(
-            f"{count_states(variables, policy)} knowledge states exceed the "
-            f"budget of {policy.max_states}")
-    doms = [var.domain for var in variables]
-    n = len(doms)
-
-    def subdomain(dom, mask):
-        return frozenset(val for i, val in enumerate(dom) if (mask >> i) & 1)
-
-    if policy.mode == RANDOM_SAMPLE:
-        rng = random.Random(policy.seed)
-        prev, state = [0] * n, [None] * n
-        for _ in range(policy.sample_count):
-            masks = [rng.randrange(1, 2 ** len(dom)) for dom in doms]
-            p = next((d for d in range(n) if masks[d] != prev[d]), n)
-            for d in range(p, n):
-                state[d] = subdomain(doms[d], masks[d])
-            prev = masks
-            yield p, state
-        return
-    if policy.mode == FULL_SUBDOMAINS:
-        options = [[subdomain(dom, mask) for mask in range(1, 2 ** len(dom))]
-                   for dom in doms]
-    else:  # assignment-style: unrestricted, or assigned to one value
-        options = [[frozenset(dom)] + [frozenset((val,)) for val in dom] for dom in doms]
+def _odometer(options):
+    """The product of the per-position option lists as `(p, state)` pairs,
+    last position fastest. `state` is one list, changed in place from state
+    to state, so copy what you keep; `p` is the first position at which it
+    differs from the previous state, 0 for the first."""
+    n = len(options)
     last = [len(opts) - 1 for opts in options]
     digits = [0] * n
     state = [opts[0] for opts in options]
@@ -156,6 +121,55 @@ def _knowledge_walk(variables, policy: EnumerationPolicy):
             return
         digits[p] += 1
         state[p] = options[p][digits[p]]
+
+
+def _samples(draws, count: int, seed: int):
+    """`count` seeded samples as `(p, state)` pairs, `state` one list as in
+    `_odometer`. A sample takes `draws[d](rng)` at each position d in turn,
+    from one generator seeded with `seed`. `p` is the first position whose
+    draw differs from the previous sample's, `len(draws)` for a sample that
+    repeats its predecessor; the positions before p keep their objects."""
+    rng = random.Random(seed)
+    n = len(draws)
+    state = [None] * n
+    for _ in range(count):
+        drawn = [draw(rng) for draw in draws]
+        p = next((d for d in range(n) if drawn[d] != state[d]), n)
+        state[p:] = drawn[p:]
+        yield p, state
+
+
+def _knowledge_walk(variables, policy: EnumerationPolicy):
+    """The knowledge states of `policy` as `(p, subdomains)` pairs, one
+    subdomain per variable in order. Exhaustive modes run `_odometer` over
+    each variable's subdomains; random-sample mode draws one mask per
+    variable with `_samples`, seeded with `policy.seed`. Raises
+    ResourceError when a domain exceeds MAX_DOMAIN_SIZE or an exhaustive
+    walk the policy's state budget.
+    """
+    for var in variables:
+        if len(var.domain) > MAX_DOMAIN_SIZE:
+            raise ResourceError(
+                f"domain of {var.name!r} exceeds the per-variable cap "
+                f"({len(var.domain)} > {MAX_DOMAIN_SIZE})")
+    if policy.mode != RANDOM_SAMPLE and count_states(variables, policy) > policy.max_states:
+        raise ResourceError(
+            f"{count_states(variables, policy)} knowledge states exceed the "
+            f"budget of {policy.max_states}")
+    doms = [var.domain for var in variables]
+
+    def subdomain(dom, mask):
+        return frozenset(val for i, val in enumerate(dom) if (mask >> i) & 1)
+
+    if policy.mode == RANDOM_SAMPLE:
+        def draw(dom):
+            return lambda rng: subdomain(dom, rng.randrange(1, 2 ** len(dom)))
+        return _samples([draw(dom) for dom in doms], policy.sample_count, policy.seed)
+    if policy.mode == FULL_SUBDOMAINS:
+        return _odometer([[subdomain(dom, mask) for mask in range(1, 2 ** len(dom))]
+                          for dom in doms])
+    # assignment-style: unrestricted, or assigned to one value
+    return _odometer([[frozenset(dom)] + [frozenset((val,)) for val in dom] for dom in doms])
 
 
 def enumerate_knowledge_states(variables, policy: EnumerationPolicy | None = None):
@@ -327,77 +341,81 @@ def map_back(channel: ChannelMap, payload, base: DomainBox | None = None) -> Dom
     return DomainBox._raw(domains)
 
 
-class _CnfTarget:
-    def __init__(self, enc: Encoding):
-        self.channel = enc.channel
-        self.prop = UnitPropagator(enc.target)
-        self.mapped, self.ends = [], [0]  # ends[d]: len(mapped) once d variables are mapped
+class _Target:
+    """The target side of every check. It keeps the source subdomains it
+    last mapped, in channel order, and their images under the channel as
+    one list with per-depth ends: `map_knowledge`'s list, assumption
+    literals for a CNF target and `(tvid, removed, pinned)` triples for a
+    network. A call finds, by object identity, the prefix of subdomains it
+    shares with the last call, as `UnitPropagator` does for assumptions,
+    and remaps only the depths past it; an equal subdomain that is another
+    object is remapped, which costs time but changes no answer. A CNF
+    target propagates the list on one `UnitPropagator`; a network target
+    builds its box from the list with `_target_box`.
+    """
 
-    def deduce_back(self, knowledge: DomainBox, since: int = 0) -> DomainBox:
-        """The target's deduction from `knowledge`, mapped back. The
-        assumptions are `map_knowledge`'s; those of the source variables
-        before position `since` are kept from the previous call, so there
-        `knowledge` must have the previous call's subdomains."""
-        channel, mapped, ends = self.channel, self.mapped, self.ends
-        del mapped[ends[since]:], ends[since + 1:]
-        for var, memo in zip(channel.source_vars[since:], channel.images[since:]):
-            kdom = knowledge.domain(var.id)
-            image = memo.get(kdom)
-            if image is None:
-                image = memo[kdom] = channel._image(var, kdom)
-            mapped.extend(image)
+    def __init__(self, enc: Encoding):
+        self.channel, self.target = enc.channel, enc.target
+        self.prop = None if isinstance(enc.target, Network) else UnitPropagator(enc.target)
+        self.doms = []  # the subdomains last mapped
+        self.mapped, self.ends = [], [0]  # ends[d]: len(mapped) once d subdomains are mapped
+
+    def _map(self, doms) -> list:
+        """`map_knowledge`'s list for `doms`, one subdomain per source
+        variable in channel order, remapped past the shared prefix only."""
+        old, mapped, ends, image = self.doms, self.mapped, self.ends, self.channel.image
+        p = 0
+        for a, b in zip(old, doms):
+            if a is not b:
+                break
+            p += 1
+        del mapped[ends[p]:], ends[p + 1:]
+        for d in range(p, len(doms)):
+            mapped.extend(image(d, doms[d]))
             ends.append(len(mapped))
-        return map_back(channel, self.prop.propagate(mapped), base=knowledge)
+        old[p:] = doms[p:]
+        return mapped
 
-    def refuting_prefix(self, mapped: list) -> int | None:
-        """None if the target is satisfiable under the assumptions `mapped`,
-        else the length of a prefix of them that refutes it: on a unit
-        propagation conflict, up to the literal that failed."""
-        prop = self.prop
-        if prop.propagate(mapped) is None:
-            return len(prop.assumed) + 1
-        decided = len(prop.trail) == prop.num_vars  # no conflict, nothing open
-        return None if decided or sat_solve(prop, mapped).sat else len(mapped)
-
-
-class _NetworkTarget:
-    def __init__(self, enc: Encoding):
-        self.channel = enc.channel
-        self.network = enc.target
-
-    def deduce_back(self, knowledge: DomainBox, since: int = 0) -> DomainBox:
-        """As `_CnfTarget.deduce_back`, but the target box is built anew
-        from `knowledge` each time, so `since` goes unused."""
-        start = _target_box(self.network, map_knowledge(self.channel, knowledge))
-        result = gac_closure(self.network, start)
+    def deduce_back(self, knowledge: DomainBox) -> DomainBox:
+        """The target's deduction from `knowledge`, mapped back onto it."""
+        mapped = self._map([knowledge.domain(var.id) for var in self.channel.source_vars])
+        if self.prop is not None:
+            return map_back(self.channel, self.prop.propagate(mapped), base=knowledge)
+        result = gac_closure(self.target, _target_box(self.target, mapped))
         return map_back(self.channel, None if result.inconsistent else result.box,
                         base=knowledge)
 
-    def refuting_prefix(self, mapped: list) -> int | None:
-        """None if the target is satisfiable under the triples, else their number."""
-        start = _target_box(self.network, mapped)
-        return None if solve_brute_force(self.network, start).sat else len(mapped)
+    def refuted_depth(self, doms) -> int | None:
+        """None if the target is satisfiable under the images of `doms`,
+        else a depth d whose prefix `doms[:d]` already refutes it: on a unit
+        propagation conflict, the depth of the literal that failed; after a
+        search, all of `doms`."""
+        mapped, prop = self._map(doms), self.prop
+        if prop is None:
+            sat = solve_brute_force(self.target, _target_box(self.target, mapped)).sat
+        elif prop.propagate(mapped) is None:
+            return bisect_left(self.ends, len(prop.assumed) + 1)
+        else:  # no conflict; search only if the trail leaves a variable open
+            sat = len(prop.trail) == prop.num_vars or sat_solve(prop, mapped).sat
+        return None if sat else bisect_left(self.ends, len(mapped))
 
 
-def _target_engine(enc: Encoding):
-    return (_NetworkTarget if isinstance(enc.target, Network) else _CnfTarget)(enc)
-
-
-def _drive(states, judge, mode: str, check: str, svars) -> Verdict:
-    """The one check loop: `judge(state)` returns a Counterexample or None;
-    counterexamples are kept in enumeration order."""
+def _drive(walk, judge, mode: str, check: str, svars) -> Verdict:
+    """The one check loop: `judge(p, state)` for each step of the walk
+    returns a Counterexample or None; counterexamples are kept in walk
+    order."""
     counterexamples = []
     count = 0
-    for state in states:
+    for p, state in walk:
         count += 1
-        ce = judge(state)
+        ce = judge(p, state)
         if ce is not None:
             counterexamples.append(ce)
     return Verdict(count, counterexamples, mode, check, svars)
 
 
 def _drive_knowledge(enc: Encoding, policy, judge, check: str) -> Verdict:
-    """`_drive` over the knowledge walk; `judge` gets `(p, state)` pairs."""
+    """`_drive` over the knowledge walk of `policy` (auto if None)."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
@@ -457,17 +475,12 @@ def check_gac_reduction(source, enc: Encoding,
     still be true, or one can and its variable is already fixed to it.
     Every other source is filtered on every state.
     """
-    deduce_source, engine = _source_propagator(source), _target_engine(enc)
+    deduce_source, engine = _source_propagator(source), _Target(enc)
     svars = enc.channel.source_vars
     unchanged = _unchanged_test(source, svars)
     vids = [var.id for var in svars]
-    since = 0  # first position that changed since the target last ran
 
-    def judge(step):
-        nonlocal since
-        p, state = step
-        if p < since:
-            since = p
+    def judge(p, state):
         if unchanged is not None and unchanged(p, state):
             return None
         knowledge = DomainBox._raw(dict(zip(vids, state)))
@@ -475,8 +488,7 @@ def check_gac_reduction(source, enc: Encoding,
         if not res.inconsistent and res.box is knowledge:
             return None
         src = DomainBox.bottom() if res.inconsistent else res.box
-        back = engine.deduce_back(knowledge, since)
-        since = len(vids)
+        back = engine.deduce_back(knowledge)
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "gac-reduction")
@@ -486,21 +498,16 @@ def check_soundness(source, enc: Encoding,
                     policy: EnumerationPolicy | None = None) -> Verdict:
     """Guard against over-pruning: the target may not refute a value that
     still extends to a full source solution inside the knowledge state."""
-    deduce_source, engine = _source_propagator(source), _target_engine(enc)
+    deduce_source, engine = _source_propagator(source), _Target(enc)
     svars = enc.channel.source_vars
     unchanged = _unchanged_test(source, svars)
     vids = [var.id for var in svars]
-    since = 0  # first position that changed since the target last ran
     is_network = isinstance(source, Network)
 
     def extends(knowledge):
         return not is_network or solve_brute_force(source, knowledge).sat
 
-    def judge(step):
-        nonlocal since
-        p, state = step
-        if p < since:
-            since = p
+    def judge(p, state):
         knowledge = DomainBox._raw(dict(zip(vids, state)))
         if unchanged is not None and unchanged(p, state):
             src = knowledge
@@ -509,8 +516,7 @@ def check_soundness(source, enc: Encoding,
             if res.inconsistent:
                 return None  # nothing extends to a solution; no over-pruning possible
             src = res.box
-        back = engine.deduce_back(knowledge, since)
-        since = len(vids)
+        back = engine.deduce_back(knowledge)
         if back.inconsistent:
             violated = extends(knowledge)
         else:
@@ -521,78 +527,66 @@ def check_soundness(source, enc: Encoding,
     return _drive_knowledge(enc, policy, judge, "soundness")
 
 
-def check_equiconsistency(source, enc: Encoding, sampler=None,
-                          budget: int = 1 << 20) -> Verdict:
+def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
     """Source and target must be satisfiable on exactly the same complete
-    source assignments. Exhaustive by default; pass an EnumerationPolicy in
-    random-sample mode to spot-check instead (any other mode is a UsageError).
+    source assignments. Exhaustive by default, up to EQUICONSISTENCY_BUDGET
+    assignments; pass an EnumerationPolicy in random-sample mode to
+    spot-check instead (any other mode is a UsageError).
 
-    In the walk (see the module docstring) the source tests with `accepts`
-    the constraints whose last variable lies past the shared prefix, and a
-    CNF target propagates one assumption list of the channel's singleton
-    images, searching with `sat_solve` only where the trail leaves a target
-    variable open; a network target is solved per assignment. A refuted
-    prefix refutes every extension, under `accepts` and unit propagation.
+    The walk's options are each variable's singletons. The source tests
+    with `accepts` the constraints whose last variable lies past the shared
+    prefix; the target answers with `_Target.refuted_depth`, so a CNF
+    target searches with `sat_solve` only where unit propagation leaves a
+    target variable open, and a network target is solved per assignment.
+    A refuted prefix refutes every extension, under `accepts` and unit
+    propagation alike.
     """
     svars = enc.channel.source_vars
-    engine = _target_engine(enc)
+    engine = _Target(enc)
+    singles = [{val: frozenset((val,)) for val in var.domain} for var in svars]
 
     if sampler is None:
-        total = 1
-        for var in svars:
-            total *= len(var.domain)
-        if total > budget:
-            raise ResourceError(
-                f"{total} complete assignments exceed the budget of {budget}")
-        assignments = itertools.product(*(var.domain for var in svars))
+        total = math.prod(len(var.domain) for var in svars)
+        if total > EQUICONSISTENCY_BUDGET:
+            raise ResourceError(f"{total} complete assignments exceed the "
+                                f"budget of {EQUICONSISTENCY_BUDGET}")
+        walk = _odometer([list(single.values()) for single in singles])
         mode = EXHAUSTIVE_ASSIGNMENTS
     elif sampler.mode != RANDOM_SAMPLE:
         raise UsageError(f"equiconsistency samples only in {RANDOM_SAMPLE!r} mode")
     else:
-        rng = random.Random(sampler.seed)
-        assignments = (
-            tuple(rng.choice(var.domain) for var in svars)
-            for _ in range(sampler.sample_count))
+        def draw(dom, single):
+            return lambda rng: single[rng.choice(dom)]
+        walk = _samples([draw(var.domain, single) for var, single in zip(svars, singles)],
+                        sampler.sample_count, sampler.seed)
         mode = RANDOM_SAMPLE
 
     if isinstance(source, Network) and not set(source.variables) <= set(svars):
         raise UsageError("the source network has variables outside the channel")
     constraints = source.constraints if isinstance(source, Network) else [source]
     schedule = Network(list(svars), constraints).search_schedule
-    channel, n = enc.channel, len(svars)
-    singles = [{val: frozenset((val,)) for val in var.domain} for var in svars]
-    mapped, ends = [], [0]  # ends[j]: len(mapped) once j values are mapped
-    # Length of the value prefix that refutes each side; None while it holds.
+    n, vids = len(svars), [var.id for var in svars]
+    values = [None] * n
+    # Length of the prefix that refutes each side; None while it holds.
     src_fail = None if all(c.accepts([]) for c, _ in schedule[0]) else 0
-    tgt_fail, prev = None, ()
+    tgt_fail = None
 
-    def judge(values):
-        nonlocal src_fail, tgt_fail, prev
-        p = next((i for i, (old, new) in enumerate(zip(prev, values)) if old != new),
-                 len(prev))
-        prev = values
+    def judge(p, state):
+        nonlocal src_fail, tgt_fail
+        for d in range(p, n):
+            (values[d],) = state[d]  # the one value of a singleton
         if src_fail is None or src_fail > p:
             src_fail = next((k for k in range(p + 1, n + 1) if schedule[k] and not all(
                 c.accepts([values[i] for i in pos]) for c, pos in schedule[k])), None)
         if tgt_fail is None or tgt_fail > p:
-            del mapped[ends[p]:], ends[p + 1:]
-            for d in range(p, n):
-                kdom, memo = singles[d][values[d]], channel.images[d]
-                image = memo.get(kdom)
-                if image is None:
-                    image = memo[kdom] = channel._image(svars[d], kdom)
-                mapped.extend(image)
-                ends.append(len(mapped))
-            k = engine.refuting_prefix(mapped)
-            tgt_fail = None if k is None else bisect_left(ends, k)
+            tgt_fail = engine.refuted_depth(state)
         s, t = src_fail is None, tgt_fail is None
         if s != t:
-            box = DomainBox._raw({var.id: single[val] for var, single, val
-                                  in zip(svars, singles, values)})
+            box = DomainBox._raw(dict(zip(vids, state)))
             return Counterexample(CONSISTENCY_MISMATCH, box,
                                   box if s else DomainBox.bottom(),
                                   box if t else DomainBox.bottom())
-    return _drive(assignments, judge, mode, "equiconsistency", svars)
+    return _drive(walk, judge, mode, "equiconsistency", svars)
 
 
 def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:
@@ -603,4 +597,4 @@ def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, Doma
     """
     res = _source_propagator(source)(knowledge)
     return ((DomainBox.bottom() if res.inconsistent else res.box),
-            _target_engine(enc).deduce_back(knowledge))
+            _Target(enc).deduce_back(knowledge))

@@ -8,8 +8,9 @@ as {FALSE, TRUE} = {0, 1} with F < T.
 Everything here is immutable after construction and safe to share across
 threads; "mutation" always produces a new DomainBox, and every inconsistent
 box is one shared instance. Caches fill lazily but never change an answer:
-`ChannelMap.images`, and a `Network`'s initial domains, watch lists and
-search schedule (so never edit a network's lists after use).
+`ChannelMap.images` (read and filled only by `ChannelMap.image`), and a
+`Network`'s initial domains, watch lists and search schedule (so never edit
+a network's lists after use).
 """
 
 from __future__ import annotations
@@ -361,17 +362,6 @@ def satisfies(constraint: Constraint, assignment: DomainBox) -> bool:
     return constraint.accepts(values)
 
 
-def as_table(constraint: Constraint, variables: Sequence[Variable]) -> Table:
-    """Extensionalize a constraint by enumerating its satisfying tuples."""
-    by_id = {v.id: v for v in variables}
-    try:
-        doms = [by_id[vid].domain for vid in constraint.scope]
-    except KeyError as exc:
-        raise UsageError(f"scope variable {exc} missing from variable list") from None
-    rows = [t for t in itertools.product(*doms) if constraint.accepts(t)]
-    return Table(constraint.scope, rows)
-
-
 class ChannelMap:
     """Correspondence between source (variable, value) pairs and target atoms.
 
@@ -437,6 +427,15 @@ class ChannelMap:
                    for tvid, pairs in by_target.items())
         return tuple(triple for triple in triples if triple[1] or triple[2])
 
+    def image(self, pos: int, kdom: frozenset) -> tuple:
+        """`_image` of the source variable at position `pos`, from the
+        memo `images[pos]`, computed on first use."""
+        memo = self.images[pos]
+        image = memo.get(kdom)
+        if image is None:
+            image = memo[kdom] = self._image(self.source_vars[pos], kdom)
+        return image
+
 
 def map_knowledge(channel: ChannelMap, knowledge: DomainBox) -> list:
     """Express source knowledge on the target side.
@@ -447,17 +446,12 @@ def map_knowledge(channel: ChannelMap, knowledge: DomainBox) -> list:
     `(tvid, removed, pinned)` triples for network channels (see
     `ChannelMap._image`); the triples are a conjunction, so a target
     variable that carries the images of two source variables gets both.
-    Each source variable's image comes from the channel's memo, keyed by
-    its knowledge subdomain and computed on first use; this only joins them.
+    Each source variable's image comes from `ChannelMap.image`; this only
+    joins them.
     """
-    images = []
-    for var, memo in zip(channel.source_vars, channel.images):
-        kdom = knowledge.domain(var.id)
-        image = memo.get(kdom)
-        if image is None:
-            image = memo[kdom] = channel._image(var, kdom)
-        images.append(image)
-    return list(itertools.chain.from_iterable(images))
+    return list(itertools.chain.from_iterable(
+        channel.image(pos, knowledge.domain(var.id))
+        for pos, var in enumerate(channel.source_vars)))
 
 
 class Network:

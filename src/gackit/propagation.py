@@ -27,10 +27,9 @@ DEFAULT_BRUTE_FORCE_BUDGET = 1 << 24
 
 @dataclass
 class PropagationResult:
-    """Outcome of one propagation run; `box` for networks, `assignment` for CNF."""
+    """Outcome of one filter or closure run over a box."""
     status: str
     box: DomainBox | None = None
-    assignment: dict[int, bool] | None = None
 
     @property
     def inconsistent(self) -> bool:
@@ -544,16 +543,6 @@ class UnitPropagator:
         for lit in trail[mark:]:
             val[lit if lit > 0 else -lit] = None
         del trail[mark:]
-
-
-def unit_propagate(formula: CnfFormula,
-                   assumptions: Iterable[int] = ()) -> PropagationResult:
-    """Unit-rule closure from the given assumption literals."""
-    val = UnitPropagator(formula).propagate(assumptions)
-    if val is None:
-        return PropagationResult(INCONSISTENT, assignment=None)
-    assignment = {v: val[v] for v in range(1, formula.num_vars + 1) if val[v] is not None}
-    return PropagationResult(FIXPOINT, assignment=assignment)
 
 
 # --- complete solvers --------------------------------------------------------

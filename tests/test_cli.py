@@ -212,6 +212,18 @@ def test_check_over_budget_is_a_resource_error(files, capsys, command, text, pol
                         "--policy", policy], capsys)
 
 
+def test_equiconsistency_over_budget_is_a_resource_error(files, capsys):
+    # 2**21 complete assignments exceed the budget of 2**20: refused before
+    # the walk starts, so the command returns at once
+    names = [f"x{i}" for i in range(1, 22)]
+    (files / "big.cnet").write_text("".join(f"var {v} bool\n" for v in names)
+                                    + "card 1 2 " + " ".join(names) + "\n")
+    assert main(["equiconsistency", "--source", str(files / "big.cnet"),
+                 "--encoding", "totalizer"]) == 2
+    assert capsys.readouterr().err == \
+        "error: 2097152 complete assignments exceed the budget of 1048576\n"
+
+
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 
 

@@ -10,7 +10,7 @@ from gackit.model import (
     ResourceError, UsageError, Xor, bool_variable, range_variable, satisfies,
 )
 from gackit.propagation import (
-    CnfFormula, gac_closure, sat_solve, solve_brute_force, unit_propagate,
+    CnfFormula, UnitPropagator, gac_closure, sat_solve, solve_brute_force,
 )
 from gackit.encoders import (
     PAIRWISE, SEQUENTIAL, build_encoding, compile_network,
@@ -18,14 +18,16 @@ from gackit.encoders import (
     encode_clause_to_neq, encode_exactly_one, encode_exactly_one_constraint,
     encode_neq, encode_xor_direct, one_hot_vars,
 )
+from gackit.gac_check import check_equiconsistency, check_gac_reduction
 
 
 def bools(*names):
     return [bool_variable(i, n) for i, n in enumerate(names, 1)]
 
 
-def up_assignment(enc, assumptions):
-    return unit_propagate(enc.target, assumptions)
+def up_values(enc, assumptions):
+    """Unit propagation's value list: True/False/None per CNF variable."""
+    return UnitPropagator(enc.target).propagate(assumptions)
 
 
 class TestExactlyOne:
@@ -61,8 +63,8 @@ class TestExactlyOne:
         variables = bools("x1", "x2", "x3", "x4")
         enc = encode_exactly_one_constraint(Card([1, 2, 3, 4], 1, 1),
                                             variables, SEQUENTIAL)
-        out = up_assignment(enc, [enc.channel.forward[(2, TRUE)]])
-        got = {v: out.assignment.get(abs(enc.channel.forward[(v, TRUE)]))
+        out = up_values(enc, [enc.channel.forward[(2, TRUE)]])
+        got = {v: out[abs(enc.channel.forward[(v, TRUE)])]
                for v in (1, 3, 4)}
         assert got == {1: False, 3: False, 4: False}
 
@@ -108,9 +110,9 @@ class TestEncodeNeq:
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
         enc = encode_neq(a, b)
-        out = up_assignment(enc, [enc.channel.forward[(1, 2)]])  # A = 2
+        out = up_values(enc, [enc.channel.forward[(1, 2)]])  # A = 2
         b2 = enc.channel.forward[(2, 2)]
-        assert out.assignment.get(abs(b2)) is False
+        assert out[abs(b2)] is False
 
     def test_singleton_domains_unsat(self):
         a = range_variable(1, "A", 1, 1)
@@ -123,23 +125,23 @@ class TestTotalizer:
     def test_forces_rest_false_when_hi_reached(self):
         variables = bools("x1", "x2", "x3", "x4")
         enc = encode_card_totalizer(Card([1, 2, 3, 4], 2, 2), variables)
-        out = up_assignment(enc, [enc.channel.forward[(1, TRUE)],
-                                  enc.channel.forward[(2, TRUE)]])
-        assert out.assignment.get(3) is False and out.assignment.get(4) is False
+        out = up_values(enc, [enc.channel.forward[(1, TRUE)],
+                              enc.channel.forward[(2, TRUE)]])
+        assert out[3] is False and out[4] is False
 
     def test_vacuous_bounds_emit_no_units_and_up_derives_nothing(self):
         variables = bools("x1", "x2", "x3")
         enc = encode_card_totalizer(Card([1, 2, 3], 0, 3), variables)
         assert all(len(cl) > 1 for cl in enc.target.clauses)
-        out = up_assignment(enc, [enc.channel.forward[(1, TRUE)]])
-        assigned_inputs = {v for v in (2, 3) if v in out.assignment}
+        out = up_values(enc, [enc.channel.forward[(1, TRUE)]])
+        assigned_inputs = {v for v in (2, 3) if out[v] is not None}
         assert not assigned_inputs
 
     def test_at_most_one_forces_others_false(self):
         variables = bools("x1", "x2", "x3")
         enc = encode_card_totalizer(Card([1, 2, 3], 0, 1), variables)
-        out = up_assignment(enc, [enc.channel.forward[(1, TRUE)]])
-        assert out.assignment.get(2) is False and out.assignment.get(3) is False
+        out = up_values(enc, [enc.channel.forward[(1, TRUE)]])
+        assert out[2] is False and out[3] is False
 
     def test_clause_count_monotone_and_subcubic(self):
         counts = []
@@ -152,12 +154,22 @@ class TestTotalizer:
             assert count <= 6 * n * n + 2, (n, count)
 
 
+@pytest.mark.parametrize("encoding", ["totalizer", "binary-adder"])
+@pytest.mark.parametrize("variables", [[], bools("x1")], ids=["no-variables", "unscoped"])
+def test_a_card_without_literals_builds_and_checks(encoding, variables):
+    # an empty sum is 0: the counter and the adder tree are empty
+    source = Card([], 0, 0)
+    enc = build_encoding(encoding, source, variables)
+    assert check_gac_reduction(source, enc).passed
+    assert check_equiconsistency(source, enc).passed
+
+
 class TestBinaryAdder:
     def test_degenerate_single_input_forced(self):
         variables = bools("x1")
         enc = encode_card_binary_adder(Card([1], 1, 1), variables)
-        out = up_assignment(enc, [])
-        assert out.assignment.get(1) is True
+        out = up_values(enc, [])
+        assert out[1] is True
 
     def test_equiconsistent_with_card_on_complete_assignments(self):
         for n in (3, 5):
@@ -185,8 +197,8 @@ class TestXorDirect:
     def test_up_forces_parity(self):
         variables = bools("x1", "x2", "x3")
         enc = encode_xor_direct(Xor([1, 2, 3], 1), variables)
-        out = up_assignment(enc, [1, 2])
-        assert out.assignment.get(3) is True
+        out = up_values(enc, [1, 2])
+        assert out[3] is True
 
     def test_arity_limit(self):
         variables = [bool_variable(i, f"x{i}") for i in range(1, 14)]
@@ -208,9 +220,9 @@ class TestAlldiffPairwise:
         variables = [range_variable(1, "X", 1, 2), range_variable(2, "Y", 1, 2),
                      range_variable(3, "Z", 1, 3)]
         enc = encode_alldiff_pairwise(variables)
-        out = up_assignment(enc, [])
+        out = up_values(enc, [])
         z_lits = [enc.channel.forward[(3, v)] for v in (1, 2, 3)]
-        assert all(abs(l) not in out.assignment for l in z_lits)
+        assert all(out[abs(l)] is None for l in z_lits)
 
     def test_two_variables_matches_encode_neq(self):
         a = range_variable(1, "A", 1, 3)

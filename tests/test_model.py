@@ -1,13 +1,11 @@
 """Model layer: variables, boxes, the restriction order, satisfaction."""
 
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
 from gackit.model import (
     FALSE, TRUE, AllDiff, Card, Clause, DomainBox, Neq, Network, Table,
-    UsageError, Variable, Xor, as_table, bool_variable, is_restriction,
+    UsageError, Variable, Xor, bool_variable, is_restriction,
     range_variable, restrict, satisfies,
 )
 
@@ -156,25 +154,6 @@ class TestSatisfies:
         box = DomainBox({1: [1], 2: [2]})
         assert satisfies(Neq(1, 2), box) is True
         assert satisfies(Table([1, 2], [(1, 1), (2, 2)]), box) is False
-
-
-class TestTableRoundTrip:
-    @pytest.mark.parametrize("constraint,variables", [
-        (Clause([1, -2, 3]), bools("a", "b", "c")),
-        (Card([1, 2, 3], 1, 2), bools("a", "b", "c")),
-        (Xor([1, -2], 1), bools("a", "b")),
-        (AllDiff([1, 2, 3]),
-         [range_variable(1, "X", 1, 2), range_variable(2, "Y", 1, 2),
-          range_variable(3, "Z", 1, 3)]),
-        (Neq(1, 2), [range_variable(1, "A", 1, 3), range_variable(2, "B", 2, 4)]),
-    ])
-    def test_tableization_preserves_satisfaction(self, constraint, variables):
-        table = as_table(constraint, variables)
-        by_id = {v.id: v for v in variables}
-        doms = [by_id[vid].domain for vid in constraint.scope]
-        for values in itertools.product(*doms):
-            box = DomainBox({vid: [val] for vid, val in zip(constraint.scope, values)})
-            assert satisfies(table, box) == satisfies(constraint, box)
 
 
 class TestNetworkValidation:

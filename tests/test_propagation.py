@@ -11,7 +11,7 @@ from gackit.model import (
 )
 from gackit.propagation import (
     CnfFormula, UnitPropagator, _filter_alldiff, _filter_clause, gac_closure,
-    gac_filter, gac_oracle, sat_solve, solve_brute_force, unit_propagate,
+    gac_filter, gac_oracle, sat_solve, solve_brute_force,
 )
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, EnumerationPolicy, enumerate_knowledge_states,
@@ -218,25 +218,22 @@ class TestGacClosure:
 class TestUnitPropagation:
     def test_clause_becomes_unit(self):
         f = CnfFormula(3, [[1, -2, 3]])
-        out = unit_propagate(f, [2, -3])
-        assert out.assignment[1] is True
+        assert UnitPropagator(f).propagate([2, -3])[1] is True
 
     def test_direct_contradiction(self):
         f = CnfFormula(1, [[1], [-1]])
-        assert unit_propagate(f).inconsistent
+        assert UnitPropagator(f).propagate() is None
 
     def test_empty_formula_identity(self):
-        out = unit_propagate(CnfFormula(0, []))
-        assert out.assignment == {}
+        assert UnitPropagator(CnfFormula(0, [])).propagate() == [None]
 
     def test_contradictory_assumptions_not_an_error(self):
         f = CnfFormula(1, [])
-        assert unit_propagate(f, [1, -1]).inconsistent
+        assert UnitPropagator(f).propagate([1, -1]) is None
 
     def test_chained_units(self):
         f = CnfFormula(4, [[1], [-1, 2], [-2, 3], [-3, -4]])
-        out = unit_propagate(f)
-        assert out.assignment == {1: True, 2: True, 3: True, 4: False}
+        assert UnitPropagator(f).propagate() == [None, True, True, True, False]
 
     def test_trail_reuse_equals_fresh_propagation(self):
         # One propagator fed sequences of assumption lists that share
@@ -433,7 +430,7 @@ class TestClosureLaws:
             assumptions = [v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
             f = CnfFormula(n, clauses)
-            up = unit_propagate(f, assumptions)
+            up = UnitPropagator(f).propagate(assumptions)
 
             net = Network(variables, [Clause(cl) for cl in clauses])
             box = net.initial_box()
@@ -441,12 +438,12 @@ class TestClosureLaws:
                 box = box.assign(abs(lit), TRUE if lit > 0 else FALSE)
             closure = gac_closure(net, box)
 
-            if up.inconsistent or closure.inconsistent:
-                assert up.inconsistent and closure.inconsistent
+            if up is None or closure.inconsistent:
+                assert up is None and closure.inconsistent
                 continue
             for v in range(1, n + 1):
                 dom = closure.box.domain(v)
-                if v in up.assignment:
-                    assert dom == {TRUE if up.assignment[v] else FALSE}
+                if up[v] is not None:
+                    assert dom == {TRUE if up[v] else FALSE}
                 else:
                     assert dom == {FALSE, TRUE}

@@ -1,5 +1,6 @@
 """The knowledge-state walk of `check_gac_reduction` and `check_soundness`:
-the constant-time count test that stands in for the source filter, and the
+the constant-time count test that stands in for the source filter, the
+target engine's reuse of the prefix it shares with its last call, and the
 verdicts of the walk against a plain copy of the state-by-state loop."""
 
 import itertools
@@ -21,7 +22,7 @@ from gackit.encoders import build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     SOUNDNESS_VIOLATION, Counterexample, EnumerationPolicy, Verdict,
-    _knowledge_walk, _target_box, _unchanged_test, auto_policy,
+    _Target, _knowledge_walk, _target_box, _unchanged_test, auto_policy,
     check_gac_reduction, check_soundness, enumerate_knowledge_states,
 )
 from gackit.classify import _instances, default_config
@@ -281,12 +282,48 @@ def test_walk_order_is_the_product_order():
 
 
 @pytest.mark.parametrize("checker", [check_gac_reduction, check_soundness])
-@pytest.mark.parametrize("policy", [
-    EnumerationPolicy(FULL_SUBDOMAINS, max_states=80),  # 3**4 = 81 states
-    EnumerationPolicy(ASSIGNMENT_STYLE, max_domain_size=1),
-    EnumerationPolicy(RANDOM_SAMPLE, max_domain_size=1),
-])
-def test_too_small_a_budget_raises(checker, policy):
+def test_too_small_a_budget_raises(checker):
     source, variables = Card([1, 2, 3, 4], 1, 2), bools(4)
+    policy = EnumerationPolicy(FULL_SUBDOMAINS, max_states=80)  # 3**4 = 81 states
     with pytest.raises(ResourceError):
         checker(source, build_encoding("totalizer", source, variables), policy)
+
+
+# --- the target engine against a fresh engine per state ----------------------
+
+ENGINE_CASES = [
+    pytest.param(Card([1, -2, 3], 1, 2), bools(3), "totalizer", id="cnf-totalizer"),
+    pytest.param(Card([1, 2, 3], 1, 1), bools(3), "binary-adder", id="cnf-binary-adder"),
+    pytest.param(*_instances("alldiff", 3)[0], "alldiff-pairwise", id="cnf-one-hot"),
+    pytest.param(Clause([1, -2, 3]), bools(3), "clause-to-neq:non-gac", id="network-clause"),
+    pytest.param(*_instances("alldiff", 3)[0], "identity", id="network-identity"),
+]
+
+
+@pytest.mark.parametrize("source, variables, encoding", ENGINE_CASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_target_reuse_equals_a_fresh_target_per_state(source, variables, encoding, data):
+    # One engine sees a sequence of states in one list changed in place, as
+    # the walk passes them: a suffix or every position redrawn (jumping back
+    # or forward), the same objects again, or equal subdomains that are
+    # other objects. Each answer must be a fresh engine's on that state.
+    enc = build_encoding(encoding, source, variables)
+    options = [[frozenset(sub) for r in range(1, len(var.domain) + 1)
+                for sub in itertools.combinations(var.domain, r)] for var in variables]
+    vids, n = [var.id for var in variables], len(variables)
+    engine, state = _Target(enc), [opts[-1] for opts in options]
+    for _ in range(data.draw(st.integers(1, 12))):
+        move = data.draw(st.sampled_from(["redraw", "repeat", "copies"]))
+        if move == "redraw":
+            for d in range(data.draw(st.integers(0, n - 1)), n):
+                state[d] = data.draw(st.sampled_from(options[d]))
+        elif move == "copies":
+            for d in range(n):
+                if data.draw(st.booleans()):
+                    state[d] = frozenset(list(state[d]))
+        if data.draw(st.booleans()):
+            knowledge = DomainBox._raw(dict(zip(vids, state)))
+            assert engine.deduce_back(knowledge) == _Target(enc).deduce_back(knowledge)
+        else:
+            assert engine.refuted_depth(state) == _Target(enc).refuted_depth(state)
