@@ -468,12 +468,9 @@ def check_gac_reduction(source, enc: Encoding,
     K, so it restricts K whatever the target deduces. For a Card, Xor or
     Clause source over distinct variables the walk tells these states
     apart without building K or filtering, from counts summed per depth
-    (see `fixpoint_counts`). With a fixed-true and b free literals, a card
-    `lo..hi` deduces nothing iff `lo <= a + b`, `a <= hi`, and `b == 0` or
-    (`a < hi` and `a + b > lo`); an xor iff `b >= 2`, or `b == 0` and
-    `a % 2` is its parity. A clause deduces nothing iff two literals can
-    still be true, or one can and its variable is already fixed to it.
-    Every other source is filtered on every state.
+    (see `fixpoint_counts`, which applies the filter's own rule,
+    `propagation._free_literal_rule`). Every other source is filtered on
+    every state.
     """
     deduce_source, engine = _source_propagator(source), _Target(enc)
     svars = enc.channel.source_vars

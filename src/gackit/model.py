@@ -232,21 +232,24 @@ class Constraint:
 
 
 class _LiteralConstraint(Constraint):
-    """Constraint over literals; `scope` lists each literal's variable once."""
+    """Constraint over literals that holds iff the number k of true literals
+    is allowed: bit k of `allowed` is set. `scope` lists each literal's
+    variable once."""
 
-    __slots__ = ("lits", "scope", "_positions")
+    __slots__ = ("lits", "scope", "_positions", "allowed")
 
-    def __init__(self, lits: Iterable[int]):
+    def __init__(self, lits: Iterable[int], allows):
         self.lits = tuple(lits)
         if any(l == 0 for l in self.lits):
             raise UsageError("literal 0 is not allowed")
         self.scope = tuple(dict.fromkeys(lit_var(l) for l in self.lits))
         pos = {v: i for i, v in enumerate(self.scope)}
         self._positions = tuple(pos[lit_var(l)] for l in self.lits)
+        self.allowed = sum(1 << k for k in range(len(self.lits) + 1) if allows(k))
 
-    def _true_count(self, values) -> int:
-        return sum(1 for l, p in zip(self.lits, self._positions)
-                   if values[p] == lit_truth_value(l))
+    def accepts(self, values):
+        k = sum(values[p] == lit_truth_value(l) for l, p in zip(self.lits, self._positions))
+        return self.allowed >> k & 1 == 1
 
 
 class Clause(_LiteralConstraint):
@@ -254,9 +257,8 @@ class Clause(_LiteralConstraint):
 
     __slots__ = ()
 
-    def accepts(self, values):
-        return any(values[p] == lit_truth_value(l)
-                   for l, p in zip(self.lits, self._positions))
+    def __init__(self, lits: Iterable[int]):
+        super().__init__(lits, lambda k: k >= 1)
 
     def __repr__(self):
         return f"Clause({list(self.lits)})"
@@ -268,14 +270,11 @@ class Card(_LiteralConstraint):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lits: Iterable[int], lo: int, hi: int):
-        super().__init__(lits)
+        super().__init__(lits, lambda k: lo <= k <= hi)
         if not (0 <= lo <= hi <= len(self.lits)):
             raise UsageError(f"card bounds must satisfy 0 <= {lo} <= {hi} <= {len(self.lits)}")
         self.lo = lo
         self.hi = hi
-
-    def accepts(self, values):
-        return self.lo <= self._true_count(values) <= self.hi
 
     def __repr__(self):
         return f"Card({list(self.lits)}, {self.lo}, {self.hi})"
@@ -287,13 +286,10 @@ class Xor(_LiteralConstraint):
     __slots__ = ("parity",)
 
     def __init__(self, lits: Iterable[int], parity: int):
-        super().__init__(lits)
+        super().__init__(lits, lambda k: k % 2 == parity)
         if parity not in (0, 1):
             raise UsageError(f"parity must be 0 or 1, got {parity}")
         self.parity = parity
-
-    def accepts(self, values):
-        return self._true_count(values) % 2 == self.parity
 
     def __repr__(self):
         return f"Xor({list(self.lits)}, {self.parity})"

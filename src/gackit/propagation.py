@@ -3,6 +3,11 @@ FIFO worklist fixpoint, watched-literal unit propagation for CNF, and two
 deterministic complete solvers: a backtracking search over a network that
 tests constraints only through `accepts`, and a small DPLL solver.
 
+Clause, Card and Xor share one GAC rule, stated once in
+`_free_literal_rule`: the number of true literals must lie in the
+constraint's `allowed` set. `_filter_literals` applies it, and
+`fixpoint_counts` reads off it where the filter changes nothing.
+
 All engines are single-threaded per invocation and hold no global state.
 """
 
@@ -86,10 +91,14 @@ def gac_oracle(constraint: Constraint, box: DomainBox) -> PropagationResult:
                             f"{DEFAULT_BRUTE_FORCE_BUDGET} tuples")
     supported: list[set[int]] = [set() for _ in scope]
     accepts = constraint.accepts
+    found = False  # an empty scope has one tuple and no support set
     for tup in itertools.product(*doms):
         if accepts(tup):
+            found = True
             for i, val in enumerate(tup):
                 supported[i].add(val)
+    if not found:
+        return PropagationResult(INCONSISTENT, DomainBox.bottom())
     return _apply_scope_domains(box, scope, supported)
 
 
@@ -115,83 +124,79 @@ def gac_filter(constraint: Constraint, box: DomainBox) -> PropagationResult:
     return _FILTERS.get(type(constraint), gac_oracle)(constraint, box)
 
 
-def _filter_clause(c: Clause, box: DomainBox) -> PropagationResult:
-    # The one scope variable that can still satisfy a literal, and its value.
-    live = keep = None
-    for lit in c.lits:
-        v = lit_var(lit)
-        tv = lit_truth_value(lit)
-        if tv in box.domain(v):
-            if live is None:
-                live, keep = v, tv
-            elif v != live or tv != keep:  # two supports: nothing to prune
-                return PropagationResult(FIXPOINT, box)
-    if live is None:
-        return PropagationResult(INCONSISTENT, DomainBox.bottom())
-    # The live variable shrinks to its satisfying value; everyone else
-    # keeps theirs.
-    return _apply_scope_domains(box, (live,), ({keep},))
+def _free_literal_rule(allowed: int, t: int, u: int):
+    """The GAC rule of a literal constraint over distinct variables, with t
+    literals fixed true and u free: `(may_false, may_true)`, whether a free
+    literal keeps its false and its true value. The other u - 1 free
+    literals add 0..u-1 true ones, so these are the allowed counts in
+    t..t+u-1 and in t+1..t+u. With u = 0 both say whether count t is
+    allowed, so the constraint is GAC exactly where both hold."""
+    if u == 0:
+        holds = allowed >> t & 1
+        return holds, holds
+    window = (1 << u) - 1
+    return allowed >> t & window, allowed >> (t + 1) & window
 
 
-def _filter_card(c: Card, box: DomainBox) -> PropagationResult:
+def _filter_literals(c: Clause | Card | Xor, box: DomainBox) -> PropagationResult:
+    """GAC for a Clause, Card or Xor: the number of true literals must lie
+    in `c.allowed`. Over distinct variables every free literal is alike, so
+    `_free_literal_rule` decides them all from two counts. With a repeated
+    variable, `_filter_weighted` runs a pass over reachable counts instead.
+    The input picks the path: the counts are several times cheaper per
+    call, and the walk's per-depth counts (`fixpoint_counts`) exist only
+    for distinct variables."""
     if len(c.scope) != len(c.lits):
-        return gac_oracle(c, box)  # repeated variable: counting bound invalid
-    fixed_true = 0
+        return _filter_weighted(c, box)
+    t = 0
     free: list[int] = []
     for lit in c.lits:
         dom = box.domain(lit_var(lit))
         if len(dom) == 2:
             free.append(lit)
         elif lit_truth_value(lit) in dom:
-            fixed_true += 1
-    t, u = fixed_true, len(free)
-    if t > c.hi or t + u < c.lo:
-        return PropagationResult(INCONSISTENT, DomainBox.bottom())
-    force_false = t + 1 > c.hi          # no free literal may become true
-    force_true = t + u - 1 < c.lo       # every free literal must be true
-    if not (force_false or force_true) or not free:
+            t += 1
+    may_false, may_true = _free_literal_rule(c.allowed, t, len(free))
+    if may_false and may_true:
         return PropagationResult(FIXPOINT, box)
+    if not (may_false or may_true):
+        return PropagationResult(INCONSISTENT, DomainBox.bottom())
     domains = box.domains()
     for lit in free:
-        value = lit_false_value(lit) if force_false else lit_truth_value(lit)
+        value = lit_truth_value(lit) if may_true else lit_false_value(lit)
         domains[lit_var(lit)] = frozenset((value,))
     return PropagationResult(FIXPOINT, DomainBox._raw(domains))
 
 
-def _distinct_xor(c: Xor) -> Xor:
-    """The same relation over distinct variables. x ⊕ x = 0 and x ⊕ ¬x = 1,
-    so a variable with a positive and b negative literals keeps one positive
-    literal iff a + b is odd, and each negative literal flips the parity."""
-    occurrences: dict[int, int] = {}
-    for lit in c.lits:
-        occurrences[lit_var(lit)] = occurrences.get(lit_var(lit), 0) + 1
-    parity = c.parity ^ (sum(lit < 0 for lit in c.lits) & 1)
-    return Xor([v for v, k in occurrences.items() if k & 1], parity)
-
-
-def _filter_xor(c: Xor, box: DomainBox) -> PropagationResult:
-    if len(c.scope) != len(c.lits):
-        c = _distinct_xor(c)
-    fixed_parity = 0
-    free: list[int] = []
-    for lit in c.lits:
-        dom = box.domain(lit_var(lit))
-        if len(dom) == 2:
-            free.append(lit)
-        elif lit_truth_value(lit) in dom:
-            fixed_parity ^= 1
-    if not free:
-        if fixed_parity == c.parity:
-            return PropagationResult(FIXPOINT, box)
-        return PropagationResult(INCONSISTENT, DomainBox.bottom())
-    if len(free) >= 2:
-        return PropagationResult(FIXPOINT, box)
-    lit = free[0]
-    needed = c.parity ^ fixed_parity  # required truth of the last free literal
-    value = lit_truth_value(lit) if needed else lit_false_value(lit)
-    domains = box.domains()
-    domains[lit_var(lit)] = frozenset((value,))
-    return PropagationResult(FIXPOINT, DomainBox._raw(domains))
+def _filter_weighted(c: Clause | Card | Xor, box: DomainBox) -> PropagationResult:
+    """`_filter_literals` with a repeated variable. A variable with p
+    positive and q negative literals makes p of them true when TRUE and q
+    when FALSE. Bit s of `reach[i]` says the first i scope variables can
+    make s literals true; bit s of `need` says the variables from i on can
+    lead from s into `c.allowed`. A value is supported iff it links the
+    two. One forward and one backward pass over int bitsets, O(|scope| ·
+    |lits|) (Trick, "A dynamic programming approach for consistency and
+    propagation for knapsack constraints", Annals of OR 2003)."""
+    weights = [[0, 0] for _ in c.scope]  # per variable: true literals at FALSE, at TRUE
+    for lit, p in zip(c.lits, c._positions):
+        weights[p][lit_truth_value(lit)] += 1
+    doms = [box.domain(v) for v in c.scope]
+    reach = [1]
+    for dom, w in zip(doms, weights):
+        r = 0
+        for value in dom:
+            r |= reach[-1] << w[value]
+        reach.append(r)
+    supported: list = [None] * len(doms)
+    need = c.allowed
+    for i in reversed(range(len(doms))):
+        w = weights[i]
+        supported[i] = {value for value in doms[i] if reach[i] << w[value] & need}
+        before = 0
+        for value in doms[i]:
+            before |= need >> w[value]
+        need = before
+    return _apply_scope_domains(box, c.scope, supported)
 
 
 def fixpoint_counts(c: Constraint):
@@ -200,49 +205,26 @@ def fixpoint_counts(c: Constraint):
     None for any other constraint, which must run its filter.
 
     Returns `(count, holds)`. `count(lit, dom)` is what one literal adds
-    given its variable's domain: two counts a and b, packed as
-    `a + (b << shift)` with `shift = len(c.lits).bit_length()`. `holds` of
-    the sum over c's literals is True exactly when the kind's filter
-    returns its input box, as read off the filters above:
-    - card, with a fixed-true and b free literals:
-      `lo <= a + b`, `a <= hi`, and `b == 0` or (`a < hi` and `a + b > lo`);
-    - xor, with a fixed-true and b free literals:
-      `b >= 2`, or `b == 0` and `a % 2 == parity`;
-    - clause, with a literals whose true value is in the domain, b of them
-      in a domain of more values: `a >= 2`, or `a == 1` and `b == 0`.
+    given its variable's domain: 1 if the literal is fixed true, `1 << shift`
+    if it is free, with `shift = len(c.lits).bit_length()`, else 0. The sum
+    over c's literals packs t fixed-true and u free ones as
+    `t + (u << shift)`, and `holds` of it is True exactly where
+    `_free_literal_rule` lets a free literal keep both values, which is
+    where `_filter_literals` returns its input box.
     """
-    kind = type(c)
-    if kind not in (Card, Xor, Clause) or len(c.scope) != len(c.lits):
+    if type(c) not in (Clause, Card, Xor) or len(c.scope) != len(c.lits):
         return None
     shift = len(c.lits).bit_length()
-    low = (1 << shift) - 1
-    if kind is Clause:
-        def count(lit, dom):
-            if lit_truth_value(lit) not in dom:
-                return 0
-            return 1 if len(dom) == 1 else 1 + (1 << shift)
+    low, free, allowed = (1 << shift) - 1, 1 << shift, c.allowed
 
-        def holds(total):
-            return total & low >= 2 or total == 1
-        return count, holds
-
-    def count(lit, dom):  # card and xor: "free" and "fixed true" as the filters read them
+    def count(lit, dom):
         if len(dom) == 2:
-            return 1 << shift
+            return free
         return 1 if lit_truth_value(lit) in dom else 0
 
-    if kind is Card:
-        lo, hi = c.lo, c.hi
-
-        def holds(total):
-            a, b = total & low, total >> shift
-            return lo <= a + b and a <= hi and (b == 0 or (a < hi and a + b > lo))
-    else:
-        parity = c.parity
-
-        def holds(total):
-            b = total >> shift
-            return b >= 2 or (b == 0 and total & 1 == parity)
+    def holds(total):
+        may_false, may_true = _free_literal_rule(allowed, total & low, total >> shift)
+        return bool(may_false and may_true)
     return count, holds
 
 
@@ -383,7 +365,7 @@ def _filter_table(c: Table, box: DomainBox) -> PropagationResult:
     return _apply_scope_domains(box, c.scope, supported)
 
 
-_FILTERS = {Clause: _filter_clause, Card: _filter_card, Xor: _filter_xor,
+_FILTERS = {Clause: _filter_literals, Card: _filter_literals, Xor: _filter_literals,
             Neq: _filter_neq, AllDiff: _filter_alldiff, Table: _filter_table}
 
 

@@ -18,7 +18,7 @@ from gackit.classify import _instances
 from gackit.encoders import ENCODING_NAMES, Encoding, build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, CONSISTENCY_MISMATCH, FULL_SUBDOMAINS, RANDOM_SAMPLE,
-    Counterexample, EnumerationPolicy, check_equiconsistency,
+    Counterexample, EnumerationPolicy, check_equiconsistency, check_gac_reduction,
 )
 from gackit.model import (
     TRUE, Card, DomainBox, Network, UsageError, bool_variable, map_knowledge,
@@ -77,14 +77,19 @@ def test_shipped_encodings_match_the_reference(reference):
 
 
 def test_broken_totalizers_match_the_reference(reference):
-    failed = checked = 0
+    failed = {"equiconsistency": 0, "gac-reduction": 0}
+    checked = 0
     for size in (1, 2, 3):
         for constraint, enc in broken_totalizers(size):
-            got = check_equiconsistency(constraint, enc).to_json()
-            assert got == reference.equiconsistency_verdict(constraint, enc)
-            failed += '"outcome": "fail"' in got
+            for check, got, want in (
+                    ("equiconsistency", check_equiconsistency(constraint, enc).to_json(),
+                     reference.equiconsistency_verdict(constraint, enc)),
+                    ("gac-reduction", check_gac_reduction(constraint, enc).to_json(),
+                     reference.gac_reduction_verdict(constraint, enc))):
+                assert got == want, (check, constraint)
+                failed[check] += '"outcome": "fail"' in got
             checked += 1
-    assert 0 < failed < checked
+    assert all(0 < n < checked for n in failed.values()), failed
 
 
 def plain_loop(source_sat, enc, assignments):

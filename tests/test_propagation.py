@@ -10,7 +10,7 @@ from gackit.model import (
     Table, Xor, bool_variable, range_variable,
 )
 from gackit.propagation import (
-    CnfFormula, UnitPropagator, _filter_alldiff, _filter_clause, gac_closure,
+    CnfFormula, UnitPropagator, _filter_alldiff, _filter_literals, gac_closure,
     gac_filter, gac_oracle, sat_solve, solve_brute_force,
 )
 from gackit.gac_check import (
@@ -54,6 +54,27 @@ class TestGacOracle:
         assert out.box.domain(9) == {5, 6}
         assert out.box.domain(1) == {TRUE}
 
+    @pytest.mark.parametrize("c, sat", [(Clause([]), False), (Xor([], 1), False),
+                                        (Xor([], 0), True), (Card([], 0, 0), True)],
+                             ids=repr)
+    def test_empty_scope_holds_iff_it_accepts_the_empty_tuple(self, c, sat):
+        # one tuple, (), and no scope variable whose support set could run empty
+        variables = bools("a")
+        box = DomainBox.from_variables(variables)
+        assert c.accepts(()) is sat
+        for out in (gac_oracle(c, box), gac_filter(c, box)):
+            assert out.inconsistent is not sat
+            assert out.box is (box if sat else DomainBox.bottom())
+        assert solve_brute_force(Network(variables, [c]), box).sat is sat
+
+    def test_refuses_a_product_over_the_budget(self):
+        # no filter sends a literal constraint here, so no CLI input reaches
+        # this guard; 2**25 tuples are refused before the first one is tried
+        variables = bools(*(f"x{i}" for i in range(1, 26)))
+        with pytest.raises(ResourceError):
+            gac_oracle(Card([v.id for v in variables], 1, 2),
+                       DomainBox.from_variables(variables))
+
 
 class TestGacFilter:
     def test_card_exactly_one_two_falsified(self):
@@ -96,6 +117,15 @@ def random_constraint(rng, variables):
     universe = list(itertools.product(*doms))
     rows = rng.sample(universe, rng.randint(0, min(len(universe), 6)))
     return Table([v.id for v in chosen], rows)
+
+
+def plain_truth(c, k):
+    """Whether k true literals satisfy c, by the textbook definition."""
+    if isinstance(c, Clause):
+        return k >= 1
+    if isinstance(c, Xor):
+        return k % 2 == c.parity
+    return c.lo <= k <= c.hi
 
 
 def random_box(rng, variables):
@@ -160,11 +190,34 @@ class TestOracleEquivalence:
         subdomains = ([FALSE], [TRUE], [FALSE, TRUE])
         for d1, d2 in itertools.product(subdomains, repeat=2):
             box = DomainBox({1: d1, 2: d2})
-            got, want = _filter_clause(c, box), gac_oracle(c, box)
+            got, want = _filter_literals(c, box), gac_oracle(c, box)
             assert got.status == want.status, box
             if not got.inconsistent:
                 assert got.box == want.box, box
                 assert (got.box is box) == (want.box is box), box
+
+    def test_literal_constraints_on_every_small_case(self):
+        # every literal list over +-x1..x3 of length <= 3, with every kind and
+        # bound: accepts against the plain definition on every assignment
+        # (the oracle is built on accepts, so it cannot catch a wrong one),
+        # then the filter against the oracle on every box
+        subdomains = ([FALSE], [TRUE], [FALSE, TRUE])
+        boxes = [DomainBox(dict(zip((1, 2, 3), doms)))
+                 for doms in itertools.product(subdomains, repeat=3)]
+        for n in range(4):
+            for lits in itertools.product((1, -1, 2, -2, 3, -3), repeat=n):
+                cases = [Clause(lits), Xor(lits, 0), Xor(lits, 1)]
+                cases += [Card(lits, lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+                for c in cases:
+                    for values in itertools.product((FALSE, TRUE), repeat=len(c.scope)):
+                        value_of = dict(zip(c.scope, values))
+                        k = sum(value_of[abs(lit)] == (TRUE if lit > 0 else FALSE)
+                                for lit in lits)
+                        assert c.accepts(values) is plain_truth(c, k), (c, values)
+                    for box in boxes:
+                        got, want = gac_filter(c, box), gac_oracle(c, box)
+                        assert (got.status, got.box, got.box is box) == \
+                            (want.status, want.box, want.box is box), (c, box)
 
     def test_no_pruning_hands_back_the_input_box(self):
         # check_gac_reduction skips the target side on exactly this identity
