@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 
 from .model import Network, ResourceError, UsageError
 from .propagation import gac_closure, solve_brute_force, DEFAULT_BRUTE_FORCE_BUDGET
@@ -33,12 +34,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, text: str):
+def _write(path: str | None, text: str | Iterable[str]):
+    """Write `text`, or each string of an iterable of them in turn."""
+    parts = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _parse_policy(spec: str, seed: int) -> EnumerationPolicy | None:
@@ -105,7 +108,7 @@ def _run_check(args, checker, **options) -> int:
     enc = build_encoding(args.encoding, constraint, variables)
     verdict = checker(constraint, enc, **options)
     if args.out:
-        _write(args.out, verdict.to_json())
+        _write(args.out, verdict.json_chunks())
     sys.stdout.write(verdict.digest() + "\n")
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 

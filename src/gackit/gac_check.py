@@ -233,10 +233,17 @@ class Verdict:
 
     def to_json(self) -> str:
         """Byte for byte `json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True) + "\n"`, without the pure-Python indenting encoder:
-        each variable's indented `"name": [labels]` block is built once per
-        subdomain, and a box joins its blocks in sorted-name order (the last
-        variable of a repeated name wins, as in the dict)."""
+        sort_keys=True) + "\n"`; the pieces of `json_chunks` joined."""
+        return "".join(self.json_chunks())
+
+    def json_chunks(self):
+        """`to_json` in pieces, one per counterexample, so that a long
+        verdict can be written out without being held as one string.
+
+        Built without the pure-Python indenting encoder: each variable's
+        indented `"name": [labels]` block is built once per subdomain, and
+        a box joins its blocks in sorted-name order (the last variable of a
+        repeated name wins, as in the dict)."""
         order = sorted({var.name: var for var in self.source_vars}.values(),
                        key=lambda var: var.name)
         blocks = {}
@@ -254,17 +261,21 @@ class Verdict:
                 lines.append(blocks[key])
             return "{\n" + ",\n".join(lines) + "\n      }" if lines else "{}"
 
-        ces = ",\n".join(
-            f'    {{\n      "kind": {json.dumps(ce.kind)},\n'
-            f'      "knowledge": {box(ce.knowledge)},\n'
-            f'      "source_deduction": {box(ce.deduced_source)},\n'
-            f'      "target_deduction_mapped_back": {box(ce.deduced_back)}\n    }}'
-            for ce in self.counterexamples)
-        ces = f"[\n{ces}\n  ]" if ces else "[]"
-        return (f'{{\n  "check": {json.dumps(self.check)},\n  "counterexamples": {ces},\n'
-                f'  "outcome": "{"pass" if self.passed else "fail"}",\n'
-                f'  "policy": {json.dumps(self.policy_mode)},\n'
-                f'  "states_checked": {self.states_checked}\n}}\n')
+        yield f'{{\n  "check": {json.dumps(self.check)},\n  "counterexamples": '
+        if not self.counterexamples:
+            yield "[]"
+        else:
+            sep = "[\n"
+            for ce in self.counterexamples:
+                yield (f'{sep}    {{\n      "kind": {json.dumps(ce.kind)},\n'
+                       f'      "knowledge": {box(ce.knowledge)},\n'
+                       f'      "source_deduction": {box(ce.deduced_source)},\n'
+                       f'      "target_deduction_mapped_back": {box(ce.deduced_back)}\n    }}')
+                sep = ",\n"
+            yield "\n  ]"
+        yield (f',\n  "outcome": "{"pass" if self.passed else "fail"}",\n'
+               f'  "policy": {json.dumps(self.policy_mode)},\n'
+               f'  "states_checked": {self.states_checked}\n}}\n')
 
     def digest(self) -> str:
         """Short human-readable summary."""

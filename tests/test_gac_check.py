@@ -246,6 +246,8 @@ def test_bundled_report_verdicts():
 def assert_renders_as_json_dumps(verdict):
     assert verdict.to_json() == json.dumps(
         verdict.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    # The CLI writes these pieces one by one: one per counterexample.
+    assert len(list(verdict.json_chunks())) == len(verdict.counterexamples) + 3
 
 
 def test_renderer_matches_json_dumps_on_the_bundled_suite():
