@@ -1,15 +1,17 @@
 """Mechanical propagation-strength checking.
 
-The operational criterion: enumerate knowledge states K over the source
-variables; propagate K on the source side (domain-consistency enforcement)
-and, translated through the channel, on the target side; map the target
-deduction back; the translation passes if the mapped-back deduction is at
-least as strong (a restriction of) the source deduction for every K, with
-the inconsistent state as the unique strongest deduction.
+The source of every check is one Constraint. The operational criterion:
+enumerate knowledge states K over the source variables; filter K with the
+source's GAC filter, `gac_filter`, and propagate K, translated through the
+channel, on the target side; map the target deduction back; the
+translation passes if the mapped-back deduction is at least as strong (a
+restriction of) the source deduction for every K, with the inconsistent
+state as the unique strongest deduction.
 
-Soundness is the guard in the other direction: the target must not refute
-values that still extend to source solutions. Equiconsistency compares
-satisfiability over complete source assignments.
+Soundness is the same comparison the other way round: since the source
+deduction is GAC, it keeps exactly the values that extend to a source
+solution inside K, and the target must keep them all. Equiconsistency
+compares satisfiability over complete source assignments.
 
 All three checks run one walk over per-position subdomains in channel
 order: product order over each position's options, last position fastest
@@ -292,12 +294,9 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _source_propagator(source):
-    if isinstance(source, Network):
-        return lambda box: gac_closure(source, box)
-    if isinstance(source, Constraint):
-        return lambda box: gac_filter(source, box)
-    raise UsageError(f"source must be a Constraint or Network, got {type(source)}")
+def _check_source(source):
+    if not isinstance(source, Constraint):
+        raise UsageError(f"the source must be one Constraint, got {type(source).__name__}")
 
 
 def _target_box(target: Network, mapped) -> DomainBox:
@@ -316,16 +315,16 @@ def _target_box(target: Network, mapped) -> DomainBox:
     return DomainBox._raw(domains)
 
 
-def map_back(channel: ChannelMap, payload, base: DomainBox | None = None) -> DomainBox:
+def map_back(channel: ChannelMap, payload, base: DomainBox) -> DomainBox:
     """Project a target deduction back to the source variables.
 
     `payload` is the target engine's output: the value list of
     `UnitPropagator.propagate` (indexed by CNF variable, entries
     True/False/None) for CNF channels, the target DomainBox for network
     channels, and None for a target inconsistency, which maps to the source
-    inconsistent state. A source value survives unless its image is refuted;
-    auxiliary variables are ignored. When `base` is given only its values
-    are candidates (deduction from that knowledge).
+    inconsistent state. The candidates are the values of `base`, the
+    knowledge deduced from; one survives unless its image is refuted.
+    Auxiliary variables are ignored.
     """
     if payload is None:
         return DomainBox.bottom()
@@ -334,7 +333,7 @@ def map_back(channel: ChannelMap, payload, base: DomainBox | None = None) -> Dom
     domains = {}
     for var in channel.source_vars:
         vid = var.id
-        candidates = var.domain if base is None else base.domain(vid)
+        candidates = base.domain(vid)
         keep = []
         for value in candidates:
             image = forward[(vid, value)]
@@ -347,8 +346,7 @@ def map_back(channel: ChannelMap, payload, base: DomainBox | None = None) -> Dom
         if not keep:
             return DomainBox.bottom()
         # base's own subdomain where nothing was refuted
-        domains[vid] = (candidates if base is not None and len(keep) == len(candidates)
-                        else frozenset(keep))
+        domains[vid] = candidates if len(keep) == len(candidates) else frozenset(keep)
     return DomainBox._raw(domains)
 
 
@@ -440,7 +438,7 @@ def _unchanged_test(source, svars):
     per depth, redoing only the depths from p on, so it must see every
     state of the walk, in order. None for any other source, which is
     filtered on every state."""
-    counts = fixpoint_counts(source) if isinstance(source, Constraint) else None
+    counts = fixpoint_counts(source)
     vids = [var.id for var in svars]
     if (counts is None or len(set(vids)) != len(vids)
             or not set(source.scope) <= set(vids)):
@@ -483,8 +481,8 @@ def check_gac_reduction(source, enc: Encoding,
     `propagation._free_literal_rule`). Every other source is filtered on
     every state.
     """
-    deduce_source, engine = _source_propagator(source), _Target(enc)
-    svars = enc.channel.source_vars
+    _check_source(source)
+    engine, svars = _Target(enc), enc.channel.source_vars
     unchanged = _unchanged_test(source, svars)
     vids = [var.id for var in svars]
 
@@ -492,10 +490,9 @@ def check_gac_reduction(source, enc: Encoding,
         if unchanged is not None and unchanged(p, state):
             return None
         knowledge = DomainBox._raw(dict(zip(vids, state)))
-        res = deduce_source(knowledge)
-        if not res.inconsistent and res.box is knowledge:
+        src = gac_filter(source, knowledge).box
+        if src is knowledge:
             return None
-        src = DomainBox.bottom() if res.inconsistent else res.box
         back = engine.deduce_back(knowledge)
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
@@ -505,32 +502,30 @@ def check_gac_reduction(source, enc: Encoding,
 def check_soundness(source, enc: Encoding,
                     policy: EnumerationPolicy | None = None) -> Verdict:
     """Guard against over-pruning: the target may not refute a value that
-    still extends to a full source solution inside the knowledge state."""
-    deduce_source, engine = _source_propagator(source), _Target(enc)
-    svars = enc.channel.source_vars
+    still extends to a source solution inside the knowledge state. Records
+    a soundness violation per offending state.
+
+    The source filter is GAC, so the values it keeps in K are exactly those
+    that extend to a source solution inside K. The target over-prunes iff
+    the source deduction is not a restriction of the mapped-back one: the
+    mirror of `check_gac_reduction`'s test. Where the source refutes K no
+    value extends, and the target side is skipped.
+    """
+    _check_source(source)
+    engine, svars = _Target(enc), enc.channel.source_vars
     unchanged = _unchanged_test(source, svars)
     vids = [var.id for var in svars]
-    is_network = isinstance(source, Network)
-
-    def extends(knowledge):
-        return not is_network or solve_brute_force(source, knowledge).sat
 
     def judge(p, state):
         knowledge = DomainBox._raw(dict(zip(vids, state)))
         if unchanged is not None and unchanged(p, state):
             src = knowledge
         else:
-            res = deduce_source(knowledge)
-            if res.inconsistent:
-                return None  # nothing extends to a solution; no over-pruning possible
-            src = res.box
+            src = gac_filter(source, knowledge).box
+            if src.inconsistent:
+                return None
         back = engine.deduce_back(knowledge)
-        if back.inconsistent:
-            violated = extends(knowledge)
-        else:
-            violated = any(extends(knowledge.assign(var.id, value)) for var in svars
-                           for value in sorted(src.domain(var.id) - back.domain(var.id)))
-        if violated:
+        if not is_restriction(src, back):
             return Counterexample(SOUNDNESS_VIOLATION, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "soundness")
 
@@ -541,14 +536,15 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
     assignments; pass an EnumerationPolicy in random-sample mode to
     spot-check instead (any other mode is a UsageError).
 
-    The walk's options are each variable's singletons. The source tests
-    with `accepts` the constraints whose last variable lies past the shared
-    prefix; the target answers with `_Target.refuted_depth`, so a CNF
+    The walk's options are each variable's singletons. The source is
+    tested with `accepts` where its last scope variable lies past the
+    shared prefix; the target answers with `_Target.refuted_depth`, so a CNF
     target searches with `sat_solve` only where unit propagation leaves a
     target variable open, and a network target is solved per assignment.
     A refuted prefix refutes every extension, under `accepts` and unit
     propagation alike.
     """
+    _check_source(source)
     svars = enc.channel.source_vars
     engine = _Target(enc)
     singles = [{val: frozenset((val,)) for val in var.domain} for var in svars]
@@ -569,10 +565,7 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
                         sampler.sample_count, sampler.seed)
         mode = RANDOM_SAMPLE
 
-    if isinstance(source, Network) and not set(source.variables) <= set(svars):
-        raise UsageError("the source network has variables outside the channel")
-    constraints = source.constraints if isinstance(source, Network) else [source]
-    schedule = Network(list(svars), constraints).search_schedule
+    schedule = Network(list(svars), [source]).search_schedule
     n, vids = len(svars), [var.id for var in svars]
     values = [None] * n
     # Length of the prefix that refutes each side; None while it holds.
@@ -603,6 +596,5 @@ def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, Doma
     Counterexamples are replayable: feeding a recorded K back through here
     reproduces the recorded deductions exactly.
     """
-    res = _source_propagator(source)(knowledge)
-    return ((DomainBox.bottom() if res.inconsistent else res.box),
-            _Target(enc).deduce_back(knowledge))
+    _check_source(source)
+    return gac_filter(source, knowledge).box, _Target(enc).deduce_back(knowledge)

@@ -6,8 +6,10 @@ indices) can meet inside one binary constraint. Boolean domains are fixed
 as {FALSE, TRUE} = {0, 1} with F < T.
 
 Everything here is immutable after construction and safe to share across
-threads; "mutation" always produces a new DomainBox, and every inconsistent
-box is one shared instance. Caches fill lazily but never change an answer:
+threads; "mutation" always produces a new DomainBox. All inconsistent boxes
+compare equal, and `DomainBox.bottom()` is the one shared instance that the
+engines return for a deduced inconsistency; an inconsistent box passed in
+may be handed back as it is. Caches fill lazily but never change an answer:
 `ChannelMap.images` (read and filled only by `ChannelMap.image`), and a
 `Network`'s initial domains, watch lists and search schedule (so never edit
 a network's lists after use).

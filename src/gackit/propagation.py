@@ -24,21 +24,18 @@ from .model import (
     Table, UsageError, Xor, lit_false_value, lit_truth_value, lit_var,
 )
 
-FIXPOINT = "fixpoint"
-INCONSISTENT = "inconsistent"
-
 DEFAULT_BRUTE_FORCE_BUDGET = 1 << 24
 
 
 @dataclass
 class PropagationResult:
-    """Outcome of one filter or closure run over a box."""
-    status: str
-    box: DomainBox | None = None
+    """Outcome of one filter or closure run over a box: the box it deduces,
+    inconsistent where the run found no support."""
+    box: DomainBox
 
     @property
     def inconsistent(self) -> bool:
-        return self.status == INCONSISTENT
+        return self.box.inconsistent
 
 
 @dataclass
@@ -83,7 +80,7 @@ def gac_oracle(constraint: Constraint, box: DomainBox) -> PropagationResult:
     product exceeds DEFAULT_BRUTE_FORCE_BUDGET tuples.
     """
     if box.inconsistent:
-        return PropagationResult(INCONSISTENT, box)
+        return PropagationResult(box)
     scope = constraint.scope
     doms = [sorted(box.domain(v)) for v in scope]
     if math.prod(map(len, doms)) > DEFAULT_BRUTE_FORCE_BUDGET:
@@ -98,13 +95,13 @@ def gac_oracle(constraint: Constraint, box: DomainBox) -> PropagationResult:
             for i, val in enumerate(tup):
                 supported[i].add(val)
     if not found:
-        return PropagationResult(INCONSISTENT, DomainBox.bottom())
+        return PropagationResult(DomainBox.bottom())
     return _apply_scope_domains(box, scope, supported)
 
 
 def _apply_scope_domains(box: DomainBox, scope, supported) -> PropagationResult:
     if any(not s for s in supported):
-        return PropagationResult(INCONSISTENT, DomainBox.bottom())
+        return PropagationResult(DomainBox.bottom())
     domains = box.domains()
     changed = False
     for vid, keep in zip(scope, supported):
@@ -113,14 +110,14 @@ def _apply_scope_domains(box: DomainBox, scope, supported) -> PropagationResult:
             domains[vid] = fs
             changed = True
     if not changed:
-        return PropagationResult(FIXPOINT, box)
-    return PropagationResult(FIXPOINT, DomainBox._raw(domains))
+        return PropagationResult(box)
+    return PropagationResult(DomainBox._raw(domains))
 
 
 def gac_filter(constraint: Constraint, box: DomainBox) -> PropagationResult:
     """Fast per-variant GAC filter; output contract identical to gac_oracle."""
     if box.inconsistent:
-        return PropagationResult(INCONSISTENT, box)
+        return PropagationResult(box)
     return _FILTERS.get(type(constraint), gac_oracle)(constraint, box)
 
 
@@ -158,14 +155,14 @@ def _filter_literals(c: Clause | Card | Xor, box: DomainBox) -> PropagationResul
             t += 1
     may_false, may_true = _free_literal_rule(c.allowed, t, len(free))
     if may_false and may_true:
-        return PropagationResult(FIXPOINT, box)
+        return PropagationResult(box)
     if not (may_false or may_true):
-        return PropagationResult(INCONSISTENT, DomainBox.bottom())
+        return PropagationResult(DomainBox.bottom())
     domains = box.domains()
     for lit in free:
         value = lit_truth_value(lit) if may_true else lit_false_value(lit)
         domains[lit_var(lit)] = frozenset((value,))
-    return PropagationResult(FIXPOINT, DomainBox._raw(domains))
+    return PropagationResult(DomainBox._raw(domains))
 
 
 def _filter_weighted(c: Clause | Card | Xor, box: DomainBox) -> PropagationResult:
@@ -234,19 +231,19 @@ def _filter_neq(c: Neq, box: DomainBox) -> PropagationResult:
     if len(da) == 1 and next(iter(da)) in db:
         nb = db - da
         if not nb:
-            return PropagationResult(INCONSISTENT, DomainBox.bottom())
+            return PropagationResult(DomainBox.bottom())
         domains = box.domains()
         domains[c.b] = nb
     if len(db) == 1 and next(iter(db)) in da:
         na = da - db
         if not na:
-            return PropagationResult(INCONSISTENT, DomainBox.bottom())
+            return PropagationResult(DomainBox.bottom())
         if domains is None:
             domains = box.domains()
         domains[c.a] = na
     if domains is None:
-        return PropagationResult(FIXPOINT, box)
-    return PropagationResult(FIXPOINT, DomainBox._raw(domains))
+        return PropagationResult(box)
+    return PropagationResult(DomainBox._raw(domains))
 
 
 def _filter_alldiff(c: AllDiff, box: DomainBox) -> PropagationResult:
@@ -258,10 +255,10 @@ def _filter_alldiff(c: AllDiff, box: DomainBox) -> PropagationResult:
     doms = [box.domain(v) for v in vars_]  # by scope position
     singles = [dom for dom in doms if len(dom) == 1]
     if len(frozenset().union(*singles)) < len(singles):  # two share one value
-        return PropagationResult(INCONSISTENT, DomainBox.bottom())
+        return PropagationResult(DomainBox.bottom())
     values = frozenset().union(*doms)
     if len(values) < k:  # pigeonhole: no matching can cover the scope
-        return PropagationResult(INCONSISTENT, DomainBox.bottom())
+        return PropagationResult(DomainBox.bottom())
     match_of_var: list = [None] * k
     match_of_val: dict[int, int] = {}
     for x in range(k):
@@ -290,7 +287,7 @@ def _filter_alldiff(c: AllDiff, box: DomainBox) -> PropagationResult:
                 break
             path.append((owner, iter(doms[owner])))
         if not path:
-            return PropagationResult(INCONSISTENT, DomainBox.bottom())
+            return PropagationResult(DomainBox.bottom())
 
     # Digraph over variables 0..k-1 and values k..: matched edges val -> var,
     # unmatched edges var -> val. An unmatched edge (x, val) survives iff it
@@ -379,7 +376,7 @@ def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
     performance choice.
     """
     if box.inconsistent:
-        return PropagationResult(INCONSISTENT, box)
+        return PropagationResult(box)
     constraints, watching = net.constraints, net.watchers
     queue = deque(range(len(constraints)))
     queued = [True] * len(constraints)
@@ -391,7 +388,7 @@ def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
         before = current
         res = gac_filter(c, current)
         if res.inconsistent:
-            return PropagationResult(INCONSISTENT, DomainBox.bottom())
+            return PropagationResult(DomainBox.bottom())
         current = res.box
         if current is before:
             continue
@@ -401,7 +398,7 @@ def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
                     if cj != ci and not queued[cj]:
                         queue.append(cj)
                         queued[cj] = True
-    return PropagationResult(FIXPOINT, current)
+    return PropagationResult(current)
 
 
 # --- unit propagation --------------------------------------------------------

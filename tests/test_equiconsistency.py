@@ -19,6 +19,7 @@ from gackit.encoders import ENCODING_NAMES, Encoding, build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, CONSISTENCY_MISMATCH, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     Counterexample, EnumerationPolicy, check_equiconsistency, check_gac_reduction,
+    check_soundness, replay,
 )
 from gackit.model import (
     TRUE, Card, DomainBox, Network, UsageError, bool_variable, map_knowledge,
@@ -190,33 +191,39 @@ def test_a_target_that_unit_propagation_leaves_open(reference):
         constraint.accepts, enc, sampled(variables, 30, 5))
 
 
-def test_network_source_in_another_variable_order():
-    # `first` fails on a prefix of the channel order, so the walk carries
-    # source refutations over from one assignment to the next.
+def test_a_source_refuted_on_a_prefix_of_the_channel():
+    # The source's scope is the first two of the channel's four variables,
+    # so the walk carries a source refutation over from one assignment to
+    # the next.
     variables = [bool_variable(i, f"x{i}") for i in range(1, 5)]
-    first, second = Card([1, 2], 0, 1), Card([1, 2, 3, 4], 1, 3)
-    enc = build_encoding("totalizer", second, variables)
+    source = Card([1, 2], 0, 1)
+    enc = build_encoding("totalizer", source, variables)
+    assert enc.channel.source_vars == tuple(variables)
     x4 = enc.channel.forward[(4, TRUE)]
-    both = Network(variables[::-1], [second, first])
 
-    def both_sat(values):
-        return first.accepts(values[:2]) and second.accepts(values)
+    def source_sat(values):
+        return source.accepts(values[:2])
     sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=40, seed=3)
-    for target in (enc, drop_clause(enc, 2), add_clause(enc, [-x4])):
-        assert check_equiconsistency(Network(variables[::-1], [second]), target).to_json() \
-            == check_equiconsistency(second, target).to_json()
-        assert check_equiconsistency(both, target).counterexamples == plain_loop(
-            both_sat, target, itertools.product(*(var.domain for var in variables)))
-        assert check_equiconsistency(both, target, sampler).counterexamples == plain_loop(
-            both_sat, target, sampled(variables, 40, 3))
+    mutants = [drop_clause(enc, i) for i in range(len(enc.target.clauses))]
+    refuted = set()  # the sides that refute an assignment the other accepts
+    for target in [enc, *mutants, add_clause(enc, [-x4])]:
+        verdict = check_equiconsistency(source, target)
+        assert verdict.counterexamples == plain_loop(
+            source_sat, target, itertools.product(*(var.domain for var in variables)))
+        assert check_equiconsistency(source, target, sampler).counterexamples == plain_loop(
+            source_sat, target, sampled(variables, 40, 3))
+        refuted.update("source" if ce.deduced_source.inconsistent else "target"
+                       for ce in verdict.counterexamples)
+    assert refuted == {"source", "target"}
 
 
-def test_network_source_with_a_variable_outside_the_channel():
+def test_a_network_source_is_a_usage_error():
     variables = [bool_variable(i, f"x{i}") for i in range(1, 4)]
-    extra = bool_variable(9, "y")
     constraint = Card([1, 2, 3], 1, 2)
     enc = build_encoding("totalizer", constraint, variables)
-    for source in (Network(variables + [extra], [constraint]),
-                   Network(variables + [extra], [constraint, Card([1, 9], 1, 1)])):
-        with pytest.raises(UsageError):
-            check_equiconsistency(source, enc)
+    source = Network(variables, [constraint])
+    for check in (check_gac_reduction, check_soundness, check_equiconsistency):
+        with pytest.raises(UsageError, match="one Constraint"):
+            check(source, enc)
+    with pytest.raises(UsageError, match="one Constraint"):
+        replay(source, enc, DomainBox.from_variables(variables))

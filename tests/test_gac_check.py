@@ -35,16 +35,16 @@ class TestMapBack:
         self.variables = bools("x1", "x2", "x3")
         self.enc = encode_card_totalizer(Card([1, 2, 3], 1, 2), self.variables)
         self.prop = UnitPropagator(self.enc.target)
+        self.full = DomainBox.from_variables(self.variables)
 
     def test_cnf_unassigned_channel_literals_keep_their_values(self):
         values = self.prop.propagate([])
         assert values[1] is None  # x1's channel literal is left unassigned
-        assert map_back(self.enc.channel, values) == \
-            DomainBox.from_variables(self.variables)
+        assert map_back(self.enc.channel, values, self.full) == self.full
 
     def test_cnf_refuted_literal_removes_the_value(self):
         x1, x2 = (self.enc.channel.forward[(vid, TRUE)] for vid in (1, 2))
-        back = map_back(self.enc.channel, self.prop.propagate([x1, x2]))
+        back = map_back(self.enc.channel, self.prop.propagate([x1, x2]), self.full)
         assert back == DomainBox({1: [TRUE], 2: [TRUE], 3: [FALSE]})
 
     def test_base_limits_the_candidates(self):
@@ -53,9 +53,9 @@ class TestMapBack:
         assert map_back(self.enc.channel, values, base=base) == base
 
     def test_target_inconsistency_maps_to_bottom(self):
-        assert map_back(self.enc.channel, None).inconsistent
+        assert map_back(self.enc.channel, None, self.full).inconsistent
         lits = [self.enc.channel.forward[(vid, FALSE)] for vid in (1, 2, 3)]
-        assert map_back(self.enc.channel, self.prop.propagate(lits)).inconsistent
+        assert map_back(self.enc.channel, self.prop.propagate(lits), self.full).inconsistent
 
     def test_network_target(self):
         variables = bools("a", "b")
@@ -63,7 +63,8 @@ class TestMapBack:
         start = enc.target.initial_box()
         tvid, tval = enc.channel.forward[(2, TRUE)]
         result = gac_closure(enc.target, start.assign(tvid, tval))  # b = T
-        assert map_back(enc.channel, result.box) == DomainBox({1: [TRUE], 2: [TRUE]})
+        back = map_back(enc.channel, result.box, DomainBox.from_variables(variables))
+        assert back == DomainBox({1: [TRUE], 2: [TRUE]})
         base = DomainBox({1: [TRUE], 2: [FALSE, TRUE]})
         assert map_back(enc.channel, enc.target.initial_box(), base=base) == base
 
@@ -241,6 +242,43 @@ def test_bundled_report_verdicts():
         assert [v["pass"] for v in row.verdicts] == [g == 0 for g in want]
     assert {row.encoding for row in report.rows} >= set(gaps)
     assert render_report(report, "json") == render_report(run_class_suite(), "json")
+
+
+def test_text_and_markdown_reports_agree_with_the_json_report():
+    report, again = run_class_suite(), run_class_suite()
+    data = json.loads(render_report(report, "json"))
+    rows, notes = data["rows"], data["footnotes"]
+    assert all("error" not in v for row in rows for v in row["verdicts"])
+    cells = [" ".join(f"n={v['size']}:pass" if v["pass"] else f"n={v['size']}:{v['gaps']}gaps"
+                      for v in row["verdicts"]) for row in rows]
+    assert any("gaps" in cell for cell in cells) and any("pass" in cell for cell in cells)
+
+    text = render_report(report, "text")
+    assert text == render_report(again, "text")
+    lines = text.split("\n")
+    assert lines[:3] == ["class evidence report",
+                         f"environment: {json.dumps(data['environment'], sort_keys=True)}", ""]
+    headers = [line for line in lines if " via " in line]
+    assert headers == [f"{row['family']} via {row['encoding']}: {row['class_note']}"
+                       for row in rows]
+    assert [line for line in lines if line.startswith("  sizes: ")] == \
+        [f"  sizes: {cell}" for cell in cells]
+    witnesses = [row["counterexample"]["knowledge"] for row in rows if row["counterexample"]]
+    assert [line for line in lines if line.startswith("  witness K: ")] == \
+        [f"  witness K: {json.dumps(k, sort_keys=True)}" for k in witnesses]
+    assert lines[-len(notes) - 2:] == ["", *(f"note: {note}" for note in notes), ""]
+
+    table = render_report(report, "markdown-table")
+    assert table == render_report(again, "markdown-table")
+    lines = table.split("\n")
+    assert lines[:2] == ["| family | encoding | sizes | verdicts | class note | PVC check |",
+                         "|---|---|---|---|---|---|"]
+    assert lines[2:2 + len(rows)] == [
+        f"| {row['family']} | {row['encoding']} | {','.join(map(str, row['sizes_tested']))} "
+        f"| {cell} | {row['class_note']} | {'yes' if row['pvc_checkable'] else 'no'} |"
+        for row, cell in zip(rows, cells)]
+    assert lines[2 + len(rows):] == ["", *(f"[^{i}]: {note}" for i, note in enumerate(notes, 1)),
+                                     ""]
 
 
 def assert_renders_as_json_dumps(verdict):

@@ -147,7 +147,7 @@ class TestOracleEquivalence:
             box = random_box(rng, variables)
             a = gac_filter(c, box)
             b = gac_oracle(c, box)
-            assert a.status == b.status, (c, box)
+            assert a.inconsistent == b.inconsistent, (c, box)
             if not a.inconsistent:
                 assert a.box == b.box, (c, box)
 
@@ -161,7 +161,7 @@ class TestOracleEquivalence:
             c = AllDiff(rng.sample([v.id for v in variables], rng.randint(2, n)))
             box = random_box(rng, variables)
             a, b = gac_filter(c, box), gac_oracle(c, box)
-            assert a.status == b.status, (c, box)
+            assert a.inconsistent == b.inconsistent, (c, box)
             if not a.inconsistent:
                 assert a.box == b.box, (c, box)
 
@@ -180,7 +180,7 @@ class TestOracleEquivalence:
             want = gac_oracle(c, boxes[0])
             for box in boxes:
                 got = _filter_alldiff(c, box)
-                assert got.status == want.status, box
+                assert got.inconsistent == want.inconsistent, box
                 if not got.inconsistent:
                     assert got.box == want.box, box
 
@@ -191,7 +191,7 @@ class TestOracleEquivalence:
         for d1, d2 in itertools.product(subdomains, repeat=2):
             box = DomainBox({1: d1, 2: d2})
             got, want = _filter_literals(c, box), gac_oracle(c, box)
-            assert got.status == want.status, box
+            assert got.inconsistent == want.inconsistent, box
             if not got.inconsistent:
                 assert got.box == want.box, box
                 assert (got.box is box) == (want.box is box), box
@@ -216,8 +216,8 @@ class TestOracleEquivalence:
                         assert c.accepts(values) is plain_truth(c, k), (c, values)
                     for box in boxes:
                         got, want = gac_filter(c, box), gac_oracle(c, box)
-                        assert (got.status, got.box, got.box is box) == \
-                            (want.status, want.box, want.box is box), (c, box)
+                        assert (got.inconsistent, got.box, got.box is box) == \
+                            (want.inconsistent, want.box, want.box is box), (c, box)
 
     def test_no_pruning_hands_back_the_input_box(self):
         # check_gac_reduction skips the target side on exactly this identity

@@ -15,10 +15,9 @@ from gackit.model import (
     range_variable,
 )
 from gackit.propagation import (
-    UnitPropagator, fixpoint_counts, gac_closure, gac_filter, gac_oracle,
-    solve_brute_force,
+    CnfFormula, UnitPropagator, fixpoint_counts, gac_closure, gac_filter, gac_oracle,
 )
-from gackit.encoders import build_encoding
+from gackit.encoders import Encoding, build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     SOUNDNESS_VIOLATION, Counterexample, EnumerationPolicy, Verdict,
@@ -174,12 +173,10 @@ def plain_map_back(channel, payload, knowledge):
 
 def plain_verdict(check, source, enc, policy):
     """Every state: filter the source, propagate the mapped knowledge from
-    scratch on the target, map back and judge."""
+    scratch on the target, map back and judge. Soundness is judged value by
+    value: a violation is a value the target removes that still extends to
+    a source solution inside the state, as `gac_oracle` finds it."""
     svars, channel, target = enc.channel.source_vars, enc.channel, enc.target
-    network = isinstance(source, Network)
-
-    def deduce_source(box):
-        return gac_closure(source, box) if network else gac_filter(source, box)
 
     def deduce_back(k):
         mapped = map_knowledge(channel, k)
@@ -189,17 +186,16 @@ def plain_verdict(check, source, enc, policy):
         return plain_map_back(channel, UnitPropagator(target).propagate(mapped), k)
 
     def extends(k):
-        return not network or solve_brute_force(source, k).sat
+        return not gac_oracle(source, k).inconsistent
 
     ces, count = [], 0
     for k in plain_states(svars, policy):
         count += 1
-        res = deduce_source(k)
+        res = gac_filter(source, k)
         if check == "gac-reduction":
-            src = DomainBox.bottom() if res.inconsistent else res.box
             back = deduce_back(k)
-            if not is_restriction(back, src):
-                ces.append(Counterexample(COMPLETENESS_GAP, k, src, back))
+            if not is_restriction(back, res.box):
+                ces.append(Counterexample(COMPLETENESS_GAP, k, res.box, back))
         elif not res.inconsistent:
             back = deduce_back(k)
             if back.inconsistent:
@@ -249,6 +245,23 @@ def test_walk_equals_the_plain_loop(checker, source, variables, encoding, policy
     want = plain_verdict("gac-reduction" if checker is check_gac_reduction else "soundness",
                          source, enc, policy)
     assert checker(source, enc, policy).to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_soundness_walk_equals_the_plain_loop_on_unsound_targets(policy):
+    # the totalizer with a unit clause added over each channel literal: the
+    # target then removes values that extend to source solutions, or
+    # refutes a state the source does not
+    source, variables = Card([1, -2, 3], 1, 2), bools(3)
+    enc = build_encoding("totalizer", source, variables)
+    kinds = set()  # whether a violation's mapped-back deduction is bottom
+    for lit in enc.channel.forward.values():
+        unsound = Encoding(CnfFormula(enc.target.num_vars, enc.target.clauses + [(lit,)]),
+                           enc.channel)
+        want = plain_verdict("soundness", source, unsound, policy)
+        assert check_soundness(source, unsound, policy).to_json() == want.to_json()
+        kinds.update(ce.deduced_back.inconsistent for ce in want.counterexamples)
+    assert kinds == {False, True}
 
 
 @pytest.mark.parametrize("checker", [check_gac_reduction, check_soundness])
