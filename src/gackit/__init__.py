@@ -19,7 +19,7 @@ from .encoders import (
     Encoding, EncodingStats, build_encoding, compile_network,
     encode_alldiff_pairwise, encode_card_binary_adder, encode_card_totalizer,
     encode_clause_to_neq, encode_exactly_one, encode_exactly_one_constraint,
-    encode_neq, encode_xor_direct, identity_encoding, one_hot_vars,
+    encode_xor_direct, identity_encoding,
 )
 from .gac_check import (
     Counterexample, EnumerationPolicy, Verdict, check_equiconsistency,

@@ -30,6 +30,7 @@ from .model import (
 )
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
+_PUNCT = frozenset("{}():,=")
 
 
 class CnetParseError(UsageError):
@@ -136,27 +137,41 @@ def _parse_var(lineno, tokens, next_id) -> Variable:
     raise CnetParseError(f"bad domain {' '.join(words[2:])!r}", lineno, tokens[2][1])
 
 
+def _comma_list(lineno, tokens, i, opener, closer, item) -> tuple[list, int]:
+    """Parse `opener value, ..., value closer`, or `opener closer`, starting
+    at tokens[i]; each value becomes `item(col, token, index)`. Returns the
+    items and the index just past the closer."""
+    def at(k):
+        return tokens[k] if k < len(tokens) else (None, tokens[-1][1])
+    if at(i)[0] != opener:
+        raise CnetParseError(f"expected {opener!r}", lineno, at(i)[1])
+    items = []
+    i += 1
+    if at(i)[0] == closer:
+        return items, i + 1
+    while True:
+        tok, col = at(i)
+        if tok is None or tok in _PUNCT:
+            raise CnetParseError("expected a value", lineno, col)
+        items.append(item(col, tok, len(items)))
+        tok, col = at(i + 1)
+        if tok == closer:
+            return items, i + 2
+        if tok != ",":
+            raise CnetParseError(f"expected ',' or {closer!r}", lineno, col)
+        i += 2
+
+
 def _parse_value_set(lineno, tokens, var: Variable | None) -> list[int]:
-    # tokens start at "{"; values resolved against var labels when given
-    if tokens[0][0] != "{":
-        raise CnetParseError("expected '{'", lineno, tokens[0][1])
-    values = []
-    expect_value = True
-    for tok, col in tokens[1:]:
-        if tok == "}":
-            if expect_value and values:
-                raise CnetParseError("trailing comma in value set", lineno, col)
-            if not values:
-                raise CnetParseError("empty value set", lineno, col)
-            return values
-        if tok == ",":
-            if expect_value:
-                raise CnetParseError("expected a value", lineno, col)
-            expect_value = True
-            continue
-        values.append(_parse_value(lineno, col, tok, var))
-        expect_value = False
-    raise CnetParseError("unterminated value set", lineno, tokens[-1][1])
+    # tokens are one "{...}" set; values resolved against var labels when given
+    values, end = _comma_list(lineno, tokens, 0, "{", "}",
+                              lambda col, tok, _: _parse_value(lineno, col, tok, var))
+    if not values:
+        raise CnetParseError("empty value set", lineno, tokens[end - 1][1])
+    if end < len(tokens):
+        raise CnetParseError(f"unexpected {tokens[end][0]!r} after the value set",
+                             lineno, tokens[end][1])
+    return values
 
 
 def _parse_value(lineno, col, token, var: Variable | None) -> int:
@@ -243,34 +258,19 @@ def _parse_constraint(lineno, tokens, variables):
 
 
 def _parse_tuples(lineno, tokens, tvars):
+    def value(col, tok, k):
+        if k >= len(tvars):
+            raise CnetParseError("tuple longer than the variable list", lineno, col)
+        return _parse_value(lineno, col, tok, tvars[k])
     rows = []
     i = 0
     while i < len(tokens):
-        if tokens[i][0] != "(":
-            raise CnetParseError("expected '('", lineno, tokens[i][1])
-        row = []
-        i += 1
-        expect_value = True
-        while i < len(tokens) and tokens[i][0] != ")":
-            tok, col = tokens[i]
-            if tok == ",":
-                if expect_value:
-                    raise CnetParseError("expected a value", lineno, col)
-                expect_value = True
-            else:
-                if len(row) >= len(tvars):
-                    raise CnetParseError("tuple longer than the variable list", lineno, col)
-                row.append(_parse_value(lineno, col, tok, tvars[len(row)]))
-                expect_value = False
-            i += 1
-        if i == len(tokens):
-            raise CnetParseError("unterminated tuple", lineno, tokens[-1][1])
+        row, i = _comma_list(lineno, tokens, i, "(", ")", value)
         if len(row) != len(tvars):
             raise CnetParseError(
                 f"tuple arity {len(row)} does not match {len(tvars)} variables",
-                lineno, tokens[i][1])
+                lineno, tokens[i - 1][1])
         rows.append(tuple(row))
-        i += 1
     return rows
 
 

@@ -8,6 +8,9 @@ control that keeps equisatisfiability but loses deductions under unit
 propagation. Nothing here is assumed strong or weak: the checkers in
 `gac_check` certify each claim.
 
+Auxiliary target variables are those that no channel image names: the
+encoders never list them, `Encoding.stats` counts them from the channel.
+
 Encoders are pure functions of their inputs and safe for concurrent use.
 """
 
@@ -47,12 +50,15 @@ class Encoding:
 
     @property
     def stats(self) -> EncodingStats:
-        """Sizes counted from the target."""
+        """Sizes counted from the target; aux is every target variable that
+        no channel image names."""
         if isinstance(self.target, CnfFormula):
-            return EncodingStats(self.target.num_vars, len(self.channel.aux),
-                                 len(self.target.clauses))
-        return EncodingStats(len(self.target.variables), len(self.channel.aux),
-                             len(self.target.constraints))
+            size, clauses = self.target.num_vars, len(self.target.clauses)
+            named = {abs(lit) for lit in self.channel.forward.values()}
+        else:
+            size, clauses = len(self.target.variables), len(self.target.constraints)
+            named = {tvid for tvid, _ in self.channel.forward.values()}
+        return EncodingStats(size, size - len(named), clauses)
 
 
 def _check_boolean(variables):
@@ -61,27 +67,15 @@ def _check_boolean(variables):
             raise UsageError(f"{var.name!r} must be Boolean for this encoder")
 
 
-def _encode_boolean(constraint, variables, emit) -> Encoding:
-    """Shared frame of the Boolean-source encoders: one CNF variable per
-    source variable (direct channel), then `emit(formula, lits)` appends the
-    clauses over the constraint's literals and returns the aux variables
-    (or None when it adds none)."""
-    _check_boolean(variables)
-    formula = CnfFormula()
-    forward = {}
-    for var in variables:
-        idx = formula.new_var()
-        forward[(var.id, TRUE)] = idx
-        forward[(var.id, FALSE)] = -idx
-    lits = [forward[(lit_var(l), lit_truth_value(l))] for l in constraint.lits]
-    aux = emit(formula, lits) or ()
-    return Encoding(formula, ChannelMap(ChannelMap.CNF, variables, forward, aux))
+def _cnf_lits(forward: dict, lits) -> list[int]:
+    """The CNF literals of source literals over directly channelled Booleans."""
+    return [forward[(lit_var(l), lit_truth_value(l))] for l in lits]
 
 
 # --- exactly-one -------------------------------------------------------------
 
-def encode_exactly_one(formula: CnfFormula, lits: list[int], scheme: str) -> list[int]:
-    """Append clauses forcing exactly one of `lits` true; returns new aux vars.
+def encode_exactly_one(formula: CnfFormula, lits: list[int], scheme: str) -> None:
+    """Append clauses forcing exactly one of `lits` true.
 
     Pairwise: one at-least-one clause plus all n(n-1)/2 mutual exclusions.
     Sequential: prefix "one of the first i is true" registers s_i with full
@@ -94,13 +88,13 @@ def encode_exactly_one(formula: CnfFormula, lits: list[int], scheme: str) -> lis
         raise UsageError("exactly-one needs at least one literal")
     if n == 1:
         formula.add_clause([lits[0]])
-        return []
+        return
     if scheme == PAIRWISE:
         formula.add_clause(lits)
         for i in range(n):
             for j in range(i + 1, n):
                 formula.add_clause([-lits[i], -lits[j]])
-        return []
+        return
     # sequential: s_i <-> (lits[0] or ... or lits[i])
     s = [formula.new_var() for _ in range(n - 1)]
     formula.add_clause([-lits[0], s[0]])
@@ -112,28 +106,18 @@ def encode_exactly_one(formula: CnfFormula, lits: list[int], scheme: str) -> lis
     for i in range(1, n):
         formula.add_clause([-s[i - 1], -lits[i]])   # at most one
     formula.add_clause([s[n - 2], lits[n - 1]])     # at least one
-    return s
-
-
-def one_hot_vars(variable: Variable, scheme: str = PAIRWISE) -> Encoding:
-    """One-hot encode a single variable: selector a_v per value v, with
-    exactly-one clauses per the chosen scheme."""
-    formula = CnfFormula()
-    forward: dict = {}
-    aux = _one_hot_into(formula, forward, variable, scheme)
-    return Encoding(formula, ChannelMap(ChannelMap.CNF, [variable], forward, aux))
 
 
 def _one_hot_into(formula: CnfFormula, forward: dict, variable: Variable,
-                  scheme: str) -> list[int]:
+                  scheme: str) -> None:
     """Add one selector per value to `forward` plus their exactly-one
-    clauses; returns the aux variables."""
+    clauses."""
     sel = []
     for value in variable.domain:
         idx = formula.new_var()
         forward[(variable.id, value)] = idx
         sel.append(idx)
-    return encode_exactly_one(formula, sel, scheme)
+    encode_exactly_one(formula, sel, scheme)
 
 
 def _forbid_shared(formula: CnfFormula, forward: dict, a: Variable, b: Variable):
@@ -147,42 +131,35 @@ def encode_exactly_one_constraint(constraint: Card, variables, scheme: str) -> E
     """Encoding for a card[1..1] source built purely from an exactly-one scheme."""
     if (constraint.lo, constraint.hi) != (1, 1):
         raise UsageError("exactly-one encoder needs a card[1..1] source")
-    return _encode_boolean(constraint, variables,
-                           lambda formula, lits: encode_exactly_one(formula, lits, scheme))
+    _check_boolean(variables)
+    enc = compile_network(Network(variables, []))
+    encode_exactly_one(enc.target, _cnf_lits(enc.channel.forward, constraint.lits), scheme)
+    return enc
 
 
 # --- binary difference and alldiff -------------------------------------------
 
-def encode_neq(a: Variable, b: Variable, scheme: str = PAIRWISE) -> Encoding:
-    """One-hot both variables, then forbid sharing any common value: the
-    pairwise alldiff decomposition of two variables."""
-    return encode_alldiff_pairwise([a, b], scheme)
-
-
 def encode_alldiff_pairwise(variables, scheme: str = PAIRWISE) -> Encoding:
     """Decompose AllDiff into one-hot selectors plus pairwise difference
     clauses. Equisatisfiable, but the decomposition is propagation-weak on
-    Hall-set instances; see gac_check."""
+    Hall-set instances; see gac_check. On one variable it is a plain
+    one-hot encoding, on two the pairwise encoding of a difference."""
     if not variables:
         raise UsageError("alldiff needs at least one variable")
     formula = CnfFormula()
     forward: dict = {}
-    aux: list[int] = []
     for var in variables:
-        aux.extend(_one_hot_into(formula, forward, var, scheme))
+        _one_hot_into(formula, forward, var, scheme)
     for i, va in enumerate(variables):
         for vb in variables[i + 1:]:
             _forbid_shared(formula, forward, va, vb)
-    return Encoding(formula, ChannelMap(ChannelMap.CNF, variables, forward, aux))
+    return Encoding(formula, ChannelMap(ChannelMap.CNF, variables, forward))
 
 
 # --- cardinality: unary counters ---------------------------------------------
 
-def _totalizer_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> list[int]:
-    """Append a unary-counter cardinality encoding of lo..hi over `lits`;
-    returns the auxiliary counter variables."""
-    aux: list[int] = []
-
+def _totalizer_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> None:
+    """Append a unary-counter cardinality encoding of lo..hi over `lits`."""
     def merge(counters: list[list[int]]) -> list[int]:
         if len(counters) == 1:
             return counters[0]
@@ -191,7 +168,6 @@ def _totalizer_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> l
         right = merge(counters[mid:])
         p, q = len(left), len(right)
         out = [formula.new_var() for _ in range(p + q)]
-        aux.extend(out)
         for k in range(p + q - 1):
             formula.add_clause([-out[k + 1], out[k]])  # ordered counter
         for i in range(p + 1):
@@ -219,7 +195,6 @@ def _totalizer_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> l
         formula.add_clause([root[k]])
     for k in range(hi, len(root)):
         formula.add_clause([-root[k]])
-    return aux
 
 
 def encode_card_totalizer(constraint: Card, variables) -> Encoding:
@@ -233,13 +208,13 @@ def encode_card_totalizer(constraint: Card, variables) -> Encoding:
     using true/false sentinels at the index ends. The lo/hi range lands as
     unit clauses on the root counter.
     """
-    return _encode_boolean(constraint, variables, lambda formula, lits: _totalizer_into(
-        formula, lits, constraint.lo, constraint.hi))
+    _check_boolean(variables)
+    return compile_network(Network(variables, [constraint]))
 
 
 # --- cardinality: binary adders (negative control) ----------------------------
 
-def _gate_and(formula, aux, a, b):
+def _gate_and(formula, a, b):
     if a is False or b is False:
         return False
     if a is True:
@@ -247,14 +222,13 @@ def _gate_and(formula, aux, a, b):
     if b is True:
         return a
     g = formula.new_var()
-    aux.append(g)
     formula.add_clause([-g, a])
     formula.add_clause([-g, b])
     formula.add_clause([-a, -b, g])
     return g
 
 
-def _gate_or(formula, aux, a, b):
+def _gate_or(formula, a, b):
     if a is True or b is True:
         return True
     if a is False:
@@ -262,14 +236,13 @@ def _gate_or(formula, aux, a, b):
     if b is False:
         return a
     g = formula.new_var()
-    aux.append(g)
     formula.add_clause([-a, g])
     formula.add_clause([-b, g])
     formula.add_clause([-g, a, b])
     return g
 
 
-def _gate_xor(formula, aux, a, b):
+def _gate_xor(formula, a, b):
     if a is False:
         return b
     if b is False:
@@ -279,7 +252,6 @@ def _gate_xor(formula, aux, a, b):
     if b is True:
         return -a
     g = formula.new_var()
-    aux.append(g)
     formula.add_clause([-g, a, b])
     formula.add_clause([-g, -a, -b])
     formula.add_clause([g, -a, b])
@@ -287,11 +259,8 @@ def _gate_xor(formula, aux, a, b):
     return g
 
 
-def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> list[int]:
-    """Append an adder-circuit cardinality encoding of lo..hi over `lits`;
-    returns the auxiliary gate variables."""
-    aux: list[int] = []
-
+def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> None:
+    """Append an adder-circuit cardinality encoding of lo..hi over `lits`."""
     def add_numbers(xs, ys):
         # little-endian ripple-carry addition of two bit vectors
         width = max(len(xs), len(ys))
@@ -300,11 +269,11 @@ def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -
         for k in range(width):
             a = xs[k] if k < len(xs) else False
             b = ys[k] if k < len(ys) else False
-            s1 = _gate_xor(formula, aux, a, b)
-            out.append(_gate_xor(formula, aux, s1, carry))
-            c1 = _gate_and(formula, aux, a, b)
-            c2 = _gate_and(formula, aux, s1, carry)
-            carry = _gate_or(formula, aux, c1, c2)
+            s1 = _gate_xor(formula, a, b)
+            out.append(_gate_xor(formula, s1, carry))
+            c1 = _gate_and(formula, a, b)
+            c2 = _gate_and(formula, s1, carry)
+            carry = _gate_or(formula, c1, c2)
         out.append(carry)
         return out
 
@@ -324,15 +293,15 @@ def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -
             kbit = (bound >> k) & 1
             if kind == "ge":
                 if kbit:
-                    acc = _gate_and(formula, aux, bit, acc)
+                    acc = _gate_and(formula, bit, acc)
                 else:
-                    acc = _gate_or(formula, aux, bit, acc)
+                    acc = _gate_or(formula, bit, acc)
             else:
                 nbit = (not bit) if isinstance(bit, bool) else -bit
                 if kbit:
-                    acc = _gate_or(formula, aux, nbit, acc)
+                    acc = _gate_or(formula, nbit, acc)
                 else:
-                    acc = _gate_and(formula, aux, nbit, acc)
+                    acc = _gate_and(formula, nbit, acc)
         return acc
 
     def assert_true(gate):
@@ -347,7 +316,6 @@ def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -
         assert_true(compare("ge", lo))
     if hi < len(lits):
         assert_true(compare("le", hi))
-    return aux
 
 
 def encode_card_binary_adder(constraint: Card, variables) -> Encoding:
@@ -358,8 +326,8 @@ def encode_card_binary_adder(constraint: Card, variables) -> Encoding:
     adder circuit is too weak to restore domain consistency in general;
     shipped as the negative control.
     """
-    return _encode_boolean(constraint, variables, lambda formula, lits: _binary_adder_into(
-        formula, lits, constraint.lo, constraint.hi))
+    _check_boolean(variables)
+    return compile_network(Network(variables, [constraint]), card_scheme="binary-adder")
 
 
 # --- parity -------------------------------------------------------------------
@@ -395,8 +363,8 @@ def encode_xor_direct(constraint: Xor, variables) -> Encoding:
     """Direct expansion of one XOR equation: all 2^(k-1) parity-violating
     assignments become forbidding clauses. Exponential in arity, so only
     valid up to XOR_ARITY_LIMIT."""
-    return _encode_boolean(constraint, variables, lambda formula, lits: _xor_into(
-        formula, lits, constraint.parity))
+    _check_boolean(variables)
+    return compile_network(Network(variables, [constraint]))
 
 
 # --- clause -> difference network ---------------------------------------------
@@ -489,9 +457,8 @@ def encode_clause_to_neq(constraint: Clause, variables,
         constraints.append(Neq(out.id, anchor_f.id))
         constraints.append(Neq(out.id, anchor_b.id))
 
-    target = Network(tvars, constraints)
-    aux = [v.id for v in tvars if v.id > len(variables)]
-    return Encoding(target, ChannelMap(ChannelMap.NETWORK, variables, forward, aux))
+    return Encoding(Network(tvars, constraints),
+                    ChannelMap(ChannelMap.NETWORK, variables, forward))
 
 
 def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
@@ -505,30 +472,26 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
     """
     formula = CnfFormula()
     forward: dict = {}
-    aux: list[int] = []
     for var in net.variables:
         if var.is_boolean:
             idx = formula.new_var()
             forward[(var.id, TRUE)] = idx
             forward[(var.id, FALSE)] = -idx
         else:
-            aux.extend(_one_hot_into(formula, forward, var, eo_scheme))
-
-    def cnf_lits(lits):
-        return [forward[(lit_var(l), lit_truth_value(l))] for l in lits]
+            _one_hot_into(formula, forward, var, eo_scheme)
 
     for c in net.constraints:
         if isinstance(c, Clause):
-            formula.add_clause(cnf_lits(c.lits))
+            formula.add_clause(_cnf_lits(forward, c.lits))
         elif isinstance(c, Card):
             if card_scheme == "totalizer":
-                aux.extend(_totalizer_into(formula, cnf_lits(c.lits), c.lo, c.hi))
+                _totalizer_into(formula, _cnf_lits(forward, c.lits), c.lo, c.hi)
             elif card_scheme == "binary-adder":
-                aux.extend(_binary_adder_into(formula, cnf_lits(c.lits), c.lo, c.hi))
+                _binary_adder_into(formula, _cnf_lits(forward, c.lits), c.lo, c.hi)
             else:
                 raise UsageError(f"unknown cardinality scheme {card_scheme!r}")
         elif isinstance(c, Xor):
-            _xor_into(formula, cnf_lits(c.lits), c.parity)
+            _xor_into(formula, _cnf_lits(forward, c.lits), c.parity)
         elif isinstance(c, Neq):
             _forbid_shared(formula, forward, net.variable(c.a), net.variable(c.b))
         elif isinstance(c, AllDiff):
@@ -538,7 +501,7 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
         else:
             raise UsageError(f"no CNF encoder for {c.kind()} constraints")
 
-    channel = ChannelMap(ChannelMap.CNF, net.variables, forward, aux)
+    channel = ChannelMap(ChannelMap.CNF, net.variables, forward)
     if box is not None and box.inconsistent:
         formula.add_clause([])
     elif box is not None:
@@ -583,7 +546,8 @@ def build_encoding(name: str, constraint: Constraint, variables) -> Encoding:
         return encode_exactly_one_constraint(constraint, variables, name.split(":", 1)[1])
     if name.startswith("neq:"):
         need(Neq, "neq")
-        return encode_neq(by_id[constraint.a], by_id[constraint.b], name.split(":", 1)[1])
+        return encode_alldiff_pairwise([by_id[constraint.a], by_id[constraint.b]],
+                                       name.split(":", 1)[1])
     if name == "alldiff-pairwise" or name.startswith("alldiff-pairwise:"):
         need(AllDiff, "alldiff")
         scheme = name.split(":", 1)[1] if ":" in name else PAIRWISE
@@ -606,5 +570,5 @@ def identity_encoding(constraint: Constraint, variables) -> Encoding:
     for var in variables:
         for value in var.domain:
             forward[(var.id, value)] = (var.id, value)
-    target = Network(variables, [constraint] if constraint is not None else [])
-    return Encoding(target, ChannelMap(ChannelMap.NETWORK, variables, forward, ()))
+    return Encoding(Network(variables, [constraint]),
+                    ChannelMap(ChannelMap.NETWORK, variables, forward))

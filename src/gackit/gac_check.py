@@ -565,20 +565,24 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
                         sampler.sample_count, sampler.seed)
         mode = RANDOM_SAMPLE
 
-    schedule = Network(list(svars), [source]).search_schedule
     n, vids = len(svars), [var.id for var in svars]
+    at = {vid: i for i, vid in enumerate(vids)}
+    if not set(source.scope) <= at.keys():
+        raise UsageError("a source scope variable lies outside the channel")
+    scope_pos = [at[vid] for vid in source.scope]
+    # The source is decided once the walk reaches its last scope variable.
+    last = max(scope_pos, default=-1) + 1
     values = [None] * n
     # Length of the prefix that refutes each side; None while it holds.
-    src_fail = None if all(c.accepts([]) for c, _ in schedule[0]) else 0
+    src_fail = 0 if last == 0 and not source.accepts(()) else None
     tgt_fail = None
 
     def judge(p, state):
         nonlocal src_fail, tgt_fail
         for d in range(p, n):
             (values[d],) = state[d]  # the one value of a singleton
-        if src_fail is None or src_fail > p:
-            src_fail = next((k for k in range(p + 1, n + 1) if schedule[k] and not all(
-                c.accepts([values[i] for i in pos]) for c, pos in schedule[k])), None)
+        if p < last:
+            src_fail = None if source.accepts([values[i] for i in scope_pos]) else last
         if tgt_fail is None or tgt_fail > p:
             tgt_fail = engine.refuted_depth(state)
         s, t = src_fail is None, tgt_fail is None

@@ -90,21 +90,11 @@ class DomainBox:
 
     __slots__ = ("_domains", "inconsistent")
 
-    def __init__(self, domains: Mapping[int, Iterable[int]], inconsistent: bool = False):
-        if not inconsistent:
-            norm = {}
-            for vid, values in domains.items():
-                fs = values if isinstance(values, frozenset) else frozenset(values)
-                if not fs:
-                    inconsistent = True
-                    break
-                norm[vid] = fs
-        if inconsistent:
-            self._domains = {}
-            self.inconsistent = True
-        else:
-            self._domains = norm
-            self.inconsistent = False
+    def __init__(self, domains: Mapping[int, Iterable[int]]):
+        norm = {vid: values if isinstance(values, frozenset) else frozenset(values)
+                for vid, values in domains.items()}
+        self.inconsistent = not all(norm.values())
+        self._domains = {} if self.inconsistent else norm
 
     @classmethod
     def from_variables(cls, variables: Iterable[Variable]) -> "DomainBox":
@@ -168,7 +158,7 @@ class DomainBox:
         return " ".join(parts)
 
 
-_BOTTOM = DomainBox({}, inconsistent=True)
+_BOTTOM = DomainBox({0: ()})
 
 
 def is_restriction(d: DomainBox, k: DomainBox) -> bool:
@@ -366,42 +356,32 @@ class ChannelMap:
     For CNF targets the image of a pair is a signed literal; for network
     targets it is a (target variable id, target value) membership atom.
     Source variable names must be distinct, since verdicts name variables.
-    `aux` lists target variables that never appear as images and are
-    projected out of deductions. `images` memoizes, per source variable,
-    what each knowledge subdomain mapped so far asserts on the target.
+    Target variables without an image are auxiliary: they are projected
+    out of deductions. `images` memoizes, per source variable, what each
+    knowledge subdomain mapped so far asserts on the target.
     """
 
-    __slots__ = ("kind", "source_vars", "forward", "aux", "images")
+    __slots__ = ("kind", "source_vars", "forward", "images")
 
     CNF = "cnf"
     NETWORK = "network"
 
     def __init__(self, kind: str, source_vars: Sequence[Variable],
-                 forward: Mapping[tuple[int, int], object],
-                 aux: Iterable[int] = ()):
+                 forward: Mapping[tuple[int, int], object]):
         if kind not in (self.CNF, self.NETWORK):
             raise UsageError(f"unknown channel kind {kind!r}")
         self.kind = kind
         self.source_vars = tuple(source_vars)
         self.forward = dict(forward)
-        self.aux = frozenset(aux)
         names = set()
-        image_vars = set()
         for var in self.source_vars:
             if var.name in names:
                 raise UsageError(f"two source variables named {var.name!r}")
             names.add(var.name)
             for value in var.domain:
-                image = self.forward.get((var.id, value))
-                if image is None:
+                if (var.id, value) not in self.forward:
                     raise UsageError(
                         f"channel not total: no image for ({var.name!r}, {var.label(value)})")
-                if kind == self.CNF:
-                    image_vars.add(abs(image))
-                else:
-                    image_vars.add(image[0])
-        if image_vars & self.aux:
-            raise UsageError("auxiliary target variables may not carry channel images")
         self.images = tuple({} for _ in self.source_vars)
 
     def _image(self, var: Variable, kdom: frozenset) -> tuple:
@@ -439,8 +419,8 @@ def map_knowledge(channel: ChannelMap, knowledge: DomainBox) -> list:
     """Express source knowledge on the target side.
 
     Removed source values assert the negation of their image; assigned
-    values assert the image itself. Auxiliary target variables stay
-    unrestricted. Returns assumption literals for CNF channels and
+    values assert the image itself. Auxiliary target variables (those
+    without an image) stay unrestricted. Returns assumption literals for CNF channels and
     `(tvid, removed, pinned)` triples for network channels (see
     `ChannelMap._image`); the triples are a conjunction, so a target
     variable that carries the images of two source variables gets both.

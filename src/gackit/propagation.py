@@ -354,12 +354,10 @@ def _strong_components(succ: list[list[int]]) -> list[int]:
 
 def _filter_table(c: Table, box: DomainBox) -> PropagationResult:
     doms = [box.domain(v) for v in c.scope]
-    supported: list[set[int]] = [set() for _ in c.scope]
-    for row in c.tuples:
-        if all(val in dom for val, dom in zip(row, doms)):
-            for i, val in enumerate(row):
-                supported[i].add(val)
-    return _apply_scope_domains(box, c.scope, supported)
+    rows = [row for row in c.tuples if all(val in dom for val, dom in zip(row, doms))]
+    if not rows:  # no tuple fits, even where the scope is empty
+        return PropagationResult(DomainBox.bottom())
+    return _apply_scope_domains(box, c.scope, [set(column) for column in zip(*rows)])
 
 
 _FILTERS = {Clause: _filter_literals, Card: _filter_literals, Xor: _filter_literals,

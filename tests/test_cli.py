@@ -57,6 +57,21 @@ def test_input_that_is_not_utf8(files, capsys):
     expect_usage_error(["propagate", "--in", files / "bad.cnet"], capsys)
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("var x {1 2}\n", 1, 10),
+    ("var x {1} extra\n", 1, 11),
+    ("var x 1..2\nvar y 1..2\ntable x y : (1 2)\n", 3, 16),
+    ("var x 1..2\ntable x : (2,)\n", 2, 14),
+    ("var x bool\nrestrict x {T} extra\n", 2, 16),
+], ids=["set-without-comma", "words-after-set", "tuple-without-comma", "trailing-comma",
+        "words-after-restrict"])
+def test_malformed_comma_lists_are_located(files, capsys, text, line, column):
+    (files / "bad.cnet").write_text(text)
+    assert main(["propagate", "--in", str(files / "bad.cnet")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}, column {column}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("source", ["clause.cnet", "no-card.cnet", "card.cnet"])
 def test_encode_unknown_scheme(files, capsys, source):
     expect_usage_error(["encode", "--in", files / source, "--scheme", "nonsense",

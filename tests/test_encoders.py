@@ -16,7 +16,7 @@ from gackit.encoders import (
     PAIRWISE, SEQUENTIAL, build_encoding, compile_network,
     encode_alldiff_pairwise, encode_card_binary_adder, encode_card_totalizer,
     encode_clause_to_neq, encode_exactly_one, encode_exactly_one_constraint,
-    encode_neq, encode_xor_direct, one_hot_vars,
+    encode_xor_direct,
 )
 from gackit.gac_check import check_equiconsistency, check_gac_reduction
 
@@ -35,15 +35,15 @@ class TestExactlyOne:
         for scheme in (PAIRWISE, SEQUENTIAL):
             f = CnfFormula()
             x = f.new_var()
-            aux = encode_exactly_one(f, [x], scheme)
-            assert aux == [] and f.clauses == [(x,)]
+            encode_exactly_one(f, [x], scheme)
+            assert f.num_vars == 1 and f.clauses == [(x,)]
 
     def test_pairwise_counts(self):
         for n in range(2, 7):
             f = CnfFormula()
             lits = [f.new_var() for _ in range(n)]
-            aux = encode_exactly_one(f, lits, PAIRWISE)
-            assert len(aux) == 0
+            encode_exactly_one(f, lits, PAIRWISE)
+            assert f.num_vars == n
             assert len(f.clauses) == 1 + n * (n - 1) // 2
 
     def test_pairwise_three_exact_clause_set(self):
@@ -55,8 +55,8 @@ class TestExactlyOne:
     def test_sequential_counts(self):
         f = CnfFormula()
         lits = [f.new_var() for _ in range(3)]
-        aux = encode_exactly_one(f, lits, SEQUENTIAL)
-        assert len(aux) == 2
+        encode_exactly_one(f, lits, SEQUENTIAL)
+        assert f.num_vars == 3 + 2
         assert len(f.clauses) == 8
 
     def test_sequential_up_forces_all_others_false(self):
@@ -77,23 +77,23 @@ class TestExactlyOne:
 class TestOneHot:
     def test_single_value_forced(self):
         v = range_variable(1, "X", 1, 1)
-        enc = one_hot_vars(v)
+        enc = encode_alldiff_pairwise([v])
         assert enc.stats.variables == 1 and enc.stats.clauses == 1
         assert enc.target.clauses == [(1,)]
 
     def test_three_values_pairwise(self):
         v = range_variable(1, "X", 1, 3)
-        enc = one_hot_vars(v, PAIRWISE)
+        enc = encode_alldiff_pairwise([v], PAIRWISE)
         assert (enc.stats.variables, enc.stats.aux, enc.stats.clauses) == (3, 0, 4)
 
     def test_three_values_sequential(self):
         v = range_variable(1, "X", 1, 3)
-        enc = one_hot_vars(v, SEQUENTIAL)
+        enc = encode_alldiff_pairwise([v], SEQUENTIAL)
         assert enc.stats.aux == 2 and enc.stats.clauses == 8
 
     def test_channel_totality(self):
         v = range_variable(1, "X", 1, 4)
-        enc = one_hot_vars(v)
+        enc = encode_alldiff_pairwise([v])
         assert set(enc.channel.forward) == {(1, i) for i in (1, 2, 3, 4)}
 
 
@@ -101,7 +101,7 @@ class TestEncodeNeq:
     def test_size_three_pairwise_counts(self):
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
-        enc = encode_neq(a, b, PAIRWISE)
+        enc = encode_alldiff_pairwise([a, b], PAIRWISE)
         assert enc.stats.variables == 6
         assert enc.stats.aux == 0
         assert enc.stats.clauses == 11  # 2 exactly-one blocks + 3 difference
@@ -109,7 +109,7 @@ class TestEncodeNeq:
     def test_up_removes_assigned_value_from_other_side(self):
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
-        enc = encode_neq(a, b)
+        enc = encode_alldiff_pairwise([a, b])
         out = up_values(enc, [enc.channel.forward[(1, 2)]])  # A = 2
         b2 = enc.channel.forward[(2, 2)]
         assert out[abs(b2)] is False
@@ -117,7 +117,7 @@ class TestEncodeNeq:
     def test_singleton_domains_unsat(self):
         a = range_variable(1, "A", 1, 1)
         b = range_variable(2, "B", 1, 1)
-        enc = encode_neq(a, b)
+        enc = encode_alldiff_pairwise([a, b])
         assert sat_solve(enc.target).sat is False
 
 
@@ -224,11 +224,11 @@ class TestAlldiffPairwise:
         z_lits = [enc.channel.forward[(3, v)] for v in (1, 2, 3)]
         assert all(out[abs(l)] is None for l in z_lits)
 
-    def test_two_variables_matches_encode_neq(self):
+    def test_two_variables_matches_neq_pairwise(self):
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
         via_alldiff = encode_alldiff_pairwise([a, b])
-        via_neq = encode_neq(a, b)
+        via_neq = build_encoding("neq:pairwise", Neq(1, 2), [a, b])
         assert via_alldiff.target.clauses == via_neq.target.clauses
         assert via_alldiff.channel.forward == via_neq.channel.forward
 
@@ -312,8 +312,9 @@ class TestClauseGadgets:
     def test_aux_variables_marked(self):
         enc = encode_clause_to_neq(self.clause, self.variables, "gac")
         image_vars = {enc.channel.forward[(v.id, TRUE)][0] for v in self.variables}
-        assert image_vars.isdisjoint(enc.channel.aux)
-        assert len(enc.channel.aux) == enc.stats.aux
+        gadget = [v.name for v in enc.target.variables if v.id not in image_vars]
+        assert gadget == ["h1", "h2", "h3", "d"]
+        assert enc.stats.aux == len(gadget)
 
 
 class TestChannelValidation:
@@ -321,12 +322,6 @@ class TestChannelValidation:
         a, = bools("a")
         with pytest.raises(UsageError):
             ChannelMap(ChannelMap.CNF, [a], {(1, TRUE): 1})  # FALSE missing
-
-    def test_aux_overlap_rejected(self):
-        a, = bools("a")
-        with pytest.raises(UsageError):
-            ChannelMap(ChannelMap.CNF, [a],
-                       {(1, TRUE): 1, (1, FALSE): -1}, aux=[1])
 
     def test_two_source_variables_with_one_name_rejected(self):
         # verdict JSON keys boxes by name, so one of the two would vanish
@@ -340,7 +335,7 @@ class TestBackMapping:
         # channel totality in the solution direction
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
-        enc = encode_neq(a, b)
+        enc = encode_alldiff_pairwise([a, b])
         result = sat_solve(enc.target)
         assert result.sat
         picked = {}

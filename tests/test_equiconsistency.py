@@ -22,9 +22,10 @@ from gackit.gac_check import (
     check_soundness, replay,
 )
 from gackit.model import (
-    TRUE, Card, DomainBox, Network, UsageError, bool_variable, map_knowledge,
+    TRUE, Card, DomainBox, Network, UsageError, Xor, bool_variable, map_knowledge,
 )
 from gackit.propagation import CnfFormula, sat_solve
+from textdiff import assert_same_text
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
 FAMILIES = ("card", "exactly-one", "neq", "alldiff", "xor", "clause")
@@ -72,8 +73,9 @@ def test_shipped_encodings_match_the_reference(reference):
                 except UsageError:
                     continue  # encoding made for another family
                 built.add(encoding)
-                assert check_equiconsistency(constraint, enc).to_json() == \
-                    reference.equiconsistency_verdict(constraint, enc), (encoding, size)
+                assert_same_text(check_equiconsistency(constraint, enc).to_json(),
+                                 reference.equiconsistency_verdict(constraint, enc),
+                                 (encoding, size))
     assert built == set(ENCODING_NAMES)
 
 
@@ -166,7 +168,7 @@ def test_a_target_with_an_empty_clause_refutes_every_assignment(reference):
     constraint, variables = _instances("card", 3)[3]  # card 0..3: always holds
     enc = add_clause(build_encoding("totalizer", constraint, variables), [])
     verdict = check_equiconsistency(constraint, enc)
-    assert verdict.to_json() == reference.equiconsistency_verdict(constraint, enc)
+    assert_same_text(verdict.to_json(), reference.equiconsistency_verdict(constraint, enc))
     assert len(verdict.counterexamples) == verdict.states_checked == 8
     assert all(ce.deduced_back.inconsistent for ce in verdict.counterexamples)
     sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=20, seed=1)
@@ -184,7 +186,7 @@ def test_a_target_that_unit_propagation_leaves_open(reference):
     guarded = [(-x1, sy * y, sz * z) for sy in (1, -1) for sz in (1, -1)]
     enc = Encoding(CnfFormula(z, f.clauses + guarded), enc.channel)
     verdict = check_equiconsistency(constraint, enc)
-    assert verdict.to_json() == reference.equiconsistency_verdict(constraint, enc)
+    assert_same_text(verdict.to_json(), reference.equiconsistency_verdict(constraint, enc))
     assert [ce.knowledge.value_of(1) for ce in verdict.counterexamples] == [TRUE] * 4
     sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=30, seed=5)
     assert check_equiconsistency(constraint, enc, sampler).counterexamples == plain_loop(
@@ -215,6 +217,32 @@ def test_a_source_refuted_on_a_prefix_of_the_channel():
         refuted.update("source" if ce.deduced_source.inconsistent else "target"
                        for ce in verdict.counterexamples)
     assert refuted == {"source", "target"}
+
+
+def test_a_source_scope_out_of_channel_order():
+    # The last scope variable in channel order decides where the walk tests
+    # the source; an empty scope is decided before the first assignment.
+    variables = [bool_variable(i, f"x{i}") for i in range(1, 5)]
+    every = list(itertools.product(*(var.domain for var in variables)))
+    cases = [
+        (Card([3, 1], 1, 1), build_encoding("totalizer", Card([1, 2, 3, 4], 1, 1), variables),
+         lambda values: values[2] + values[0] == 1),
+        (Xor([], 1), build_encoding("xor-direct", Xor([], 0), variables), lambda values: False),
+        (Xor([], 0), build_encoding("xor-direct", Xor([4], 1), variables), lambda values: True),
+    ]
+    for source, enc, source_sat in cases:
+        want = plain_loop(source_sat, enc, every)
+        assert want and check_equiconsistency(source, enc).counterexamples == want
+        sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=40, seed=3)
+        assert check_equiconsistency(source, enc, sampler).counterexamples == plain_loop(
+            source_sat, enc, sampled(variables, 40, 3))
+
+
+def test_a_source_variable_outside_the_channel_is_a_usage_error():
+    variables = [bool_variable(i, f"x{i}") for i in range(1, 3)]
+    enc = build_encoding("totalizer", Card([1, 2], 1, 1), variables)
+    with pytest.raises(UsageError, match="outside the channel"):
+        check_equiconsistency(Card([1, 3], 1, 1), enc)
 
 
 def test_a_network_source_is_a_usage_error():

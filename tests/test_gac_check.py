@@ -20,6 +20,7 @@ from gackit.gac_check import (
     _target_box, enumerate_knowledge_states, map_back, map_knowledge, replay,
 )
 from gackit.classify import _instances, default_config, render_report, run_class_suite
+from textdiff import assert_same_text
 
 BUNDLED_JOBS = [pytest.param(job["family"], job["encoding"], job["sizes"],
                              id=job["encoding"])
@@ -282,8 +283,8 @@ def test_text_and_markdown_reports_agree_with_the_json_report():
 
 
 def assert_renders_as_json_dumps(verdict):
-    assert verdict.to_json() == json.dumps(
-        verdict.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert_same_text(verdict.to_json(),
+                     json.dumps(verdict.to_json_dict(), indent=2, sort_keys=True) + "\n")
     # The CLI writes these pieces one by one: one per counterexample.
     assert len(list(verdict.json_chunks())) == len(verdict.counterexamples) + 3
 
@@ -361,3 +362,11 @@ def test_renderer_on_hand_built_edge_cases():
     rendered = json.loads(Verdict(9, [ce], source_vars=(x2, x10, twin)).to_json())
     assert list(rendered["counterexamples"][0]["knowledge"]) == ["x10", "x2"]
     assert rendered["counterexamples"][0]["knowledge"]["x10"] == ['two "2"', "3"]
+
+
+def test_text_comparison_names_the_first_differing_line():
+    assert_same_text("a\nb\n", "a\nb\n")
+    for got, want, line in [("a\nb\nc\n", "a\nB\nc\n", 2), ("a\nb\n", "a\nb", 2),
+                            ("a\n", "a\nb\n", 2), ("", "x", 1)]:
+        with pytest.raises(pytest.fail.Exception, match=f"differ first at line {line}\n"):
+            assert_same_text(got, want)

@@ -137,7 +137,7 @@ class TestWriteDimacs:
 
     def test_exact_text_with_channel_comments(self):
         formula = CnfFormula(4, [[1, -2], [2, 3], [-2, -3, 4]])
-        channel = ChannelMap(ChannelMap.CNF, self.variables, self.forward, aux=[4])
+        channel = ChannelMap(ChannelMap.CNF, self.variables, self.forward)
         assert write_dimacs(formula, channel) == (
             "c map a F -1\n"
             "c map a T 1\n"

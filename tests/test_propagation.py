@@ -55,7 +55,8 @@ class TestGacOracle:
         assert out.box.domain(1) == {TRUE}
 
     @pytest.mark.parametrize("c, sat", [(Clause([]), False), (Xor([], 1), False),
-                                        (Xor([], 0), True), (Card([], 0, 0), True)],
+                                        (Xor([], 0), True), (Card([], 0, 0), True),
+                                        (Table([], []), False), (Table([], [()]), True)],
                              ids=repr)
     def test_empty_scope_holds_iff_it_accepts_the_empty_tuple(self, c, sat):
         # one tuple, (), and no scope variable whose support set could run empty
