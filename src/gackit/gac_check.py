@@ -28,6 +28,19 @@ channel images of the subdomains it last mapped per depth and remaps only
 the depths past the prefix it shares with them. A DomainBox for K is built
 only where the source has to be filtered. Counterexamples are kept in walk
 order, so the verdict is the same as a state-by-state evaluation's.
+
+A gac check certifies before it walks (`_drive_knowledge`). A gap at K is a
+value the source removes and the target keeps; the target keeps it at every
+larger state too, for as long as it stays unsupported. That rests on four
+premises: the source filter is GAC; the target engine is sound and monotone
+in K (unit propagation, `gac_closure`); a channel image only weakens as a
+subdomain grows; and the policy is exhaustive (full subdomains or
+assignment style, one family for Booleans), so the walk holds every
+enlargement. So the walk passes iff the states maximal for some value's
+lack of support pass. For a Clause, Card or Xor over distinct Boolean
+variables these come from true/false literal counts (`_maximal_states`);
+where none fails the verdict is Pass over the policy's state count, and
+otherwise the walk runs as it would have, listing every gap.
 """
 
 from __future__ import annotations
@@ -36,15 +49,17 @@ import json
 import math
 import random
 from bisect import bisect_left
+from itertools import combinations
 from dataclasses import dataclass, field
 
 from .model import (
-    ChannelMap, Constraint, DomainBox, Network, ResourceError, UsageError,
-    Variable, is_restriction, lit_var, map_knowledge,
+    Card, ChannelMap, Clause, Constraint, DomainBox, Network, ResourceError,
+    UsageError, Variable, Xor, is_restriction, lit_false_value,
+    lit_truth_value, lit_var, map_knowledge,
 )
 from .propagation import (
-    UnitPropagator, fixpoint_counts, gac_closure, gac_filter, sat_solve,
-    solve_brute_force,
+    UnitPropagator, fixpoint_counts, gac_closure, gac_filter,
+    maximal_gap_counts, sat_solve, solve_brute_force,
 )
 from .encoders import Encoding
 
@@ -294,9 +309,20 @@ class Verdict:
         return "\n".join(lines)
 
 
-def _check_source(source):
+def _check_source(source, channel: ChannelMap):
+    """The precondition of every entry point: the source is one Constraint,
+    its scope lies within the channel, and a Clause, Card or Xor has only
+    Boolean variables in scope."""
     if not isinstance(source, Constraint):
         raise UsageError(f"the source must be one Constraint, got {type(source).__name__}")
+    by_id = {var.id: var for var in channel.source_vars}
+    if not set(source.scope) <= by_id.keys():
+        raise UsageError("a source scope variable lies outside the channel")
+    if isinstance(source, (Clause, Card, Xor)):
+        for vid in source.scope:
+            if not by_id[vid].is_boolean:
+                raise UsageError(f"{source.kind()} source needs Boolean variables, "
+                                 f"{by_id[vid].name!r} is not")
 
 
 def _target_box(target: Network, mapped) -> DomainBox:
@@ -423,31 +449,50 @@ def _drive(walk, judge, mode: str, check: str, svars) -> Verdict:
     return Verdict(count, counterexamples, mode, check, svars)
 
 
-def _drive_knowledge(enc: Encoding, policy, judge, check: str) -> Verdict:
-    """`_drive` over the knowledge walk of `policy` (auto if None)."""
+def _drive_knowledge(enc: Encoding, policy, judge, check: str,
+                     certificate=None) -> Verdict:
+    """`_drive` over the knowledge walk of `policy` (auto if None): certify,
+    else walk. Where the policy is exhaustive and a `certificate`, a stream
+    of walk states as `(p, state)` pairs, is given, the judge sees those
+    first; if it finds no counterexample among them, the walk would find
+    none either (the caller's argument), and the verdict is Pass over the
+    policy's state count without a walk. Otherwise the walk runs from its
+    first state, since only it lists every counterexample. The walk is
+    built first, so budget and domain-cap errors come out before any
+    state is judged."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
-    return _drive(_knowledge_walk(svars, policy), judge, policy.mode, check, svars)
+    walk = _knowledge_walk(svars, policy)
+    if (certificate is not None and policy.mode != RANDOM_SAMPLE
+            and all(judge(p, state) is None for p, state in certificate)):
+        return Verdict(count_states(svars, policy), [], policy.mode, check, svars)
+    return _drive(walk, judge, policy.mode, check, svars)
+
+
+def _channel_lits(source, svars):
+    """Per channel position, the source's literal over that variable or
+    None, for a Card, Xor or Clause over distinct variables on a channel of
+    distinct variables; None for any other source."""
+    vids = [var.id for var in svars]
+    if fixpoint_counts(source) is None or len(set(vids)) != len(vids):
+        return None
+    lit_of = {lit_var(lit): lit for lit in source.lits}
+    return [lit_of.get(vid) for vid in vids]
 
 
 def _unchanged_test(source, svars):
-    """For a Card, Xor or Clause source over distinct variables that all lie
-    among `svars`, a test `unchanged(p, state)` that is True exactly where
-    `gac_filter(source, K)` hands back K itself. It sums `fixpoint_counts`
-    per depth, redoing only the depths from p on, so it must see every
-    state of the walk, in order. None for any other source, which is
-    filtered on every state."""
-    counts = fixpoint_counts(source)
-    vids = [var.id for var in svars]
-    if (counts is None or len(set(vids)) != len(vids)
-            or not set(source.scope) <= set(vids)):
+    """For a source that `_channel_lits` places, a test `unchanged(p,
+    state)` that is True exactly where `gac_filter(source, K)` hands back K
+    itself. It sums `fixpoint_counts` per depth, redoing only the depths
+    from p on, so after p = 0 it must see every state of the walk, in
+    order. None for any other source, which is filtered on every state."""
+    lits = _channel_lits(source, svars)
+    if lits is None:
         return None
-    count, holds = counts
-    lit_of = {lit_var(lit): lit for lit in source.lits}
-    lits = [lit_of.get(vid) for vid in vids]
-    n = len(vids)
-    memos = [{} for _ in vids]  # per depth: subdomain -> its count
+    count, holds = fixpoint_counts(source)
+    n = len(lits)
+    memos = [{} for _ in lits]  # per depth: subdomain -> its count
     totals = [0] * (n + 1)  # totals[d]: the sum over the depths before d
     holds_at = {}  # total -> holds(total)
 
@@ -466,6 +511,44 @@ def _unchanged_test(source, svars):
     return unchanged
 
 
+def _maximal_states(source, svars):
+    """The certificate of `check_gac_reduction` for a source that
+    `_channel_lits` places: every state of an exhaustive walk that is
+    maximal, among the walk's states, for some value having no support, as
+    `(0, state)` pairs, each a new list. None for any other source.
+
+    State K fixes t of the n literals true and f false. The count pairs
+    come from `maximal_gap_counts`; one-step enlargement frees one fixed
+    literal. Each pair is yielded in every placement, lazily, with the
+    variables outside the scope free. A value of such a variable has no
+    support exactly where the source is inconsistent, so where the channel
+    holds one, or the scope is empty, the maximal inconsistent states join
+    in (with a non-empty scope they add nothing the argument needs: a gap
+    at an inconsistent state keeps an unsupported scope value too).
+    """
+    lits = _channel_lits(source, svars)
+    if lits is None:
+        return None
+    scoped = [d for d, lit in enumerate(lits) if lit is not None]
+    free = [frozenset(var.domain) for var in svars]
+    fixed = {d: (frozenset((lit_false_value(lits[d]),)), frozenset((lit_truth_value(lits[d]),)))
+             for d in scoped}
+    pairs = maximal_gap_counts(source, len(svars) > len(scoped) or not scoped)
+
+    def placements():
+        for t, f in pairs:
+            for trues in combinations(scoped, t):
+                rest = [d for d in scoped if d not in trues]
+                for falses in combinations(rest, f):
+                    state = list(free)
+                    for d in trues:
+                        state[d] = fixed[d][1]
+                    for d in falses:
+                        state[d] = fixed[d][0]
+                    yield 0, state
+    return placements()
+
+
 def check_gac_reduction(source, enc: Encoding,
                         policy: EnumerationPolicy | None = None) -> Verdict:
     """Completeness check: for every knowledge state, the mapped-back target
@@ -480,8 +563,25 @@ def check_gac_reduction(source, enc: Encoding,
     (see `fixpoint_counts`, which applies the filter's own rule,
     `propagation._free_literal_rule`). Every other source is filtered on
     every state.
+
+    A pass is certified from the source's maximal deducing states
+    (`_maximal_states`) before any walk, under four premises: the source
+    filter is GAC; the target engine is sound and monotone in K (unit
+    propagation and `gac_closure` derive only consequences, and no fewer
+    from more knowledge); a channel image only weakens as a subdomain
+    grows; and the policy is exhaustive, so that the walk holds every
+    enlargement of a state. A gap at K is a value v in K that the source
+    removes and the mapped-back target keeps (for a source bottom, every
+    variable keeps one). Let K* ⊇ K be a walk state where v still has no
+    support and that no one-step enlargement leaves so: the target at K*
+    deduces no more than at K, so it keeps v there too. Hence the walk
+    passes iff every such maximal state does (the standard reduction for
+    propagation completeness: Bordeaux & Marques-Silva, SOFSEM 2012;
+    Babka et al., AIJ 2013). A certificate state that fails sends the
+    check to the full walk, which lists every gap; random-sample policies
+    and other sources always walk.
     """
-    _check_source(source)
+    _check_source(source, enc.channel)
     engine, svars = _Target(enc), enc.channel.source_vars
     unchanged = _unchanged_test(source, svars)
     vids = [var.id for var in svars]
@@ -496,7 +596,8 @@ def check_gac_reduction(source, enc: Encoding,
         back = engine.deduce_back(knowledge)
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
-    return _drive_knowledge(enc, policy, judge, "gac-reduction")
+    return _drive_knowledge(enc, policy, judge, "gac-reduction",
+                            _maximal_states(source, svars))
 
 
 def check_soundness(source, enc: Encoding,
@@ -511,7 +612,7 @@ def check_soundness(source, enc: Encoding,
     mirror of `check_gac_reduction`'s test. Where the source refutes K no
     value extends, and the target side is skipped.
     """
-    _check_source(source)
+    _check_source(source, enc.channel)
     engine, svars = _Target(enc), enc.channel.source_vars
     unchanged = _unchanged_test(source, svars)
     vids = [var.id for var in svars]
@@ -544,7 +645,7 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
     A refuted prefix refutes every extension, under `accepts` and unit
     propagation alike.
     """
-    _check_source(source)
+    _check_source(source, enc.channel)
     svars = enc.channel.source_vars
     engine = _Target(enc)
     singles = [{val: frozenset((val,)) for val in var.domain} for var in svars]
@@ -567,8 +668,6 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
 
     n, vids = len(svars), [var.id for var in svars]
     at = {vid: i for i, vid in enumerate(vids)}
-    if not set(source.scope) <= at.keys():
-        raise UsageError("a source scope variable lies outside the channel")
     scope_pos = [at[vid] for vid in source.scope]
     # The source is decided once the walk reaches its last scope variable.
     last = max(scope_pos, default=-1) + 1
@@ -600,5 +699,5 @@ def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, Doma
     Counterexamples are replayable: feeding a recorded K back through here
     reproduces the recorded deductions exactly.
     """
-    _check_source(source)
+    _check_source(source, enc.channel)
     return gac_filter(source, knowledge).box, _Target(enc).deduce_back(knowledge)

@@ -5,8 +5,9 @@ tests constraints only through `accepts`, and a small DPLL solver.
 
 Clause, Card and Xor share one GAC rule, stated once in
 `_free_literal_rule`: the number of true literals must lie in the
-constraint's `allowed` set. `_filter_literals` applies it, and
-`fixpoint_counts` reads off it where the filter changes nothing.
+constraint's `allowed` set. `_filter_literals` applies it,
+`fixpoint_counts` reads off it where the filter changes nothing, and
+`maximal_gap_counts` where a value loses its last support.
 
 All engines are single-threaded per invocation and hold no global state.
 """
@@ -223,6 +224,32 @@ def fixpoint_counts(c: Constraint):
         may_false, may_true = _free_literal_rule(allowed, total & low, total >> shift)
         return bool(may_false and may_true)
     return count, holds
+
+
+def maximal_gap_counts(c: Clause | Card | Xor, outside: bool) -> list[tuple[int, int]]:
+    """The count pairs `(t, f)`, t literals of `c` fixed true and f fixed
+    false over distinct variables, at which some value has no support and
+    has it again after every one-step enlargement, `(t - 1, f)` and
+    `(t, f - 1)`. A value's support depends only on `(t, f)` and its kind:
+    a free literal made true or false (`_free_literal_rule`), or, where
+    `outside` is set, a value of a variable outside the scope, which has no
+    support exactly where `c` is inconsistent. A fixed literal's value
+    keeps its support status when its literal is freed, so it is maximal
+    nowhere and has no kind of its own."""
+    n, allowed = len(c.lits), c.allowed
+
+    def gap(t, f, kind):
+        u = n - t - f
+        if kind is None:  # no allowed count in t..t+u
+            return not allowed >> t & ((2 << u) - 1)
+        may_false, may_true = _free_literal_rule(allowed, t, u)
+        return not (may_true if kind else may_false)
+
+    kinds = (False, True, None) if outside else (False, True)
+    return [(t, f) for t in range(n + 1) for f in range(n + 1 - t)
+            if any((kind is None or t + f < n) and gap(t, f, kind)
+                   and not (t and gap(t - 1, f, kind)) and not (f and gap(t, f - 1, kind))
+                   for kind in kinds)]
 
 
 def _filter_neq(c: Neq, box: DomainBox) -> PropagationResult:

@@ -22,7 +22,8 @@ from gackit.gac_check import (
     check_soundness, replay,
 )
 from gackit.model import (
-    TRUE, Card, DomainBox, Network, UsageError, Xor, bool_variable, map_knowledge,
+    TRUE, AllDiff, Card, DomainBox, Network, UsageError, Xor, bool_variable,
+    map_knowledge, range_variable,
 )
 from gackit.propagation import CnfFormula, sat_solve
 from textdiff import assert_same_text
@@ -255,3 +256,24 @@ def test_a_network_source_is_a_usage_error():
             check(source, enc)
     with pytest.raises(UsageError, match="one Constraint"):
         replay(source, enc, DomainBox.from_variables(variables))
+
+
+def bad_sources():
+    variables = [bool_variable(i, f"x{i}") for i in range(1, 3)]
+    enc = build_encoding("totalizer", Card([1, 2], 1, 1), variables)
+    x = range_variable(1, "X", 0, 2)  # a Card over X would count the value 1 as true
+    yield (Network(variables, [Card([1, 2], 1, 1)]), enc,
+           "the source must be one Constraint, got Network")
+    yield Card([1, 3], 1, 1), enc, "a source scope variable lies outside the channel"
+    yield (Card([1], 1, 1), build_encoding("alldiff-pairwise", AllDiff([1]), [x]),
+           "card source needs Boolean variables, 'X' is not")
+
+
+@pytest.mark.parametrize("source, enc, message", bad_sources())
+def test_every_entry_point_rejects_a_bad_source_with_one_message(source, enc, message):
+    box = DomainBox.from_variables(enc.channel.source_vars)
+    for check in (check_gac_reduction, check_soundness, check_equiconsistency,
+                  lambda source, enc: replay(source, enc, box)):
+        with pytest.raises(UsageError) as raised:
+            check(source, enc)
+        assert str(raised.value) == message

@@ -1,7 +1,9 @@
 """The knowledge-state walk of `check_gac_reduction` and `check_soundness`:
 the constant-time count test that stands in for the source filter, the
-target engine's reuse of the prefix it shares with its last call, and the
-verdicts of the walk against a plain copy of the state-by-state loop."""
+target engine's reuse of the prefix it shares with its last call, the
+verdicts of the walk against a plain copy of the state-by-state loop, and
+the certificate of maximal states against an enumeration oracle and, on
+broken encodings, against the plain loop."""
 
 import itertools
 import random
@@ -9,9 +11,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gackit import gac_check
 from gackit.model import (
     FALSE, TRUE, AllDiff, Card, ChannelMap, Clause, DomainBox, Neq, Network,
-    ResourceError, Xor, bool_variable, is_restriction, map_knowledge,
+    ResourceError, Table, Xor, bool_variable, is_restriction, map_knowledge,
     range_variable,
 )
 from gackit.propagation import (
@@ -21,7 +24,7 @@ from gackit.encoders import Encoding, build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     SOUNDNESS_VIOLATION, Counterexample, EnumerationPolicy, Verdict,
-    _Target, _knowledge_walk, _target_box, _unchanged_test, auto_policy,
+    _Target, _knowledge_walk, _maximal_states, _target_box, _unchanged_test, auto_policy,
     check_gac_reduction, check_soundness, enumerate_knowledge_states,
 )
 from gackit.classify import _instances, default_config
@@ -341,3 +344,173 @@ def test_target_reuse_equals_a_fresh_target_per_state(source, variables, encodin
             assert engine.deduce_back(knowledge) == _Target(enc).deduce_back(knowledge)
         else:
             assert engine.refuted_depth(state) == _Target(enc).refuted_depth(state)
+
+
+# --- the certificate against its oracle and against the walk -----------------
+
+def distinct_literal_sources(vids):
+    """Every Card bound, both Xor parities and the Clause over every list of
+    distinct literals on `vids`, one list per subset and sign pattern."""
+    for k in range(len(vids) + 1):
+        for chosen in itertools.combinations(vids, k):
+            for signs in itertools.product((1, -1), repeat=k):
+                lits = [s * v for s, v in zip(signs, chosen)]
+                yield from (Card(lits, lo, hi) for lo in range(k + 1) for hi in range(lo, k + 1))
+                yield from (Xor(lits, 0), Xor(lits, 1), Clause(lits))
+
+
+def true_maximal_states(source, variables):
+    """By enumeration: every full-subdomain walk state that is maximal for
+    some channel value (x, v) having no support, i.e. v lies in K(x), the
+    source removes it, and freeing any one fixed variable gives it support;
+    and the set of walk states where the source deduces something."""
+    vids = [var.id for var in variables]
+    full = [frozenset(var.domain) for var in variables]
+    states = [tuple(state) for _, state in
+              _knowledge_walk(variables, EnumerationPolicy(FULL_SUBDOMAINS))]
+
+    unsupported, deducing = {}, set()
+    for state in states:
+        knowledge = DomainBox._raw(dict(zip(vids, state)))
+        src = gac_filter(source, knowledge).box
+        if src is not knowledge:
+            deducing.add(state)
+        unsupported[state] = {(d, v) for d, dom in enumerate(state) for v in dom
+                              if src.inconsistent or v not in src.domain(vids[d])}
+    maximal = set()
+    for state in states:
+        enlargements = [state[:d] + (full[d],) + state[d + 1:]
+                        for d in range(len(state)) if state[d] != full[d]]
+        if any(all(xv not in unsupported[e] for e in enlargements)
+               for xv in unsupported[state]):
+            maximal.add(state)
+    return maximal, deducing
+
+
+def test_the_certificate_holds_every_maximal_state():
+    all4 = bools(4)
+    sizes = []
+    for source in distinct_literal_sources([1, 2, 3, 4]):
+        # the channel with and without variables outside the scope
+        for variables in ([var for var in all4 if var.id in source.scope], all4):
+            maximal, deducing = true_maximal_states(source, variables)
+            steps = list(_maximal_states(source, variables))
+            certificate = [tuple(state) for _, state in steps]
+            assert all(p == 0 for p, _ in steps)
+            assert len(set(certificate)) == len(certificate), source
+            assert maximal <= set(certificate), (source, variables)
+            # every certificate state is a walk state where the source deduces something
+            assert set(certificate) <= deducing, (source, variables)
+            # no more than the maximal states, bar the empty channel's one state
+            assert set(certificate) == (maximal if variables else deducing), (source, variables)
+            sizes.append(len(certificate))
+    assert len(sizes) == 2 * 972 and max(sizes) == 32
+
+
+def test_certificate_sizes():
+    for source, n, size in [(Card(range(1, 11), 3, 6), 10, 495),
+                            (Card(range(1, 13), 4, 8), 12, 1430),
+                            (Clause(range(1, 10)), 9, 9)]:
+        assert sum(1 for _ in _maximal_states(source, bools(n))) == size
+    # no certificate where a variable repeats or the source is no literal constraint
+    assert _maximal_states(Card([1, 1, 2], 1, 2), bools(2)) is None
+    assert _maximal_states(AllDiff([1, 2]), bools(2)) is None
+
+
+def clause_list(target):
+    return target.clauses if isinstance(target, CnfFormula) else target.constraints
+
+
+def with_clauses(enc, clauses):
+    target = enc.target
+    if isinstance(target, CnfFormula):
+        return Encoding(CnfFormula(target.num_vars, clauses), enc.channel)
+    return Encoding(Network(target.variables, clauses), enc.channel)
+
+
+def broken_encodings(enc):
+    """`enc`, then `enc` without each one of its clauses or constraints, then
+    `enc` with a unit clause on each target literal (a unary table on each
+    target value for a network)."""
+    clauses = clause_list(enc.target)
+    yield enc
+    for i in range(len(clauses)):
+        yield with_clauses(enc, clauses[:i] + clauses[i + 1:])
+    if isinstance(enc.target, CnfFormula):
+        units = [(lit,) for v in range(1, enc.target.num_vars + 1) for lit in (v, -v)]
+    else:
+        units = [Table([var.id], [(val,)]) for var in enc.target.variables for val in var.domain]
+    for unit in units:
+        yield with_clauses(enc, clauses + [unit])
+
+
+def literal_sweep():
+    """Every shipped encoding of the bundled Card, Xor and Clause instances
+    at n <= 3, and identity over one variable outside the scope."""
+    for n in range(1, 4):
+        for c in (c for family in ("card", "xor", "clause") for c, _ in _instances(family, n)):
+            names = {Card: ["totalizer", "binary-adder"], Xor: ["xor-direct"],
+                     Clause: ["clause-to-neq:gac", "clause-to-neq:non-gac"]}[type(c)]
+            if isinstance(c, Card) and c.lo == c.hi == 1:
+                names += ["exactly-one:pairwise", "exactly-one:sequential"]
+            for name in names:
+                yield c, build_encoding(name, c, bools(n))
+    for c in (Card([1, -2], 1, 1), Xor([1, 2], 1), Clause([-1, 2])):
+        yield c, build_encoding("identity", c, bools(3))
+
+
+@pytest.mark.parametrize("policy", POLICIES[:2])
+def test_certified_verdicts_equal_the_plain_loop_on_broken_encodings(policy):
+    outcomes = []
+    for source, enc in literal_sweep():
+        for broken in broken_encodings(enc):
+            got = check_gac_reduction(source, broken, policy)
+            want = plain_verdict("gac-reduction", source, broken, policy)
+            assert_same_text(got.to_json(), want.to_json(), (source, broken.target))
+            outcomes.append(got.passed)
+    assert (len(outcomes), outcomes.count(True)) == (1379, 925)
+
+
+class ConsumedCertificate:
+    """Wraps `_maximal_states` and counts the certificate states judged."""
+
+    def __init__(self, monkeypatch):
+        self.consumed = 0
+        real = gac_check._maximal_states
+
+        def counted(source, svars):
+            states = real(source, svars)
+            if states is None:
+                return None
+            return (self._count(item) for item in states)
+        monkeypatch.setattr(gac_check, "_maximal_states", counted)
+
+    def _count(self, item):
+        self.consumed += 1
+        return item
+
+
+def test_a_random_sample_policy_never_certifies(monkeypatch):
+    spy = ConsumedCertificate(monkeypatch)
+    source, variables = Card([1, -2, 3, -4], 1, 2), bools(4)
+    enc = build_encoding("totalizer", source, variables)
+    policy = EnumerationPolicy(RANDOM_SAMPLE, sample_count=200, seed=5)
+    got = check_gac_reduction(source, enc, policy)
+    assert spy.consumed == 0 and got.passed and got.states_checked == 200
+    assert_same_text(got.to_json(), plain_verdict("gac-reduction", source, enc, policy).to_json())
+    exhaustive = check_gac_reduction(source, enc, EnumerationPolicy(ASSIGNMENT_STYLE))
+    assert spy.consumed > 0 and exhaustive.passed and exhaustive.states_checked == 81
+
+
+def test_a_failing_certificate_still_lists_every_gap(monkeypatch):
+    # binary-adder fails on its certificate and walks: the gap counts of
+    # the bundled report (n = 2..4 here; the report test pins n = 2..6)
+    spy = ConsumedCertificate(monkeypatch)
+    for n, gaps in [(2, 1), (3, 24), (4, 154)]:
+        before = spy.consumed
+        total = 0
+        for c, variables in _instances("card", n):
+            verdict = check_gac_reduction(c, build_encoding("binary-adder", c, variables))
+            assert verdict.states_checked == 3 ** n
+            total += len(verdict.counterexamples)
+        assert total == gaps and spy.consumed > before
