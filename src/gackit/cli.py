@@ -9,6 +9,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable
@@ -156,7 +157,12 @@ def _cmd_report(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main`
+    call, so it must not be changed. A parser is a web of reference cycles
+    that only the cyclic collector frees, and building one per call piles
+    them up across many short calls."""
     parser = argparse.ArgumentParser(
         prog="gackit",
         description="encode constraint networks, propagate, and check "

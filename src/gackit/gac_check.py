@@ -35,11 +35,15 @@ larger state too, for as long as it stays unsupported. That rests on four
 premises: the source filter is GAC; the target engine is sound and monotone
 in K (unit propagation, `gac_closure`); a channel image only weakens as a
 subdomain grows; and the policy is exhaustive (full subdomains or
-assignment style, one family for Booleans), so the walk holds every
-enlargement. So the walk passes iff the states maximal for some value's
-lack of support pass. For a Clause, Card or Xor over distinct Boolean
-variables these come from true/false literal counts (`_maximal_states`);
-where none fails the verdict is Pass over the policy's state count, and
+assignment style), so the walk holds every enlargement. So the walk
+passes iff the states maximal for some value's lack of support pass
+(`_maximal_states`). Two generators give them. For a Clause, Card or Xor
+over distinct Boolean variables they come in closed form from true/false
+literal counts. For an AllDiff, Neq or Table they are the minimal hitting
+sets of the source's solutions. For non-Boolean variables the two
+exhaustive families have different enlargements, freeing an assigned
+variable or adding back one value, and so different maximal states. Where
+none fails the verdict is Pass over the policy's state count, and
 otherwise the walk runs as it would have, listing every gap.
 """
 
@@ -49,12 +53,12 @@ import json
 import math
 import random
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, product
 from dataclasses import dataclass, field
 
 from .model import (
-    Card, ChannelMap, Clause, Constraint, DomainBox, Network, ResourceError,
-    UsageError, Variable, Xor, is_restriction, lit_false_value,
+    AllDiff, Card, ChannelMap, Clause, Constraint, DomainBox, Neq, Network,
+    ResourceError, Table, UsageError, Variable, Xor, is_restriction, lit_false_value,
     lit_truth_value, lit_var, map_knowledge,
 )
 from .propagation import (
@@ -452,11 +456,12 @@ def _drive(walk, judge, mode: str, check: str, svars) -> Verdict:
 def _drive_knowledge(enc: Encoding, policy, judge, check: str,
                      certificate=None) -> Verdict:
     """`_drive` over the knowledge walk of `policy` (auto if None): certify,
-    else walk. Where the policy is exhaustive and a `certificate`, a stream
-    of walk states as `(p, state)` pairs, is given, the judge sees those
+    else walk. Where the policy is exhaustive and `certificate(mode)` gives
+    a stream of walk states as `(p, state)` pairs, the judge sees those
     first; if it finds no counterexample among them, the walk would find
     none either (the caller's argument), and the verdict is Pass over the
-    policy's state count without a walk. Otherwise the walk runs from its
+    policy's state count without a walk. A None step means the stream gave
+    up, and counts as a failing state. Otherwise the walk runs from its
     first state, since only it lists every counterexample. The walk is
     built first, so budget and domain-cap errors come out before any
     state is judged."""
@@ -464,8 +469,10 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str,
     if policy is None:
         policy = auto_policy(svars)
     walk = _knowledge_walk(svars, policy)
-    if (certificate is not None and policy.mode != RANDOM_SAMPLE
-            and all(judge(p, state) is None for p, state in certificate)):
+    states = (None if certificate is None or policy.mode == RANDOM_SAMPLE
+              else certificate(policy.mode))
+    if states is not None and all(step is not None and judge(*step) is None
+                                  for step in states):
         return Verdict(count_states(svars, policy), [], policy.mode, check, svars)
     return _drive(walk, judge, policy.mode, check, svars)
 
@@ -511,42 +518,144 @@ def _unchanged_test(source, svars):
     return unchanged
 
 
-def _maximal_states(source, svars):
-    """The certificate of `check_gac_reduction` for a source that
-    `_channel_lits` places: every state of an exhaustive walk that is
-    maximal, among the walk's states, for some value having no support, as
-    `(0, state)` pairs, each a new list. None for any other source.
+def _maximal_states(source, svars, mode: str):
+    """The certificate of `check_gac_reduction` under the exhaustive policy
+    `mode`: every walk state that is maximal, among the walk's states, for
+    some value having no support, as `(0, state)` pairs, each a new list,
+    with the variables outside the scope free. None for a source that
+    `_channel_lits` does not place and that is no AllDiff, Neq or Table on
+    a channel of distinct variables.
 
-    State K fixes t of the n literals true and f false. The count pairs
-    come from `maximal_gap_counts`; one-step enlargement frees one fixed
-    literal. Each pair is yielded in every placement, lazily, with the
-    variables outside the scope free. A value of such a variable has no
-    support exactly where the source is inconsistent, so where the channel
-    holds one, or the scope is empty, the maximal inconsistent states join
-    in (with a non-empty scope they add nothing the argument needs: a gap
-    at an inconsistent state keeps an unsupported scope value too).
+    A value of a variable outside the scope has no support exactly where
+    the source is inconsistent, so where the channel holds one, or the
+    scope is empty, the maximal inconsistent states join in (with a
+    non-empty scope they add nothing the argument needs: a gap at an
+    inconsistent state keeps an unsupported scope value too).
     """
     lits = _channel_lits(source, svars)
-    if lits is None:
-        return None
+    if lits is not None:
+        return _count_placements(source, svars, lits)
+    vids = [var.id for var in svars]
+    if isinstance(source, (AllDiff, Neq, Table)) and len(set(vids)) == len(vids):
+        return _hitting_sets(source, svars, mode)
+    return None
+
+
+def _count_placements(source, svars, lits):
+    """`_maximal_states` for a Clause, Card or Xor, lazily. State K fixes t
+    of the n literals true and f false, and the count pairs come from
+    `maximal_gap_counts`; one-step enlargement frees one fixed literal.
+    Each pair is yielded in every placement. Over Booleans both exhaustive
+    families are one, and the counts give the states without enumerating
+    solutions (a Card over 20 variables can have about 10^6)."""
     scoped = [d for d, lit in enumerate(lits) if lit is not None]
     free = [frozenset(var.domain) for var in svars]
     fixed = {d: (frozenset((lit_false_value(lits[d]),)), frozenset((lit_truth_value(lits[d]),)))
              for d in scoped}
-    pairs = maximal_gap_counts(source, len(svars) > len(scoped) or not scoped)
+    for t, f in maximal_gap_counts(source, len(svars) > len(scoped) or not scoped):
+        for trues in combinations(scoped, t):
+            rest = [d for d in scoped if d not in trues]
+            for falses in combinations(rest, f):
+                state = list(free)
+                for d in trues:
+                    state[d] = fixed[d][1]
+                for d in falses:
+                    state[d] = fixed[d][0]
+                yield 0, state
 
-    def placements():
-        for t, f in pairs:
-            for trues in combinations(scoped, t):
-                rest = [d for d in scoped if d not in trues]
-                for falses in combinations(rest, f):
-                    state = list(free)
-                    for d in trues:
-                        state[d] = fixed[d][1]
-                    for d in falses:
-                        state[d] = fixed[d][0]
-                    yield 0, state
-    return placements()
+
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _hitting_sets(source, svars, mode: str):
+    """`_maximal_states` for an AllDiff, Neq or Table, lazily. The states
+    where a scope value (x, v) has no support avoid every source solution s
+    with s[x] = v, so the maximal ones are the minimal hitting sets of
+    those solutions, built from elements (y, a) with y != x. In assignment
+    style (y, a) means "y := a" and hits s where s[y] != a, at most one per
+    y; over full subdomains it means "remove a from y" and hits s where
+    s[y] = a, and no y loses its whole domain. So for non-Boolean variables
+    the two families differ: a one-step enlargement frees one assigned
+    variable in the first and adds back one value in the second. The
+    maximal inconsistent states are the minimal hitting sets of all
+    solutions.
+
+    Solutions are enumerated with `accepts` over the initial domains and
+    kept as bits of int masks; `_mmcs` lists the sets. A state reached from
+    several values is yielded once. The search gives up once it has grown
+    a set more times than the walk has states, and the stream then ends
+    with a None step, which must not read as a pass."""
+    assign = mode == ASSIGNMENT_STYLE
+    at = {var.id: d for d, var in enumerate(svars)}
+    pos = [at[vid] for vid in source.scope]
+    doms = [svars[d].domain for d in pos]
+    sols = [s for s in product(*doms) if source.accepts(s)]
+    elems = [(i, a) for i, dom in enumerate(doms) for a in dom]
+    hits = [sum(1 << j for j, s in enumerate(sols) if (s[i] == a) != assign)
+            for i, a in elems]
+    hitters = [sum(1 << e for e, h in enumerate(hits) if h >> j & 1) for j in range(len(sols))]
+    of_var = [sum(1 << e for e, (i, _) in enumerate(elems) if i == k) for k in range(len(doms))]
+    cap = [1 if assign else len(dom) - 1 for dom in doms]  # elements per variable
+
+    def spent(grown, e):  # the elements barred once `grown` holds e
+        i = elems[e][0]
+        return of_var[i] if (grown & of_var[i]).bit_count() == cap[i] else 0
+
+    usable = sum(of_var[k] for k in range(len(doms)) if cap[k])
+    targets = [(sum(1 << j for j, s in enumerate(sols) if s[i] == v), usable & ~of_var[i])
+               for i, dom in enumerate(doms) for v in dom]
+    if len(svars) > len(pos) or not pos:
+        targets.append(((1 << len(sols)) - 1, usable))
+    limit = count_states(svars, EnumerationPolicy(mode))
+    full = [frozenset(var.domain) for var in svars]
+    nodes, seen = 0, set()
+    for uncov, cand in targets:
+        for chosen in _mmcs(uncov, cand, 0, [], hits, hitters, spent):
+            if chosen is None:  # one more set grown
+                nodes += 1
+                if nodes > limit:
+                    yield None  # gave up: end on the failing step
+                    return
+            elif chosen not in seen:
+                seen.add(chosen)
+                state = list(full)
+                for k, d in enumerate(pos):
+                    vals = {elems[e][1] for e in _bits(chosen & of_var[k])}
+                    if vals:
+                        state[d] = frozenset(vals) if assign else full[d] - vals
+                yield 0, state
+
+
+def _mmcs(uncov, cand, chosen, crit, hits, hitters, spent):
+    """MMCS (Murakami & Uno, DAM 2014), lazily: the minimal hitting sets of
+    the solutions in the mask `uncov` that add elements of the mask `cand`
+    to `chosen`, as element masks, with a None before each set grown, for
+    the caller to count. `hits[e]` is the mask of the solutions element e
+    hits and `hitters[j]` the mask of the elements that hit solution j;
+    `crit` holds, per chosen element, the solutions only it hits, and
+    `spent(grown, e)` the elements barred once `grown` holds e. Branches
+    on the uncovered solution with the fewest candidates, and keeps every
+    chosen element critical. It recurses at module level: a nested
+    function that calls itself is a reference cycle, which keeps a
+    finished check's tables alive until the cyclic collector runs."""
+    if not uncov:
+        yield chosen
+        return
+    branch = min((cand & hitters[j] for j in _bits(uncov)), key=int.bit_count)
+    cand &= ~branch
+    for e in _bits(branch):
+        kept = [c & ~hits[e] for c in crit]
+        if all(kept):
+            yield None
+            grown = chosen | 1 << e
+            yield from _mmcs(uncov & ~hits[e], cand & ~spent(grown, e), grown,
+                             kept + [hits[e] & uncov], hits, hitters, spent)
+        cand |= 1 << e
 
 
 def check_gac_reduction(source, enc: Encoding,
@@ -577,9 +686,15 @@ def check_gac_reduction(source, enc: Encoding,
     deduces no more than at K, so it keeps v there too. Hence the walk
     passes iff every such maximal state does (the standard reduction for
     propagation completeness: Bordeaux & Marques-Silva, SOFSEM 2012;
-    Babka et al., AIJ 2013). A certificate state that fails sends the
-    check to the full walk, which lists every gap; random-sample policies
-    and other sources always walk.
+    Babka et al., AIJ 2013). For a Clause, Card or Xor the maximal states
+    come from literal counts, for an AllDiff, Neq or Table from the
+    minimal hitting sets of the source's solutions. For non-Boolean
+    variables the two exhaustive families have different one-step
+    enlargements (free an assigned variable, add back one value), and so
+    different maximal states. A certificate state that fails, or a
+    generator that gives up, sends the check to the full walk, which lists
+    every gap. Random-sample policies, and a variable repeated in the
+    channel or in a literal source, always walk.
     """
     _check_source(source, enc.channel)
     engine, svars = _Target(enc), enc.channel.source_vars
@@ -597,7 +712,7 @@ def check_gac_reduction(source, enc: Encoding,
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "gac-reduction",
-                            _maximal_states(source, svars))
+                            lambda mode: _maximal_states(source, svars, mode))
 
 
 def check_soundness(source, enc: Encoding,

@@ -359,32 +359,59 @@ def distinct_literal_sources(vids):
                 yield from (Xor(lits, 0), Xor(lits, 1), Clause(lits))
 
 
-def true_maximal_states(source, variables):
-    """By enumeration: every full-subdomain walk state that is maximal for
-    some channel value (x, v) having no support, i.e. v lies in K(x), the
-    source removes it, and freeing any one fixed variable gives it support;
-    and the set of walk states where the source deduces something."""
+def true_maximal_states(source, variables, mode):
+    """By enumeration over the walk of the exhaustive policy `mode`: every
+    state that is maximal for some channel value (x, v) having no support,
+    i.e. v lies in K(x), the source removes it, and every one-step
+    enlargement gives it support; where the channel holds a variable
+    outside the scope, or the scope is empty, every inconsistent state
+    whose one-step enlargements are all consistent as well; and the set of
+    walk states where the source deduces something. A one-step enlargement
+    frees one assigned variable in assignment style and adds back one value
+    over full subdomains."""
     vids = [var.id for var in variables]
     full = [frozenset(var.domain) for var in variables]
-    states = [tuple(state) for _, state in
-              _knowledge_walk(variables, EnumerationPolicy(FULL_SUBDOMAINS))]
+    states = {tuple(state) for _, state in _knowledge_walk(variables, EnumerationPolicy(mode))}
 
-    unsupported, deducing = {}, set()
+    def enlargements(state):
+        for d, dom in enumerate(state):
+            grown = ([full[d]] if dom != full[d] else []) if mode == ASSIGNMENT_STYLE \
+                else [dom | {v} for v in full[d] - dom]
+            yield from (state[:d] + (g,) + state[d + 1:] for g in grown)
+
+    unsupported, deducing, inconsistent = {}, set(), set()
     for state in states:
         knowledge = DomainBox._raw(dict(zip(vids, state)))
         src = gac_filter(source, knowledge).box
         if src is not knowledge:
             deducing.add(state)
+        if src.inconsistent:
+            inconsistent.add(state)
         unsupported[state] = {(d, v) for d, dom in enumerate(state) for v in dom
                               if src.inconsistent or v not in src.domain(vids[d])}
+    outside = not source.scope or not set(vids) <= set(source.scope)
     maximal = set()
     for state in states:
-        enlargements = [state[:d] + (full[d],) + state[d + 1:]
-                        for d in range(len(state)) if state[d] != full[d]]
-        if any(all(xv not in unsupported[e] for e in enlargements)
-               for xv in unsupported[state]):
+        grown = list(enlargements(state))
+        if any(all(xv not in unsupported[e] for e in grown) for xv in unsupported[state]):
+            maximal.add(state)
+        if outside and state in inconsistent and inconsistent.isdisjoint(grown):
             maximal.add(state)
     return maximal, deducing
+
+
+def assert_certificate_is_exact(source, variables, mode):
+    """The certificate of `source` over `variables` under `mode` is the
+    true maximal set, without repeats, as `(0, state)` pairs of walk states
+    where the source deduces something; returns its size."""
+    maximal, deducing = true_maximal_states(source, variables, mode)
+    steps = list(_maximal_states(source, variables, mode))
+    certificate = [tuple(state) for _, state in steps]
+    assert all(p == 0 for p, _ in steps)
+    assert len(set(certificate)) == len(certificate), (source, variables, mode)
+    assert set(certificate) <= deducing, (source, variables, mode)
+    assert set(certificate) == maximal, (source, variables, mode)
+    return len(certificate)
 
 
 def test_the_certificate_holds_every_maximal_state():
@@ -393,28 +420,59 @@ def test_the_certificate_holds_every_maximal_state():
     for source in distinct_literal_sources([1, 2, 3, 4]):
         # the channel with and without variables outside the scope
         for variables in ([var for var in all4 if var.id in source.scope], all4):
-            maximal, deducing = true_maximal_states(source, variables)
-            steps = list(_maximal_states(source, variables))
-            certificate = [tuple(state) for _, state in steps]
-            assert all(p == 0 for p, _ in steps)
-            assert len(set(certificate)) == len(certificate), source
-            assert maximal <= set(certificate), (source, variables)
-            # every certificate state is a walk state where the source deduces something
-            assert set(certificate) <= deducing, (source, variables)
-            # no more than the maximal states, bar the empty channel's one state
-            assert set(certificate) == (maximal if variables else deducing), (source, variables)
-            sizes.append(len(certificate))
+            sizes.append(assert_certificate_is_exact(source, variables, FULL_SUBDOMAINS))
     assert len(sizes) == 2 * 972 and max(sizes) == 32
+
+
+def non_literal_sources(variables):
+    """AllDiff over every subset of `variables`, Neq over every ordered
+    pair, seeded random tables over every scope of up to three of them,
+    and the two tables over the empty scope."""
+    rng = random.Random(17)
+    vids = [var.id for var in variables]
+    dom = {var.id: var.domain for var in variables}
+    for k in range(len(vids) + 1):
+        for scope in itertools.combinations(vids, k):
+            yield AllDiff(scope)
+            if 0 < k <= 3:
+                tuples = list(itertools.product(*(dom[vid] for vid in scope)))
+                for _ in range(3):
+                    yield Table(scope, rng.sample(tuples, rng.randrange(len(tuples) + 1)))
+    yield from (Neq(a, b) for a, b in itertools.permutations(vids, 2))
+    yield from (Table([], []), Table([], [()]))
+
+
+@pytest.mark.parametrize("mode", [FULL_SUBDOMAINS, ASSIGNMENT_STYLE])
+def test_the_hitting_set_certificate_holds_every_maximal_state(mode):
+    # domains of one, two and three values; X3 and X4 overlap X2 in part
+    all4 = [range_variable(1, "X1", 1, 1), range_variable(2, "X2", 1, 2),
+            range_variable(3, "X3", 1, 3), range_variable(4, "X4", 2, 3)]
+    sizes = []
+    for source in non_literal_sources(all4):
+        for variables in ([var for var in all4 if var.id in source.scope], all4):
+            sizes.append(assert_certificate_is_exact(source, variables, mode))
+    assert (len(sizes), sum(sizes)) == (2 * 72, {FULL_SUBDOMAINS: 321,
+                                                 ASSIGNMENT_STYLE: 329}[mode])
+
+
+def hall(n):
+    return _instances("alldiff", n)[0]
 
 
 def test_certificate_sizes():
     for source, n, size in [(Card(range(1, 11), 3, 6), 10, 495),
                             (Card(range(1, 13), 4, 8), 12, 1430),
                             (Clause(range(1, 10)), 9, 9)]:
-        assert sum(1 for _ in _maximal_states(source, bools(n))) == size
-    # no certificate where a variable repeats or the source is no literal constraint
-    assert _maximal_states(Card([1, 1, 2], 1, 2), bools(2)) is None
-    assert _maximal_states(AllDiff([1, 2]), bools(2)) is None
+        assert sum(1 for _ in _maximal_states(source, bools(n), FULL_SUBDOMAINS)) == size
+    # the Hall instances: X1..X(n-1) share 1..n-1, X(n) has 1..n
+    for n, mode, size in [(4, ASSIGNMENT_STYLE, 22), (4, FULL_SUBDOMAINS, 32),
+                          (5, ASSIGNMENT_STYLE, 45), (6, ASSIGNMENT_STYLE, 81)]:
+        assert sum(1 for _ in _maximal_states(*hall(n), mode)) == size
+    assert sum(1 for _ in _maximal_states(AllDiff([1, 2]), bools(2), FULL_SUBDOMAINS)) == 4
+    # no certificate where a scope or channel variable repeats
+    assert _maximal_states(Card([1, 1, 2], 1, 2), bools(2), FULL_SUBDOMAINS) is None
+    for source in (AllDiff([1, 2]), Neq(1, 2), Table([1], [(0,)])):
+        assert _maximal_states(source, bools(2) + bools(1), ASSIGNMENT_STYLE) is None
 
 
 def clause_list(target):
@@ -471,6 +529,37 @@ def test_certified_verdicts_equal_the_plain_loop_on_broken_encodings(policy):
     assert (len(outcomes), outcomes.count(True)) == (1379, 925)
 
 
+def non_literal_sweep():
+    """identity, alldiff-pairwise and alldiff-pairwise:sequential on the
+    Hall instances at n = 2, 3; identity, neq:pairwise and neq:sequential
+    on the Neq instances at n <= 3; and identity on a small Table, over its
+    scope alone and with a variable outside it."""
+    for family, sizes, names in [
+            ("alldiff", (2, 3), ("identity", "alldiff-pairwise", "alldiff-pairwise:sequential")),
+            ("neq", (1, 2, 3), ("identity", "neq:pairwise", "neq:sequential"))]:
+        for n in sizes:
+            c, variables = _instances(family, n)[0]
+            for name in names:
+                yield c, build_encoding(name, c, variables)
+    table = Table([1, 2], [(1, 2), (2, 1), (2, 3)])
+    variables = [range_variable(1, "A", 1, 2), range_variable(2, "B", 1, 3),
+                 range_variable(3, "C", 1, 2)]
+    for channel in (variables[:2], variables):
+        yield table, build_encoding("identity", table, channel)
+
+
+@pytest.mark.parametrize("policy", POLICIES[:2])
+def test_hitting_set_certified_verdicts_equal_the_plain_loop_on_broken_encodings(policy):
+    outcomes = []
+    for source, enc in non_literal_sweep():
+        for broken in broken_encodings(enc):
+            got = check_gac_reduction(source, broken, policy)
+            want = plain_verdict("gac-reduction", source, broken, policy)
+            assert_same_text(got.to_json(), want.to_json(), (source, broken.target))
+            outcomes.append(got.passed)
+    assert (len(outcomes), outcomes.count(True)) == (266, 199)
+
+
 class ConsumedCertificate:
     """Wraps `_maximal_states` and counts the certificate states judged."""
 
@@ -478,8 +567,8 @@ class ConsumedCertificate:
         self.consumed = 0
         real = gac_check._maximal_states
 
-        def counted(source, svars):
-            states = real(source, svars)
+        def counted(source, svars, mode):
+            states = real(source, svars, mode)
             if states is None:
                 return None
             return (self._count(item) for item in states)
@@ -514,3 +603,44 @@ def test_a_failing_certificate_still_lists_every_gap(monkeypatch):
             assert verdict.states_checked == 3 ** n
             total += len(verdict.counterexamples)
         assert total == gaps and spy.consumed > before
+
+
+def test_a_generator_that_gives_up_sends_the_check_to_the_walk(monkeypatch):
+    # the walk's state count is the search's node limit: at 2 the search
+    # gives up on the Hall instance n = 4, whose certificate has 22 states
+    source, variables = hall(4)
+    policy = EnumerationPolicy(ASSIGNMENT_STYLE)
+    real_count = gac_check.count_states
+    monkeypatch.setattr(gac_check, "count_states", lambda svars, policy: 2)
+    steps = list(_maximal_states(source, variables, ASSIGNMENT_STYLE))
+    assert steps[-1] is None and None not in steps[:-1]  # the stream ends where it gave up
+    for name, passed in [("identity", True), ("alldiff-pairwise", False)]:
+        enc = build_encoding(name, source, variables)
+        got = check_gac_reduction(source, enc, policy)
+        assert got.passed == passed and got.states_checked == real_count(variables, policy)
+        assert_same_text(got.to_json(), plain_verdict("gac-reduction", source, enc, policy).to_json())
+
+
+def test_a_short_certificate_never_passes(monkeypatch):
+    # A certificate of only the states that pass reads as a pass unless it
+    # ends in the None step of a generator that gave up.
+    source, variables = hall(3)
+    enc = build_encoding("alldiff-pairwise", source, variables)
+    policy = EnumerationPolicy(FULL_SUBDOMAINS)
+    real = gac_check._maximal_states
+    vids = [var.id for var in variables]
+
+    def passing(mode):
+        for p, state in real(source, variables, mode):
+            knowledge = DomainBox(dict(zip(vids, state)))
+            src, back = gac_check.replay(source, enc, knowledge)
+            if is_restriction(back, src):
+                yield p, state
+
+    monkeypatch.setattr(gac_check, "_maximal_states", lambda c, svars, mode: passing(mode))
+    assert check_gac_reduction(source, enc, policy).passed  # the hazard
+    monkeypatch.setattr(gac_check, "_maximal_states",
+                        lambda c, svars, mode: itertools.chain(passing(mode), [None]))
+    got = check_gac_reduction(source, enc, policy)
+    assert not got.passed and got.states_checked == 63
+    assert_same_text(got.to_json(), plain_verdict("gac-reduction", source, enc, policy).to_json())
