@@ -17,9 +17,8 @@ from .propagation import (
 )
 from .encoders import (
     Encoding, EncodingStats, build_encoding, compile_network,
-    encode_alldiff_pairwise, encode_card_binary_adder, encode_card_totalizer,
-    encode_clause_to_neq, encode_exactly_one, encode_exactly_one_constraint,
-    encode_xor_direct, identity_encoding,
+    encode_alldiff_pairwise, encode_clause_to_neq, encode_exactly_one,
+    identity_encoding,
 )
 from .gac_check import (
     Counterexample, EnumerationPolicy, Verdict, check_equiconsistency,

@@ -11,6 +11,10 @@ propagation. Nothing here is assumed strong or weak: the checkers in
 Auxiliary target variables are those that no channel image names: the
 encoders never list them, `Encoding.stats` counts them from the channel.
 
+Named encodings are dispatched only through `build_encoding`'s table of
+(source class, builder), and `ENCODING_NAMES` is that table's keys. The
+card and xor ones are `compile_network` on the one-constraint network.
+
 Encoders are pure functions of their inputs and safe for concurrent use.
 """
 
@@ -127,16 +131,6 @@ def _forbid_shared(formula: CnfFormula, forward: dict, a: Variable, b: Variable)
             formula.add_clause([-forward[(a.id, value)], -forward[(b.id, value)]])
 
 
-def encode_exactly_one_constraint(constraint: Card, variables, scheme: str) -> Encoding:
-    """Encoding for a card[1..1] source built purely from an exactly-one scheme."""
-    if (constraint.lo, constraint.hi) != (1, 1):
-        raise UsageError("exactly-one encoder needs a card[1..1] source")
-    _check_boolean(variables)
-    enc = compile_network(Network(variables, []))
-    encode_exactly_one(enc.target, _cnf_lits(enc.channel.forward, constraint.lits), scheme)
-    return enc
-
-
 # --- binary difference and alldiff -------------------------------------------
 
 def encode_alldiff_pairwise(variables, scheme: str = PAIRWISE) -> Encoding:
@@ -159,7 +153,17 @@ def encode_alldiff_pairwise(variables, scheme: str = PAIRWISE) -> Encoding:
 # --- cardinality: unary counters ---------------------------------------------
 
 def _totalizer_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> None:
-    """Append a unary-counter cardinality encoding of lo..hi over `lits`."""
+    """Append a unary-counter cardinality encoding of lo..hi over `lits`: a
+    balanced tree of unary adders.
+
+    Each node carries an ordered counter r_1 >= ... >= r_m ("at least i of
+    my leaves are true"), with ordering clauses r_{i+1} -> r_i and the two
+    merge families
+        a_i & b_j -> r_{i+j}          (counting up)
+        r_{i+j+1} -> a_{i+1} | b_{j+1} (bounding down)
+    using true/false sentinels at the index ends. The lo/hi range lands as
+    unit clauses on the root counter.
+    """
     def merge(counters: list[list[int]]) -> list[int]:
         if len(counters) == 1:
             return counters[0]
@@ -195,21 +199,6 @@ def _totalizer_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> N
         formula.add_clause([root[k]])
     for k in range(hi, len(root)):
         formula.add_clause([-root[k]])
-
-
-def encode_card_totalizer(constraint: Card, variables) -> Encoding:
-    """Cardinality via a balanced tree of unary adders.
-
-    Each node carries an ordered counter r_1 >= ... >= r_m ("at least i of
-    my leaves are true"), with ordering clauses r_{i+1} -> r_i and the two
-    merge families
-        a_i & b_j -> r_{i+j}          (counting up)
-        r_{i+j+1} -> a_{i+1} | b_{j+1} (bounding down)
-    using true/false sentinels at the index ends. The lo/hi range lands as
-    unit clauses on the root counter.
-    """
-    _check_boolean(variables)
-    return compile_network(Network(variables, [constraint]))
 
 
 # --- cardinality: binary adders (negative control) ----------------------------
@@ -260,7 +249,14 @@ def _gate_xor(formula, a, b):
 
 
 def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -> None:
-    """Append an adder-circuit cardinality encoding of lo..hi over `lits`."""
+    """Append an adder-circuit cardinality encoding of lo..hi over `lits`: a
+    tree of Tseitin-encoded ripple-carry adders plus a binary comparator
+    against the lo/hi constants.
+
+    Equisatisfiable with the source constraint, but unit propagation on the
+    adder circuit is too weak to restore domain consistency in general;
+    shipped as the negative control.
+    """
     def add_numbers(xs, ys):
         # little-endian ripple-carry addition of two bit vectors
         width = max(len(xs), len(ys))
@@ -318,23 +314,12 @@ def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -
         assert_true(compare("le", hi))
 
 
-def encode_card_binary_adder(constraint: Card, variables) -> Encoding:
-    """Cardinality via a tree of Tseitin-encoded ripple-carry adders plus a
-    binary comparator against the lo/hi constants.
-
-    Equisatisfiable with the source constraint, but unit propagation on the
-    adder circuit is too weak to restore domain consistency in general;
-    shipped as the negative control.
-    """
-    _check_boolean(variables)
-    return compile_network(Network(variables, [constraint]), card_scheme="binary-adder")
-
-
 # --- parity -------------------------------------------------------------------
 
 def _xor_into(formula: CnfFormula, lits: list[int], parity: int) -> None:
-    """Append the direct expansion of one XOR over CNF literals: every
-    parity-violating assignment becomes a forbidding clause."""
+    """Append the direct expansion of one XOR over CNF literals: all 2^(k-1)
+    parity-violating assignments become forbidding clauses. Exponential in
+    the arity k, so only valid up to XOR_ARITY_LIMIT."""
     # fold literal signs and duplicate variables into the required parity
     counts: dict[int, int] = {}
     for l in lits:
@@ -357,14 +342,6 @@ def _xor_into(formula: CnfFormula, lits: list[int], parity: int) -> None:
             formula.add_clause([
                 -cnf_vars[i] if (mask >> i) & 1 else cnf_vars[i]
                 for i in range(k)])
-
-
-def encode_xor_direct(constraint: Xor, variables) -> Encoding:
-    """Direct expansion of one XOR equation: all 2^(k-1) parity-violating
-    assignments become forbidding clauses. Exponential in arity, so only
-    valid up to XOR_ARITY_LIMIT."""
-    _check_boolean(variables)
-    return compile_network(Network(variables, [constraint]))
 
 
 # --- clause -> difference network ---------------------------------------------
@@ -510,59 +487,6 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
     return Encoding(formula, channel)
 
 
-# Name-based dispatch shared by the CLI and the classification suite.
-ENCODING_NAMES = (
-    "totalizer", "binary-adder",
-    "exactly-one:pairwise", "exactly-one:sequential",
-    "neq:pairwise", "neq:sequential",
-    "alldiff-pairwise", "alldiff-pairwise:sequential",
-    "xor-direct",
-    "clause-to-neq:gac", "clause-to-neq:non-gac",
-    "identity",
-)
-
-
-def build_encoding(name: str, constraint: Constraint, variables) -> Encoding:
-    """Build the named encoding for a source constraint.
-
-    Raises UsageError when the constraint variant does not match the
-    encoder (for example `totalizer` on anything but a cardinality
-    constraint).
-    """
-    by_id = {v.id: v for v in variables}
-
-    def need(cls, label):
-        if not isinstance(constraint, cls):
-            raise UsageError(f"encoding {name!r} needs a {label} source constraint")
-
-    if name == "totalizer":
-        need(Card, "card")
-        return encode_card_totalizer(constraint, variables)
-    if name == "binary-adder":
-        need(Card, "card")
-        return encode_card_binary_adder(constraint, variables)
-    if name.startswith("exactly-one:"):
-        need(Card, "card[1..1]")
-        return encode_exactly_one_constraint(constraint, variables, name.split(":", 1)[1])
-    if name.startswith("neq:"):
-        need(Neq, "neq")
-        return encode_alldiff_pairwise([by_id[constraint.a], by_id[constraint.b]],
-                                       name.split(":", 1)[1])
-    if name == "alldiff-pairwise" or name.startswith("alldiff-pairwise:"):
-        need(AllDiff, "alldiff")
-        scheme = name.split(":", 1)[1] if ":" in name else PAIRWISE
-        return encode_alldiff_pairwise([by_id[v] for v in constraint.scope], scheme)
-    if name == "xor-direct":
-        need(Xor, "xor")
-        return encode_xor_direct(constraint, variables)
-    if name.startswith("clause-to-neq:"):
-        need(Clause, "clause")
-        return encode_clause_to_neq(constraint, variables, name.split(":", 1)[1])
-    if name == "identity":
-        return identity_encoding(constraint, variables)
-    raise UsageError(f"unknown encoding {name!r}; known: {', '.join(ENCODING_NAMES)}")
-
-
 def identity_encoding(constraint: Constraint, variables) -> Encoding:
     """Trivial self-encoding: target network is the constraint itself with an
     identity channel. Useful as a checker sanity baseline."""
@@ -572,3 +496,68 @@ def identity_encoding(constraint: Constraint, variables) -> Encoding:
             forward[(var.id, value)] = (var.id, value)
     return Encoding(Network(variables, [constraint]),
                     ChannelMap(ChannelMap.NETWORK, variables, forward))
+
+
+# --- the named encodings ------------------------------------------------------
+# Builders look `compile_network` up as a module global at call time, so a
+# wrapper installed on the module sees their calls too.
+
+def _compiled(constraint, variables, card_scheme: str = "totalizer") -> Encoding:
+    _check_boolean(variables)
+    return compile_network(Network(variables, [constraint]), card_scheme=card_scheme)
+
+
+def _exactly_one(constraint: Card, variables, scheme: str) -> Encoding:
+    if (constraint.lo, constraint.hi) != (1, 1):
+        raise UsageError("exactly-one encoder needs a card[1..1] source")
+    _check_boolean(variables)
+    enc = compile_network(Network(variables, []))
+    encode_exactly_one(enc.target, _cnf_lits(enc.channel.forward, constraint.lits), scheme)
+    return enc
+
+
+def _alldiff_over_scope(constraint, variables, scheme: str) -> Encoding:
+    by_id = {v.id: v for v in variables}
+    return encode_alldiff_pairwise([by_id[v] for v in constraint.scope], scheme)
+
+
+# name -> (source class, its label in errors, builder, builder options);
+# shared by the CLI and the classification suite
+_ENCODINGS = {
+    "totalizer": (Card, "card", _compiled, "totalizer"),
+    "binary-adder": (Card, "card", _compiled, "binary-adder"),
+    "exactly-one:pairwise": (Card, "card[1..1]", _exactly_one, PAIRWISE),
+    "exactly-one:sequential": (Card, "card[1..1]", _exactly_one, SEQUENTIAL),
+    "neq:pairwise": (Neq, "neq", _alldiff_over_scope, PAIRWISE),
+    "neq:sequential": (Neq, "neq", _alldiff_over_scope, SEQUENTIAL),
+    "alldiff-pairwise": (AllDiff, "alldiff", _alldiff_over_scope, PAIRWISE),
+    "alldiff-pairwise:sequential": (AllDiff, "alldiff", _alldiff_over_scope, SEQUENTIAL),
+    "xor-direct": (Xor, "xor", _compiled),
+    "clause-to-neq:gac": (Clause, "clause", encode_clause_to_neq, GAC),
+    "clause-to-neq:non-gac": (Clause, "clause", encode_clause_to_neq, NON_GAC),
+    "identity": (Constraint, "any", identity_encoding),
+}
+ENCODING_NAMES = tuple(_ENCODINGS)
+
+
+def build_encoding(name: str, constraint: Constraint, variables) -> Encoding:
+    """Build the named encoding for a source constraint.
+
+    Raises UsageError for a name outside ENCODING_NAMES, when the
+    constraint variant does not match the encoder (for example `totalizer`
+    on anything but a cardinality constraint), and when the constraint's
+    scope names a variable missing from `variables`.
+    """
+    try:
+        cls, label, build, *options = _ENCODINGS[name]
+    except KeyError:
+        raise UsageError(
+            f"unknown encoding {name!r}; known: {', '.join(ENCODING_NAMES)}") from None
+    if not isinstance(constraint, cls):
+        raise UsageError(f"encoding {name!r} needs a {label} source constraint")
+    declared = {v.id for v in variables}
+    for vid in constraint.scope:
+        if vid not in declared:
+            raise UsageError(
+                f"constraint {constraint!r} references undeclared variable id {vid}")
+    return build(constraint, variables, *options)

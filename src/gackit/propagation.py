@@ -559,7 +559,9 @@ def solve_brute_force(net: Network, box: DomainBox | None = None,
     so the model found is the lexicographically first. Which constraints
     to test at which depth comes from `net.search_schedule`, built once per
     network. `budget` caps the size of the product of the domains, checked
-    before the search."""
+    before the search; it must be at least 1."""
+    if budget < 1:
+        raise UsageError(f"brute-force budget must be at least 1, got {budget}")
     if box is None:
         box = net.initial_box()
     if box.inconsistent:

@@ -136,6 +136,21 @@ def test_closure_refuses_an_unaffordable_support_enumeration(files, capsys, comm
     expect_usage_error([command, "--in", files / "wide.cnet"], capsys)
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_solve_budget_below_one_is_a_usage_error(files, capsys, budget):
+    assert main(["solve", "--in", str(files / "card.cnet"), "--budget", budget]) == 2
+    assert capsys.readouterr().err == \
+        f"error: brute-force budget must be at least 1, got {budget}\n"
+
+
+def test_check_gac_names_an_unknown_encoding(files, capsys):
+    # a name that starts like a known one is still unknown
+    (files / "neq.cnet").write_text("var X 1..3\nvar Y 1..3\nneq X Y\n")
+    assert main(["check-gac", "--source", str(files / "neq.cnet"),
+                 "--encoding", "neq:foo"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown encoding 'neq:foo'; known: ")
+
+
 def random_cnet(rng):
     """A small network over Booleans b* and ranges v*, with restrict lines."""
     bools = [f"b{i}" for i in range(rng.randint(0, 3))]

@@ -1,23 +1,25 @@
 """Encoders: emitted sizes, channel totality, propagation behavior of the
 produced targets, and equisatisfiability spot checks."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from gackit.model import (
     FALSE, TRUE, AllDiff, Card, ChannelMap, Clause, DomainBox, Neq, Network,
-    ResourceError, UsageError, Xor, bool_variable, range_variable, satisfies,
+    ResourceError, Table, UsageError, Xor, bool_variable, range_variable,
+    satisfies,
 )
 from gackit.propagation import (
     CnfFormula, UnitPropagator, gac_closure, sat_solve, solve_brute_force,
 )
 from gackit.encoders import (
-    PAIRWISE, SEQUENTIAL, build_encoding, compile_network,
-    encode_alldiff_pairwise, encode_card_binary_adder, encode_card_totalizer,
-    encode_clause_to_neq, encode_exactly_one, encode_exactly_one_constraint,
-    encode_xor_direct,
+    ENCODING_NAMES, PAIRWISE, SEQUENTIAL, build_encoding, compile_network,
+    encode_alldiff_pairwise, encode_clause_to_neq, encode_exactly_one,
 )
+from gackit.cnet import CnetDocument, write_cnet
+from gackit.dimacs import write_dimacs
 from gackit.gac_check import check_equiconsistency, check_gac_reduction
 
 
@@ -61,8 +63,8 @@ class TestExactlyOne:
 
     def test_sequential_up_forces_all_others_false(self):
         variables = bools("x1", "x2", "x3", "x4")
-        enc = encode_exactly_one_constraint(Card([1, 2, 3, 4], 1, 1),
-                                            variables, SEQUENTIAL)
+        enc = build_encoding("exactly-one:sequential", Card([1, 2, 3, 4], 1, 1),
+                             variables)
         out = up_values(enc, [enc.channel.forward[(2, TRUE)]])
         got = {v: out[abs(enc.channel.forward[(v, TRUE)])]
                for v in (1, 3, 4)}
@@ -124,14 +126,14 @@ class TestEncodeNeq:
 class TestTotalizer:
     def test_forces_rest_false_when_hi_reached(self):
         variables = bools("x1", "x2", "x3", "x4")
-        enc = encode_card_totalizer(Card([1, 2, 3, 4], 2, 2), variables)
+        enc = build_encoding("totalizer", Card([1, 2, 3, 4], 2, 2), variables)
         out = up_values(enc, [enc.channel.forward[(1, TRUE)],
                               enc.channel.forward[(2, TRUE)]])
         assert out[3] is False and out[4] is False
 
     def test_vacuous_bounds_emit_no_units_and_up_derives_nothing(self):
         variables = bools("x1", "x2", "x3")
-        enc = encode_card_totalizer(Card([1, 2, 3], 0, 3), variables)
+        enc = build_encoding("totalizer", Card([1, 2, 3], 0, 3), variables)
         assert all(len(cl) > 1 for cl in enc.target.clauses)
         out = up_values(enc, [enc.channel.forward[(1, TRUE)]])
         assigned_inputs = {v for v in (2, 3) if out[v] is not None}
@@ -139,7 +141,7 @@ class TestTotalizer:
 
     def test_at_most_one_forces_others_false(self):
         variables = bools("x1", "x2", "x3")
-        enc = encode_card_totalizer(Card([1, 2, 3], 0, 1), variables)
+        enc = build_encoding("totalizer", Card([1, 2, 3], 0, 1), variables)
         out = up_values(enc, [enc.channel.forward[(1, TRUE)]])
         assert out[2] is False and out[3] is False
 
@@ -147,7 +149,8 @@ class TestTotalizer:
         counts = []
         for n in range(1, 17):
             variables = [bool_variable(i, f"x{i}") for i in range(1, n + 1)]
-            enc = encode_card_totalizer(Card(list(range(1, n + 1)), 1, 1), variables)
+            enc = build_encoding("totalizer", Card(list(range(1, n + 1)), 1, 1),
+                                 variables)
             counts.append(enc.stats.clauses)
         assert counts == sorted(counts)
         for n, count in enumerate(counts, 1):
@@ -167,7 +170,7 @@ def test_a_card_without_literals_builds_and_checks(encoding, variables):
 class TestBinaryAdder:
     def test_degenerate_single_input_forced(self):
         variables = bools("x1")
-        enc = encode_card_binary_adder(Card([1], 1, 1), variables)
+        enc = build_encoding("binary-adder", Card([1], 1, 1), variables)
         out = up_values(enc, [])
         assert out[1] is True
 
@@ -175,7 +178,7 @@ class TestBinaryAdder:
         for n in (3, 5):
             variables = [bool_variable(i, f"x{i}") for i in range(1, n + 1)]
             card = Card(list(range(1, n + 1)), 1, n - 1)
-            enc = encode_card_binary_adder(card, variables)
+            enc = build_encoding("binary-adder", card, variables)
             for values in itertools.product((FALSE, TRUE), repeat=n):
                 box = DomainBox({i + 1: [v] for i, v in enumerate(values)})
                 assumptions = [enc.channel.forward[(i + 1, v)]
@@ -186,33 +189,34 @@ class TestBinaryAdder:
 class TestXorDirect:
     def test_arity_one(self):
         variables = bools("x1")
-        enc = encode_xor_direct(Xor([1], 1), variables)
+        enc = build_encoding("xor-direct", Xor([1], 1), variables)
         assert enc.target.clauses == [(1,)]
 
     def test_arity_three_clause_count(self):
         variables = bools("x1", "x2", "x3")
-        enc = encode_xor_direct(Xor([1, 2, 3], 1), variables)
+        enc = build_encoding("xor-direct", Xor([1, 2, 3], 1), variables)
         assert enc.stats.clauses == 4
 
     def test_up_forces_parity(self):
         variables = bools("x1", "x2", "x3")
-        enc = encode_xor_direct(Xor([1, 2, 3], 1), variables)
+        enc = build_encoding("xor-direct", Xor([1, 2, 3], 1), variables)
         out = up_values(enc, [1, 2])
         assert out[3] is True
 
     def test_arity_limit(self):
         variables = [bool_variable(i, f"x{i}") for i in range(1, 14)]
         with pytest.raises(ResourceError):
-            encode_xor_direct(Xor(list(range(1, 14)), 0), variables)
+            build_encoding("xor-direct", Xor(list(range(1, 14)), 0), variables)
 
     def test_negative_literals_fold_into_parity(self):
         variables = bools("x1", "x2")
-        enc = encode_xor_direct(Xor([1, -2], 0), variables)  # x1 xor -x2 = 0 means x1 != x2... check semantics
-        source = Xor([1, -2], 0)
+        source = Xor([1, -2], 0)  # x1 xor not-x2 = 0 holds exactly where x1 != x2
+        enc = build_encoding("xor-direct", source, variables)
         for v1, v2 in itertools.product((FALSE, TRUE), repeat=2):
             box = DomainBox({1: [v1], 2: [v2]})
             assumptions = [enc.channel.forward[(1, v1)], enc.channel.forward[(2, v2)]]
-            assert sat_solve(enc.target, assumptions).sat == satisfies(source, box)
+            sat = sat_solve(enc.target, assumptions).sat
+            assert sat == (v1 != v2) == satisfies(source, box)
 
 
 class TestAlldiffPairwise:
@@ -364,11 +368,35 @@ class TestCompileNetwork:
         assert (1,) in enc.target.clauses
 
     def test_table_has_no_cnf_encoder(self):
-        from gackit.model import Table
         x = range_variable(1, "X", 1, 2)
         net = Network([x], [Table([1], [(1,)])])
         with pytest.raises(UsageError):
             compile_network(net)
+
+
+A3 = range_variable(1, "A", 1, 3)
+B3 = range_variable(2, "B", 1, 3)
+
+# name -> (source, variables, (variables, aux, clauses)); clauses count
+# constraints for network targets
+FITTING = {
+    "totalizer": (Card([1, 2], 1, 1), bools("a", "b"), (4, 2, 9)),
+    "binary-adder": (Card([1, 2], 1, 1), bools("a", "b"), (5, 3, 12)),
+    "exactly-one:pairwise": (Card([1, 2], 1, 1), bools("a", "b"), (2, 0, 2)),
+    "exactly-one:sequential": (Card([1, 2], 1, 1), bools("a", "b"), (3, 1, 4)),
+    "neq:pairwise": (Neq(1, 2), [A3, B3], (6, 0, 11)),
+    "neq:sequential": (Neq(1, 2), [A3, B3], (10, 4, 19)),
+    "alldiff-pairwise": (AllDiff([1, 2]), [A3, B3], (6, 0, 11)),
+    "alldiff-pairwise:sequential": (AllDiff([1, 2]), [A3, B3], (10, 4, 19)),
+    "xor-direct": (Xor([1, 2], 1), bools("a", "b"), (2, 0, 2)),
+    "clause-to-neq:gac": (Clause([1, -2]), bools("a", "b"), (5, 3, 4)),
+    "clause-to-neq:non-gac": (Clause([1, -2]), bools("a", "b"), (8, 6, 8)),
+    "identity": (Clause([1, -2]), bools("a", "b"), (2, 0, 1)),
+}
+
+# the same source kinds with variable id 5 in the scope but not declared
+UNDECLARED = {Card: Card([1, 5], 1, 1), Neq: Neq(1, 5), AllDiff: AllDiff([1, 5]),
+              Xor: Xor([1, 5], 1), Clause: Clause([1, -5])}
 
 
 class TestBuildEncodingRegistry:
@@ -378,28 +406,92 @@ class TestBuildEncodingRegistry:
             build_encoding("totalizer", Clause([1, 2]), variables)
 
     def test_unknown_name_rejected(self):
-        variables = bools("a")
-        with pytest.raises(UsageError):
-            build_encoding("nacre", Clause([1]), variables)
+        # a source that fits the known name `sibling` does not make `name` known
+        for name, sibling in [
+                ("nacre", "identity"), ("neq:foo", "neq:pairwise"),
+                ("alldiff-pairwise:foo", "alldiff-pairwise"),
+                ("alldiff-pairwise:pairwise", "alldiff-pairwise"),
+                ("clause-to-neq:foo", "clause-to-neq:gac"),
+                ("exactly-one:foo", "exactly-one:pairwise"),
+                ("exactly-one", "exactly-one:pairwise"), ("totalizer:gac", "totalizer")]:
+            source, variables, _ = FITTING[sibling]
+            with pytest.raises(UsageError, match=f"^unknown encoding '{name}'; known: "):
+                build_encoding(name, source, variables)
 
     def test_every_name_builds_on_a_fitting_source(self):
-        # (variables, aux, clauses) per encoding; clauses count constraints
-        # for network targets
-        a3 = range_variable(1, "A", 1, 3)
-        b3 = range_variable(2, "B", 1, 3)
-        cases = {
-            "totalizer": (Card([1, 2], 1, 1), bools("a", "b"), (4, 2, 9)),
-            "binary-adder": (Card([1, 2], 1, 1), bools("a", "b"), (5, 3, 12)),
-            "exactly-one:pairwise": (Card([1, 2], 1, 1), bools("a", "b"), (2, 0, 2)),
-            "exactly-one:sequential": (Card([1, 2], 1, 1), bools("a", "b"), (3, 1, 4)),
-            "neq:pairwise": (Neq(1, 2), [a3, b3], (6, 0, 11)),
-            "neq:sequential": (Neq(1, 2), [a3, b3], (10, 4, 19)),
-            "alldiff-pairwise": (AllDiff([1, 2]), [a3, b3], (6, 0, 11)),
-            "xor-direct": (Xor([1, 2], 1), bools("a", "b"), (2, 0, 2)),
-            "clause-to-neq:gac": (Clause([1, -2]), bools("a", "b"), (5, 3, 4)),
-            "clause-to-neq:non-gac": (Clause([1, -2]), bools("a", "b"), (8, 6, 8)),
-            "identity": (Clause([1, -2]), bools("a", "b"), (2, 0, 1)),
-        }
-        for name, (constraint, variables, sizes) in cases.items():
+        assert set(FITTING) == set(ENCODING_NAMES)
+        for name, (constraint, variables, sizes) in FITTING.items():
             stats = build_encoding(name, constraint, variables).stats
             assert (stats.variables, stats.aux, stats.clauses) == sizes, name
+
+    @pytest.mark.parametrize("name", ENCODING_NAMES)
+    def test_a_scope_variable_missing_from_the_variables_is_a_usage_error(self, name):
+        source, variables, _ = FITTING[name]
+        undeclared = UNDECLARED[type(source)]
+        with pytest.raises(UsageError, match="references undeclared variable id 5"):
+            build_encoding(name, undeclared, variables)
+
+
+def pin_sources():
+    """A small fixed source set; every name is built on every source."""
+    x, y, z = (range_variable(1, "X", 1, 2), range_variable(2, "Y", 1, 2),
+               range_variable(3, "Z", 1, 3))
+    return [
+        (Card([1, -2, 3], 1, 2), bools("a", "b", "c")),
+        (Card([1, 2, -3, 4], 1, 1), bools("a", "b", "c", "d", "e")),
+        (Card([1, 1, -2], 1, 2), bools("a", "b")),
+        (Card([], 0, 0), bools("a")),
+        (Xor([1, -2, 3], 1), bools("a", "b", "c")),
+        (Xor([1, 1, 2], 0), bools("a", "b")),
+        (Clause([1, -2, 3]), bools("a", "b", "c")),
+        (Clause([-2]), bools("a", "b")),
+        (Neq(1, 2), [x, range_variable(2, "Y", 2, 4)]),
+        (Neq(2, 1), bools("a", "b")),
+        (AllDiff([1, 2, 3]), [x, y, z]),
+        (AllDiff([1, 2]), bools("a", "b")),
+        (Table([1, 2], [(1, 2), (2, 1)]), [x, y]),
+    ]
+
+
+def pin_digest(name):
+    """sha256 over, per pin source, the target's DIMACS or CNET text, the
+    channel and the stats, or the error text where the name rejects the
+    source; and how many sources built."""
+    digest, built = hashlib.sha256(), 0
+    for source, variables in pin_sources():
+        try:
+            enc = build_encoding(name, source, variables)
+        except UsageError as exc:
+            digest.update(f"error: {exc}\n".encode())
+            continue
+        built += 1
+        if isinstance(enc.target, Network):
+            text = write_cnet(CnetDocument(enc.target, enc.target.initial_box()))
+        else:
+            text = write_dimacs(enc.target, enc.channel)
+        digest.update(text.encode())
+        digest.update(f"{sorted(enc.channel.forward.items())}\n{enc.stats}\n".encode())
+    return digest.hexdigest(), built
+
+
+# name -> (digest, sources built); a new digest means an encoder's output,
+# or the text of an error it raises, changed
+PINNED = {
+    "totalizer": ("d4713009f9505442f16a386f85b3d3a344b8f5ef703f0b5c8ce4e25665df72bf", 4),
+    "binary-adder": ("522448dd5a244c7ac33f67adb88e5a5525bf16e991bf06acf1b8e96d70d65432", 4),
+    "exactly-one:pairwise": ("b76b297dc4358796b426fc5ff782c72f6bc668d73a98e246dac278cbd06c639e", 1),
+    "exactly-one:sequential": ("b38cdf257ba67651918244015423efe1b688b5e4a9161b0e8bee3db8726ddfd4", 1),
+    "neq:pairwise": ("4f2aebf08b96b132f58c171b28cd133829a8cff4ff9d1ac4535aabf93b2a3e83", 2),
+    "neq:sequential": ("d01d392c711a01091606d61d612ef3d7a9040f24f90e6081cde0d2bfe8f5086c", 2),
+    "alldiff-pairwise": ("6be0bd2d3b6512401a86479ddde1c60294047a075e0ffe8fa6a4374d9773eef1", 2),
+    "alldiff-pairwise:sequential": ("22dacd5d7240dcc6cc5183778da0181dd187ffee860319013a0ee399bdba4019", 2),
+    "xor-direct": ("1c5e615abc81ff70b0a38b0691e5d5b5dabfcabd36e08348b2c5169a31896eec", 2),
+    "clause-to-neq:gac": ("6acf8205f2814064ab3e32e35f86313f35117d477fe0f38a572d3f79c4f67789", 2),
+    "clause-to-neq:non-gac": ("dd4016384dfeac8f4fa355ee31a60e4fa6f5f9dc8127f5265f71330498cceaf3", 2),
+    "identity": ("7541788efebc2f7c7bcf7e2b11108917925f3ccda3e5cd3bb699702b146663b0", 13),
+}
+
+
+@pytest.mark.parametrize("name", ENCODING_NAMES)
+def test_encoder_output_is_pinned(name):
+    assert pin_digest(name) == PINNED[name]

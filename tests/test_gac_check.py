@@ -12,7 +12,7 @@ from gackit.model import (
     Variable, bool_variable, is_restriction, range_variable,
 )
 from gackit.propagation import UnitPropagator, gac_closure, gac_oracle
-from gackit.encoders import ENCODING_NAMES, build_encoding, encode_card_totalizer
+from gackit.encoders import ENCODING_NAMES, build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     Counterexample, EnumerationPolicy, Verdict, auto_policy,
@@ -34,7 +34,7 @@ def bools(*names):
 class TestMapBack:
     def setup_method(self):
         self.variables = bools("x1", "x2", "x3")
-        self.enc = encode_card_totalizer(Card([1, 2, 3], 1, 2), self.variables)
+        self.enc = build_encoding("totalizer", Card([1, 2, 3], 1, 2), self.variables)
         self.prop = UnitPropagator(self.enc.target)
         self.full = DomainBox.from_variables(self.variables)
 

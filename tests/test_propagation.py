@@ -7,7 +7,7 @@ import pytest
 
 from gackit.model import (
     FALSE, TRUE, AllDiff, Card, Clause, DomainBox, Neq, Network, ResourceError,
-    Table, Xor, bool_variable, range_variable,
+    Table, UsageError, Xor, bool_variable, range_variable,
 )
 from gackit.propagation import (
     CnfFormula, UnitPropagator, _filter_alldiff, _filter_literals, gac_closure,
@@ -377,6 +377,13 @@ class TestSolvers:
         with pytest.raises(ResourceError):
             solve_brute_force(net, budget=1000)
 
+    def test_brute_force_budget_below_one_is_a_usage_error(self):
+        # even where the box is bottom or there is nothing to enumerate
+        for net, box in ((Network([], []), None),
+                         (Network([range_variable(1, "X", 1, 2)], []), DomainBox.bottom())):
+            with pytest.raises(UsageError, match="budget must be at least 1, got 0"):
+                solve_brute_force(net, box, budget=0)
+
     def test_sat_solve_unit(self):
         result = sat_solve(CnfFormula(1, [[1]]))
         assert result.sat and result.model[1] is True
@@ -389,10 +396,10 @@ class TestSolvers:
         assert result.model == {1: False, 2: True}
 
     def test_totalizer_overfull_is_unsat_and_matches_enumeration(self):
-        from gackit.encoders import encode_card_totalizer
+        from gackit.encoders import build_encoding
         variables = bools("x1", "x2", "x3", "x4")
         card = Card([1, 2, 3, 4], 2, 2)
-        enc = encode_card_totalizer(card, variables)
+        enc = build_encoding("totalizer", card, variables)
         assumptions = [enc.channel.forward[(i, TRUE)] for i in (1, 2, 3)]
         assert sat_solve(enc.target, assumptions).sat is False
         # independent oracle: no completion of x1=x2=x3=T satisfies card[2..2]
