@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 from .model import Network, ResourceError, UsageError
 from .propagation import gac_closure, solve_brute_force, DEFAULT_BRUTE_FORCE_BUDGET
-from .encoders import ENCODING_NAMES, PAIRWISE, SEQUENTIAL, build_encoding, compile_network
+from .encoders import CARD_SCHEMES, ENCODING_NAMES, build_encoding, compile_network
 from .gac_check import (
     ASSIGNMENT_STYLE, FULL_SUBDOMAINS, RANDOM_SAMPLE, EnumerationPolicy,
     check_equiconsistency, check_gac_reduction, check_soundness,
@@ -50,7 +50,7 @@ def _parse_policy(spec: str, seed: int) -> EnumerationPolicy | None:
         return None
     if spec == "full":
         return EnumerationPolicy(FULL_SUBDOMAINS, seed=seed)
-    if spec in ("assign", "assignment"):
+    if spec == "assignment":
         return EnumerationPolicy(ASSIGNMENT_STYLE, seed=seed)
     if spec.startswith("sample:"):
         try:
@@ -76,9 +76,8 @@ def _single_source(doc: CnetDocument):
 
 def _cmd_encode(args) -> int:
     doc = parse_cnet(_read(args.infile))
-    if args.scheme in ("totalizer", "binary-adder"):
-        enc = compile_network(doc.network, doc.box, card_scheme=args.scheme,
-                              eo_scheme=args.eo)
+    if args.scheme in CARD_SCHEMES:
+        enc = compile_network(doc.network, doc.box, card_scheme=args.scheme)
     else:
         enc = build_encoding(args.scheme, *_single_source(doc))
     if isinstance(enc.target, Network):
@@ -157,6 +156,14 @@ def _cmd_report(args) -> int:
     return EXIT_PASS
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text at blanks only, so no encoding name splits at its hyphen."""
+
+    def _split_lines(self, text, width):
+        import textwrap  # only help output needs it, as in argparse itself
+        return textwrap.wrap(text, width, break_on_hyphens=False)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every `main`
@@ -168,15 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="encode constraint networks, propagate, and check "
                     "whether translations preserve propagation strength")
     sub = parser.add_subparsers(dest="command", required=True)
+    encoding_names = ", ".join(ENCODING_NAMES)
 
     p = sub.add_parser("encode", help="translate a CNET file to DIMACS or CNET")
     p.add_argument("--in", dest="infile", required=True, help="input CNET file")
     p.add_argument("--scheme", default="totalizer",
-                   help="encoding scheme: totalizer, binary-adder, or a "
-                        "single-constraint encoding name such as "
-                        "neq:pairwise or clause-to-neq:gac")
-    p.add_argument("--eo", default=PAIRWISE, choices=[PAIRWISE, SEQUENTIAL],
-                   help="exactly-one scheme for one-hot channels")
+                   help="a card scheme that compiles the whole network ("
+                        + ", ".join(CARD_SCHEMES) + "), or an encoding of a "
+                        "one-constraint file (" + encoding_names + ")")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=_cmd_encode)
 
@@ -192,8 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
              _cmd_check_sound)):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--source", required=True, help="CNET file with one constraint")
-        p.add_argument("--encoding", required=True,
-                       help="one of: " + ", ".join(ENCODING_NAMES))
+        p.add_argument("--encoding", required=True, help="one of: " + encoding_names)
         p.add_argument("--policy", default="auto",
                        help="auto | full | assignment | sample:<count>")
         p.add_argument("--seed", type=int, default=42)
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiconsistency",
                        help="compare satisfiability over complete assignments")
     p.add_argument("--source", required=True)
-    p.add_argument("--encoding", required=True)
+    p.add_argument("--encoding", required=True, help="one of: " + encoding_names)
     p.add_argument("--sample", type=int, default=0,
                    help="sample this many assignments instead of exhausting")
     p.add_argument("--seed", type=int, default=42)
@@ -225,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["text", "json", "markdown-table"])
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_report)
+    for p in sub.choices.values():
+        p.formatter_class = _HelpFormatter
     return parser
 
 

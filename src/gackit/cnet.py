@@ -31,6 +31,8 @@ from .model import (
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
 _PUNCT = frozenset("{}():,=")
+# one punctuation character, or a run of anything but blanks and punctuation
+_TOKEN = re.compile(r"[{0}]|[^\s{0}]+".format(re.escape("".join(sorted(_PUNCT)))))
 
 
 class CnetParseError(UsageError):
@@ -50,25 +52,7 @@ class CnetDocument:
 
 def _tokenize(line: str):
     """Tokens with 1-based column positions; comments stripped."""
-    out = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "{}():,=":
-            out.append((ch, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace() and line[j] not in "{}():,=#":
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line.partition("#")[0])]
 
 
 def parse_cnet(text: str) -> CnetDocument:

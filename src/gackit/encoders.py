@@ -13,7 +13,8 @@ encoders never list them, `Encoding.stats` counts them from the channel.
 
 Named encodings are dispatched only through `build_encoding`'s table of
 (source class, builder), and `ENCODING_NAMES` is that table's keys. The
-card and xor ones are `compile_network` on the one-constraint network.
+card and xor ones are `compile_network` on the one-constraint network; the
+card ones are named after the `CARD_SCHEMES` entry they compile with.
 
 Encoders are pure functions of their inputs and safe for concurrent use.
 """
@@ -314,6 +315,10 @@ def _binary_adder_into(formula: CnfFormula, lits: list[int], lo: int, hi: int) -
         assert_true(compare("le", hi))
 
 
+# the cardinality schemes that compile a whole network, by name
+CARD_SCHEMES = {"totalizer": _totalizer_into, "binary-adder": _binary_adder_into}
+
+
 # --- parity -------------------------------------------------------------------
 
 def _xor_into(formula: CnfFormula, lits: list[int], parity: int) -> None:
@@ -438,14 +443,13 @@ def encode_clause_to_neq(constraint: Clause, variables,
                     ChannelMap(ChannelMap.NETWORK, variables, forward))
 
 
-def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
-                    eo_scheme: str = PAIRWISE) -> Encoding:
+def compile_network(net: Network, box=None, card_scheme: str = "totalizer") -> Encoding:
     """Compile a whole network to one CNF with a shared channel.
 
     Boolean variables map directly to CNF variables; multi-valued variables
-    get one-hot selectors under `eo_scheme`. Cardinality constraints use
-    `card_scheme` (totalizer or binary-adder). Initial restrictions in `box`
-    land as unit clauses.
+    get one-hot selectors with pairwise exactly-one clauses. Cardinality
+    constraints use the `CARD_SCHEMES` entry named `card_scheme`. Initial
+    restrictions in `box` land as unit clauses.
     """
     formula = CnfFormula()
     forward: dict = {}
@@ -455,18 +459,15 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
             forward[(var.id, TRUE)] = idx
             forward[(var.id, FALSE)] = -idx
         else:
-            _one_hot_into(formula, forward, var, eo_scheme)
+            _one_hot_into(formula, forward, var, PAIRWISE)
 
     for c in net.constraints:
         if isinstance(c, Clause):
             formula.add_clause(_cnf_lits(forward, c.lits))
         elif isinstance(c, Card):
-            if card_scheme == "totalizer":
-                _totalizer_into(formula, _cnf_lits(forward, c.lits), c.lo, c.hi)
-            elif card_scheme == "binary-adder":
-                _binary_adder_into(formula, _cnf_lits(forward, c.lits), c.lo, c.hi)
-            else:
+            if card_scheme not in CARD_SCHEMES:
                 raise UsageError(f"unknown cardinality scheme {card_scheme!r}")
+            CARD_SCHEMES[card_scheme](formula, _cnf_lits(forward, c.lits), c.lo, c.hi)
         elif isinstance(c, Xor):
             _xor_into(formula, _cnf_lits(forward, c.lits), c.parity)
         elif isinstance(c, Neq):
@@ -502,9 +503,9 @@ def identity_encoding(constraint: Constraint, variables) -> Encoding:
 # Builders look `compile_network` up as a module global at call time, so a
 # wrapper installed on the module sees their calls too.
 
-def _compiled(constraint, variables, card_scheme: str = "totalizer") -> Encoding:
+def _compiled(constraint, variables, *options) -> Encoding:
     _check_boolean(variables)
-    return compile_network(Network(variables, [constraint]), card_scheme=card_scheme)
+    return compile_network(Network(variables, [constraint]), None, *options)
 
 
 def _exactly_one(constraint: Card, variables, scheme: str) -> Encoding:
@@ -524,8 +525,7 @@ def _alldiff_over_scope(constraint, variables, scheme: str) -> Encoding:
 # name -> (source class, its label in errors, builder, builder options);
 # shared by the CLI and the classification suite
 _ENCODINGS = {
-    "totalizer": (Card, "card", _compiled, "totalizer"),
-    "binary-adder": (Card, "card", _compiled, "binary-adder"),
+    **{scheme: (Card, "card", _compiled, scheme) for scheme in CARD_SCHEMES},
     "exactly-one:pairwise": (Card, "card[1..1]", _exactly_one, PAIRWISE),
     "exactly-one:sequential": (Card, "card[1..1]", _exactly_one, SEQUENTIAL),
     "neq:pairwise": (Neq, "neq", _alldiff_over_scope, PAIRWISE),

@@ -5,12 +5,14 @@ answers in `perfbench/expected/` (read here, never written)."""
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from gackit.cli import main
 from gackit.cnet import parse_cnet
+from gackit.encoders import ENCODING_NAMES
 from gackit.propagation import solve_brute_force
 
 CARD = "var x1 bool\nvar x2 bool\nvar x3 bool\ncard 1 2 x1 -x2 x3\n"
@@ -91,6 +93,53 @@ def test_encode_is_byte_deterministic(files, source, scheme):
                      "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] and outputs[0]
+
+
+# sha256 of the DIMACS text, taken while the one-hot channels' exactly-one
+# scheme was still a parameter (pairwise by default): fixing it kept the bytes
+@pytest.mark.parametrize("source, scheme, digest", [
+    ("net.cnet", "totalizer",
+     "ecba2ad7ab3f60b3dcf923e7515fa11a58f237cfa86acbe73a148c1298e76e2e"),
+    ("net.cnet", "binary-adder",
+     "5fc66655720ba442c3a801adcc1436108f20879f9230ae994180182ee0fe5883"),
+    ("no-card.cnet", "totalizer",
+     "17fa95d7e5af47f2fe5b20c45a7efec0198b2451b2e27b0baa136ee070ad810c"),
+    ("no-card.cnet", "binary-adder",
+     "17fa95d7e5af47f2fe5b20c45a7efec0198b2451b2e27b0baa136ee070ad810c"),
+])
+def test_encode_network_bytes_are_pinned(files, source, scheme, digest):
+    out = files / "out.cnf"
+    assert main(["encode", "--in", str(files / source), "--scheme", scheme,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_encode_has_no_eo_option(files, capsys):
+    # the exactly-one scheme is chosen by encoding name only
+    with pytest.raises(SystemExit) as exit_info:
+        main(["encode", "--in", str(files / "net.cnet"), "--eo", "pairwise"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --eo pairwise" in err and "Traceback" not in err
+
+
+def test_policy_takes_only_its_documented_forms(files, capsys):
+    argv = ["check-gac", "--source", str(files / "card.cnet"), "--encoding", "totalizer"]
+    assert main(argv + ["--policy", "assign"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad policy 'assign'; expected ")
+    assert main(argv + ["--policy", "assignment"]) == 0
+    assert "assignment-style" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["encode", "check-gac", "check-sound", "equiconsistency"])
+def test_help_lists_every_encoding_name(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    # whole words: no name may be split across lines at its hyphen
+    words = set(re.split(r"[\s,()]+", capsys.readouterr().out))
+    assert set(ENCODING_NAMES) <= words
 
 
 @pytest.mark.parametrize("encoding, code", [("totalizer", 0), ("binary-adder", 1)])

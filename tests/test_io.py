@@ -4,7 +4,7 @@ write_dimacs emits its exact documented text."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gackit.cnet import CnetDocument, parse_cnet, write_cnet
+from gackit.cnet import CnetDocument, _tokenize, parse_cnet, write_cnet
 from gackit.dimacs import write_dimacs
 from gackit.encoders import identity_encoding
 from gackit.model import (
@@ -108,6 +108,31 @@ def test_parse_write_parse_is_the_identity(text):
     written = write_cnet(doc)
     assert shape(parse_cnet(written)) == shape(doc)
     assert write_cnet(parse_cnet(written)) == written
+
+
+# (token, 1-based column) lists as the character-by-character tokenizer gave them
+@pytest.mark.parametrize("line, tokens", [
+    ("clause x#c", [("clause", 1), ("x", 8)]),
+    ("a#b#c", [("a", 1)]),
+    ("card 1 2 a b#", [("card", 1), ("1", 6), ("2", 8), ("a", 10), ("b", 12)]),
+    ("# all comment", []),
+    ("#", []),
+    ("{}():,=", [("{", 1), ("}", 2), ("(", 3), (")", 4), (":", 5), (",", 6), ("=", 7)]),
+    ("x{}():,=y", [("x", 1), ("{", 2), ("}", 3), ("(", 4), (")", 5), (":", 6), (",", 7),
+                   ("=", 8), ("y", 9)]),
+    ("{1,2}x", [("{", 1), ("1", 2), (",", 3), ("2", 4), ("}", 5), ("x", 6)]),
+    ("var\tX\x0b1..3\x1c", [("var", 1), ("X", 5), ("1..3", 7)]),
+    ("restrict X {1,2}\t# c", [("restrict", 1), ("X", 10), ("{", 12), ("1", 13), (",", 14),
+                               ("2", 15), ("}", 16)]),
+    ("   var a bool", [("var", 4), ("a", 8), ("bool", 10)]),
+    ("-x.y_z", [("-x.y_z", 1)]),
+    ("", []),
+    ("  \t ", []),
+], ids=["glued-comment", "two-hashes", "trailing-hash", "comment-line", "bare-hash",
+        "punctuation-run", "punctuation-between-words", "set-then-word", "odd-blanks",
+        "tab-before-comment", "leading-blanks", "word-chars", "empty", "blanks-only"])
+def test_tokenize_is_pinned(line, tokens):
+    assert _tokenize(line) == tokens
 
 
 def test_write_cnet_covers_every_constraint_kind():
