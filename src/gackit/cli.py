@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 from .model import Network, ResourceError, UsageError
 from .propagation import gac_closure, solve_brute_force, DEFAULT_BRUTE_FORCE_BUDGET
-from .encoders import CARD_SCHEMES, ENCODING_NAMES, build_encoding, compile_network
+from .encoders import CARD_SCHEMES, ENCODING_NAMES, build_encoding, compile_network, lookup_encoding
 from .gac_check import (
     ASSIGNMENT_STYLE, FULL_SUBDOMAINS, RANDOM_SAMPLE, EnumerationPolicy,
     check_equiconsistency, check_gac_reduction, check_soundness,
@@ -79,6 +79,7 @@ def _cmd_encode(args) -> int:
     if args.scheme in CARD_SCHEMES:
         enc = compile_network(doc.network, doc.box, card_scheme=args.scheme)
     else:
+        lookup_encoding(args.scheme)  # an unknown name before a wrong file
         enc = build_encoding(args.scheme, *_single_source(doc))
     if isinstance(enc.target, Network):
         out = write_cnet(CnetDocument(enc.target, enc.target.initial_box()))
@@ -104,6 +105,7 @@ def _cmd_propagate(args) -> int:
 
 def _run_check(args, checker, **options) -> int:
     doc = parse_cnet(_read(args.source))
+    lookup_encoding(args.encoding)  # an unknown name before a wrong file
     constraint, variables = _single_source(doc)
     enc = build_encoding(args.encoding, constraint, variables)
     verdict = checker(constraint, enc, **options)

@@ -540,24 +540,23 @@ _ENCODINGS = {
 ENCODING_NAMES = tuple(_ENCODINGS)
 
 
+def lookup_encoding(name: str) -> tuple:
+    """The table entry of a named encoding; UsageError for any other name."""
+    if name not in _ENCODINGS:
+        raise UsageError(f"unknown encoding {name!r}; known: {', '.join(ENCODING_NAMES)}")
+    return _ENCODINGS[name]
+
+
 def build_encoding(name: str, constraint: Constraint, variables) -> Encoding:
     """Build the named encoding for a source constraint.
 
     Raises UsageError for a name outside ENCODING_NAMES, when the
     constraint variant does not match the encoder (for example `totalizer`
-    on anything but a cardinality constraint), and when the constraint's
-    scope names a variable missing from `variables`.
+    on anything but a cardinality constraint), and where `Network` rejects
+    the constraint over `variables`.
     """
-    try:
-        cls, label, build, *options = _ENCODINGS[name]
-    except KeyError:
-        raise UsageError(
-            f"unknown encoding {name!r}; known: {', '.join(ENCODING_NAMES)}") from None
+    cls, label, build, *options = lookup_encoding(name)
     if not isinstance(constraint, cls):
         raise UsageError(f"encoding {name!r} needs a {label} source constraint")
-    declared = {v.id for v in variables}
-    for vid in constraint.scope:
-        if vid not in declared:
-            raise UsageError(
-                f"constraint {constraint!r} references undeclared variable id {vid}")
+    Network(variables, [constraint])
     return build(constraint, variables, *options)

@@ -29,22 +29,15 @@ the depths past the prefix it shares with them. A DomainBox for K is built
 only where the source has to be filtered. Counterexamples are kept in walk
 order, so the verdict is the same as a state-by-state evaluation's.
 
-A gac check certifies before it walks (`_drive_knowledge`). A gap at K is a
-value the source removes and the target keeps; the target keeps it at every
-larger state too, for as long as it stays unsupported. That rests on four
-premises: the source filter is GAC; the target engine is sound and monotone
-in K (unit propagation, `gac_closure`); a channel image only weakens as a
-subdomain grows; and the policy is exhaustive (full subdomains or
-assignment style), so the walk holds every enlargement. So the walk
-passes iff the states maximal for some value's lack of support pass
-(`_maximal_states`). Two generators give them. For a Clause, Card or Xor
-over distinct Boolean variables they come in closed form from true/false
-literal counts. For an AllDiff, Neq or Table they are the minimal hitting
-sets of the source's solutions. For non-Boolean variables the two
-exhaustive families have different enlargements, freeing an assigned
-variable or adding back one value, and so different maximal states. Where
-none fails the verdict is Pass over the policy's state count, and
-otherwise the walk runs as it would have, listing every gap.
+Both knowledge checks certify before they walk (`_drive_knowledge`). Under
+an exhaustive policy they first judge a certificate, states that hold a
+counterexample wherever the walk holds one: for the gac check the states
+maximal for some value's lack of support (`_maximal_states`), for the
+soundness check the complete assignments the source accepts. Where none
+fails the verdict is Pass over the policy's state count, and otherwise the
+walk runs as it would have, listing every counterexample.
+`check_gac_reduction` and `check_soundness` give the arguments and their
+premises.
 """
 
 from __future__ import annotations
@@ -57,9 +50,8 @@ from itertools import combinations, product
 from dataclasses import dataclass, field
 
 from .model import (
-    AllDiff, Card, ChannelMap, Clause, Constraint, DomainBox, Neq, Network,
-    ResourceError, Table, UsageError, Variable, Xor, is_restriction, lit_false_value,
-    lit_truth_value, lit_var, map_knowledge,
+    ChannelMap, Constraint, DomainBox, Network, ResourceError, UsageError, Variable,
+    is_restriction, lit_false_value, lit_truth_value, lit_var, map_knowledge,
 )
 from .propagation import (
     UnitPropagator, fixpoint_counts, gac_closure, gac_filter,
@@ -314,19 +306,12 @@ class Verdict:
 
 
 def _check_source(source, channel: ChannelMap):
-    """The precondition of every entry point: the source is one Constraint,
-    its scope lies within the channel, and a Clause, Card or Xor has only
-    Boolean variables in scope."""
+    """The precondition of every entry point: the source is one Constraint
+    that `Network` accepts over the channel's variables. So those are
+    distinct, and the scope lies among them without a repeat."""
     if not isinstance(source, Constraint):
         raise UsageError(f"the source must be one Constraint, got {type(source).__name__}")
-    by_id = {var.id: var for var in channel.source_vars}
-    if not set(source.scope) <= by_id.keys():
-        raise UsageError("a source scope variable lies outside the channel")
-    if isinstance(source, (Clause, Card, Xor)):
-        for vid in source.scope:
-            if not by_id[vid].is_boolean:
-                raise UsageError(f"{source.kind()} source needs Boolean variables, "
-                                 f"{by_id[vid].name!r} is not")
+    Network(channel.source_vars, [source])
 
 
 def _target_box(target: Network, mapped) -> DomainBox:
@@ -453,39 +438,35 @@ def _drive(walk, judge, mode: str, check: str, svars) -> Verdict:
     return Verdict(count, counterexamples, mode, check, svars)
 
 
-def _drive_knowledge(enc: Encoding, policy, judge, check: str,
-                     certificate=None) -> Verdict:
+def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate) -> Verdict:
     """`_drive` over the knowledge walk of `policy` (auto if None): certify,
-    else walk. Where the policy is exhaustive and `certificate(mode)` gives
-    a stream of walk states as `(p, state)` pairs, the judge sees those
-    first; if it finds no counterexample among them, the walk would find
-    none either (the caller's argument), and the verdict is Pass over the
-    policy's state count without a walk. A None step means the stream gave
-    up, and counts as a failing state. Otherwise the walk runs from its
-    first state, since only it lists every counterexample. The walk is
-    built first, so budget and domain-cap errors come out before any
-    state is judged."""
+    else walk. Where the policy is exhaustive, the judge first sees the
+    states of `certificate(mode)`, a stream of `(p, state)` pairs; if it
+    finds no counterexample among them, the walk would find none either
+    (the caller's argument), and the verdict is Pass over the policy's
+    state count without a walk. A None step means the stream gave up, and
+    counts as a failing state. Otherwise the walk runs from its first
+    state, since only it lists every counterexample. The walk is built
+    first, so budget and domain-cap errors come out before any state is
+    judged."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
     walk = _knowledge_walk(svars, policy)
-    states = (None if certificate is None or policy.mode == RANDOM_SAMPLE
-              else certificate(policy.mode))
-    if states is not None and all(step is not None and judge(*step) is None
-                                  for step in states):
+    if policy.mode != RANDOM_SAMPLE and all(
+            step is not None and judge(*step) is None for step in certificate(policy.mode)):
         return Verdict(count_states(svars, policy), [], policy.mode, check, svars)
     return _drive(walk, judge, policy.mode, check, svars)
 
 
 def _channel_lits(source, svars):
     """Per channel position, the source's literal over that variable or
-    None, for a Card, Xor or Clause over distinct variables on a channel of
-    distinct variables; None for any other source."""
-    vids = [var.id for var in svars]
-    if fixpoint_counts(source) is None or len(set(vids)) != len(vids):
+    None, for a Card, Xor or Clause over distinct variables; None for any
+    other source."""
+    if fixpoint_counts(source) is None:
         return None
     lit_of = {lit_var(lit): lit for lit in source.lits}
-    return [lit_of.get(vid) for vid in vids]
+    return [lit_of.get(var.id) for var in svars]
 
 
 def _unchanged_test(source, svars):
@@ -522,9 +503,9 @@ def _maximal_states(source, svars, mode: str):
     """The certificate of `check_gac_reduction` under the exhaustive policy
     `mode`: every walk state that is maximal, among the walk's states, for
     some value having no support, as `(0, state)` pairs, each a new list,
-    with the variables outside the scope free. None for a source that
-    `_channel_lits` does not place and that is no AllDiff, Neq or Table on
-    a channel of distinct variables.
+    with the variables outside the scope free. `_count_placements` gives
+    them for a source that `_channel_lits` places, `_hitting_sets` for any
+    other.
 
     A value of a variable outside the scope has no support exactly where
     the source is inconsistent, so where the channel holds one, or the
@@ -535,10 +516,7 @@ def _maximal_states(source, svars, mode: str):
     lits = _channel_lits(source, svars)
     if lits is not None:
         return _count_placements(source, svars, lits)
-    vids = [var.id for var in svars]
-    if isinstance(source, (AllDiff, Neq, Table)) and len(set(vids)) == len(vids):
-        return _hitting_sets(source, svars, mode)
-    return None
+    return _hitting_sets(source, svars, mode)
 
 
 def _count_placements(source, svars, lits):
@@ -573,17 +551,16 @@ def _bits(mask: int):
 
 
 def _hitting_sets(source, svars, mode: str):
-    """`_maximal_states` for an AllDiff, Neq or Table, lazily. The states
-    where a scope value (x, v) has no support avoid every source solution s
-    with s[x] = v, so the maximal ones are the minimal hitting sets of
-    those solutions, built from elements (y, a) with y != x. In assignment
-    style (y, a) means "y := a" and hits s where s[y] != a, at most one per
-    y; over full subdomains it means "remove a from y" and hits s where
-    s[y] = a, and no y loses its whole domain. So for non-Boolean variables
-    the two families differ: a one-step enlargement frees one assigned
-    variable in the first and adds back one value in the second. The
-    maximal inconsistent states are the minimal hitting sets of all
-    solutions.
+    """`_maximal_states` for any source, lazily. The states where a scope
+    value (x, v) has no support avoid every source solution s with s[x] =
+    v, so the maximal ones are the minimal hitting sets of those solutions,
+    built from elements (y, a) with y != x. In assignment style (y, a)
+    means "y := a" and hits s where s[y] != a, at most one per y; over full
+    subdomains it means "remove a from y" and hits s where s[y] = a, and no
+    y loses its whole domain. So for non-Boolean variables the two families
+    differ: a one-step enlargement frees one assigned variable in the first
+    and adds back one value in the second. The maximal inconsistent states
+    are the minimal hitting sets of all solutions.
 
     Solutions are enumerated with `accepts` over the initial domains and
     kept as bits of int masks; `_mmcs` lists the sets. A state reached from
@@ -686,15 +663,14 @@ def check_gac_reduction(source, enc: Encoding,
     deduces no more than at K, so it keeps v there too. Hence the walk
     passes iff every such maximal state does (the standard reduction for
     propagation completeness: Bordeaux & Marques-Silva, SOFSEM 2012;
-    Babka et al., AIJ 2013). For a Clause, Card or Xor the maximal states
-    come from literal counts, for an AllDiff, Neq or Table from the
-    minimal hitting sets of the source's solutions. For non-Boolean
+    Babka et al., AIJ 2013). For a Clause, Card or Xor over distinct
+    variables the maximal states come from literal counts, for any other
+    source from the minimal hitting sets of its solutions. For non-Boolean
     variables the two exhaustive families have different one-step
     enlargements (free an assigned variable, add back one value), and so
     different maximal states. A certificate state that fails, or a
     generator that gives up, sends the check to the full walk, which lists
-    every gap. Random-sample policies, and a variable repeated in the
-    channel or in a literal source, always walk.
+    every gap. Random-sample policies always walk.
     """
     _check_source(source, enc.channel)
     engine, svars = _Target(enc), enc.channel.source_vars
@@ -726,6 +702,18 @@ def check_soundness(source, enc: Encoding,
     the source deduction is not a restriction of the mapped-back one: the
     mirror of `check_gac_reduction`'s test. Where the source refutes K no
     value extends, and the target side is skipped.
+
+    A pass is certified before any walk from every complete channel
+    assignment the source accepts, as a state of singletons. Say the
+    target removes a value v of x at K (or refutes K) while the source
+    keeps v. The source filter is GAC, so v extends to a source solution s
+    inside K with s(x) = v. The target engine is monotone in K and a
+    channel image only strengthens as a subdomain shrinks, so the target
+    refutes v at s too, and s, which the source keeps whole, is a
+    violation. So the walk passes iff every accepted assignment does; as
+    in Bessiere, Katsirelos, Narodytska & Walsh (IJCAI 2009), soundness is
+    judged apart from propagation strength. A failing certificate state
+    sends the check to the walk, which lists every violation.
     """
     _check_source(source, enc.channel)
     engine, svars = _Target(enc), enc.channel.source_vars
@@ -743,7 +731,14 @@ def check_soundness(source, enc: Encoding,
         back = engine.deduce_back(knowledge)
         if not is_restriction(src, back):
             return Counterexample(SOUNDNESS_VIOLATION, knowledge, src, back)
-    return _drive_knowledge(enc, policy, judge, "soundness")
+
+    def solutions(mode):
+        singles = [{val: frozenset((val,)) for val in var.domain} for var in svars]
+        pos = [vids.index(vid) for vid in source.scope]
+        for values in product(*(var.domain for var in svars)):
+            if source.accepts([values[d] for d in pos]):
+                yield 0, [single[val] for single, val in zip(singles, values)]
+    return _drive_knowledge(enc, policy, judge, "soundness", solutions)
 
 
 def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:

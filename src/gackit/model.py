@@ -433,7 +433,8 @@ def map_knowledge(channel: ChannelMap, knowledge: DomainBox) -> list:
 
 
 class Network:
-    """A constraint network: declared variables plus constraints over them."""
+    """A constraint network: declared variables plus constraints over them.
+    Building one is the one check of constraints against their variables."""
 
     def __init__(self, variables: Iterable[Variable], constraints: Iterable[Constraint]):
         self.variables = list(variables)
@@ -447,6 +448,8 @@ class Network:
             for vid in c.scope:
                 if vid not in self.by_id:
                     raise UsageError(f"constraint {c!r} references undeclared variable id {vid}")
+            if len(set(c.scope)) != len(c.scope):
+                raise UsageError(f"{c.kind()} constraint repeats a variable in its scope")
             if isinstance(c, _LiteralConstraint):
                 for vid in c.scope:
                     if not self.by_id[vid].is_boolean:

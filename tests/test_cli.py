@@ -200,6 +200,17 @@ def test_check_gac_names_an_unknown_encoding(files, capsys):
     assert capsys.readouterr().err.startswith("error: unknown encoding 'neq:foo'; known: ")
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("encode", "--scheme"), ("check-gac", "--encoding"), ("check-sound", "--encoding"),
+    ("equiconsistency", "--encoding")])
+def test_an_unknown_encoding_is_named_before_the_constraint_count(files, capsys, command, flag):
+    (files / "two.cnet").write_text("var a bool\nvar b bool\nclause a b\nclause -a b\n")
+    infile = "--in" if command == "encode" else "--source"
+    assert main([command, infile, str(files / "two.cnet"), flag, "totalizr"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown encoding 'totalizr'; known: {', '.join(ENCODING_NAMES)}\n"
+
+
 def random_cnet(rng):
     """A small network over Booleans b* and ranges v*, with restrict lines."""
     bools = [f"b{i}" for i in range(rng.randint(0, 3))]

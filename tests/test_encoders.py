@@ -8,7 +8,7 @@ import pytest
 
 from gackit.model import (
     FALSE, TRUE, AllDiff, Card, ChannelMap, Clause, DomainBox, Neq, Network,
-    ResourceError, Table, UsageError, Xor, bool_variable, range_variable,
+    ResourceError, Table, UsageError, Variable, Xor, bool_variable, range_variable,
     satisfies,
 )
 from gackit.propagation import (
@@ -430,6 +430,16 @@ class TestBuildEncodingRegistry:
         undeclared = UNDECLARED[type(source)]
         with pytest.raises(UsageError, match="references undeclared variable id 5"):
             build_encoding(name, undeclared, variables)
+
+    @pytest.mark.parametrize("name", ENCODING_NAMES)
+    def test_two_variables_with_one_id_are_a_usage_error(self, name):
+        # clause-to-neq:gac used to build over them and then fail
+        # equiconsistency; alldiff-pairwise dropped one of the two
+        source, variables, _ = FITTING[name]
+        first = variables[0]
+        twin = Variable(first.id, "twin", first.domain, first.labels)
+        with pytest.raises(UsageError, match=f"^duplicate variable id {first.id}$"):
+            build_encoding(name, source, variables + [twin])
 
 
 def pin_sources():

@@ -22,8 +22,8 @@ from gackit.gac_check import (
     check_soundness, replay,
 )
 from gackit.model import (
-    TRUE, AllDiff, Card, DomainBox, Network, UsageError, Xor, bool_variable,
-    map_knowledge, range_variable,
+    FALSE, TRUE, AllDiff, Card, ChannelMap, Constraint, DomainBox, Network, Table,
+    UsageError, Xor, bool_variable, map_knowledge, range_variable,
 )
 from gackit.propagation import CnfFormula, sat_solve
 from textdiff import assert_same_text
@@ -242,7 +242,7 @@ def test_a_source_scope_out_of_channel_order():
 def test_a_source_variable_outside_the_channel_is_a_usage_error():
     variables = [bool_variable(i, f"x{i}") for i in range(1, 3)]
     enc = build_encoding("totalizer", Card([1, 2], 1, 1), variables)
-    with pytest.raises(UsageError, match="outside the channel"):
+    with pytest.raises(UsageError, match="references undeclared variable id 3"):
         check_equiconsistency(Card([1, 3], 1, 1), enc)
 
 
@@ -258,15 +258,29 @@ def test_a_network_source_is_a_usage_error():
         replay(source, enc, DomainBox.from_variables(variables))
 
 
+class Twice(Constraint):
+    """A constraint whose scope names x1 twice."""
+    scope = (1, 1)
+
+    def accepts(self, values):
+        return True
+
+
 def bad_sources():
     variables = [bool_variable(i, f"x{i}") for i in range(1, 3)]
     enc = build_encoding("totalizer", Card([1, 2], 1, 1), variables)
     x = range_variable(1, "X", 0, 2)  # a Card over X would count the value 1 as true
     yield (Network(variables, [Card([1, 2], 1, 1)]), enc,
            "the source must be one Constraint, got Network")
-    yield Card([1, 3], 1, 1), enc, "a source scope variable lies outside the channel"
+    yield (Card([1, 3], 1, 1), enc,
+           "constraint Card([1, 3], 1, 1) references undeclared variable id 3")
     yield (Card([1], 1, 1), build_encoding("alldiff-pairwise", AllDiff([1]), [x]),
-           "card source needs Boolean variables, 'X' is not")
+           "card constraint needs Boolean variables, 'X' is not")
+    twins = [bool_variable(1, "a"), bool_variable(1, "b")]
+    yield (Card([1], 1, 1), Encoding(CnfFormula(1, []), ChannelMap(
+        ChannelMap.CNF, twins, {(1, TRUE): 1, (1, FALSE): -1})), "duplicate variable id 1")
+    yield Table([1], [(5,)]), enc, "table value 5 outside domain of 'x1'"
+    yield Twice(), enc, "twice constraint repeats a variable in its scope"
 
 
 @pytest.mark.parametrize("source, enc, message", bad_sources())

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from gackit import gac_check
 from gackit.model import (
     FALSE, TRUE, AllDiff, Card, ChannelMap, Clause, DomainBox, Neq, Network,
-    ResourceError, Table, Xor, bool_variable, is_restriction, map_knowledge,
+    ResourceError, Table, UsageError, Xor, bool_variable, is_restriction, map_knowledge,
     range_variable,
 )
 from gackit.propagation import (
@@ -424,6 +424,28 @@ def test_the_certificate_holds_every_maximal_state():
     assert len(sizes) == 2 * 972 and max(sizes) == 32
 
 
+def repeated_literal_sources(vids, length):
+    """Every Card bound, both Xor parities and the Clause over every
+    multiset of 2..`length` literals on `vids` that repeats a variable."""
+    literals = [sign * vid for vid in vids for sign in (1, -1)]
+    for k in range(2, length + 1):
+        for lits in itertools.combinations_with_replacement(literals, k):
+            if len({abs(lit) for lit in lits}) < k:
+                yield from (Card(lits, lo, hi) for lo in range(k + 1) for hi in range(lo, k + 1))
+                yield from (Xor(lits, 0), Xor(lits, 1), Clause(lits))
+
+
+@pytest.mark.parametrize("mode", [FULL_SUBDOMAINS, ASSIGNMENT_STYLE])
+def test_the_certificate_holds_every_maximal_state_with_repeated_literals(mode):
+    # these take the hitting-set generator, which reads the scope, not the literals
+    all3 = bools(3)
+    sizes = []
+    for source in repeated_literal_sources([1, 2], 3):
+        for variables in ([var for var in all3 if var.id in source.scope], all3):
+            sizes.append(assert_certificate_is_exact(source, variables, mode))
+    assert (len(sizes), sum(sizes)) == (2 * 314, 940)
+
+
 def non_literal_sources(variables):
     """AllDiff over every subset of `variables`, Neq over every ordered
     pair, seeded random tables over every scope of up to three of them,
@@ -469,10 +491,15 @@ def test_certificate_sizes():
                           (5, ASSIGNMENT_STYLE, 45), (6, ASSIGNMENT_STYLE, 81)]:
         assert sum(1 for _ in _maximal_states(*hall(n), mode)) == size
     assert sum(1 for _ in _maximal_states(AllDiff([1, 2]), bools(2), FULL_SUBDOMAINS)) == 4
-    # no certificate where a scope or channel variable repeats
-    assert _maximal_states(Card([1, 1, 2], 1, 2), bools(2), FULL_SUBDOMAINS) is None
+    # a repeated literal certifies from hitting sets; a repeated channel id
+    # never reaches the certificate, since the precondition refuses it
+    assert assert_certificate_is_exact(Card([1, 1, 2], 1, 2), bools(2), FULL_SUBDOMAINS) == 4
+    twins = bools(2) + [bool_variable(1, "y1")]
+    enc = Encoding(CnfFormula(2, []), ChannelMap(ChannelMap.CNF, twins, {
+        (1, TRUE): 1, (1, FALSE): -1, (2, TRUE): 2, (2, FALSE): -2}))
     for source in (AllDiff([1, 2]), Neq(1, 2), Table([1], [(0,)])):
-        assert _maximal_states(source, bools(2) + bools(1), ASSIGNMENT_STYLE) is None
+        with pytest.raises(UsageError, match="^duplicate variable id 1$"):
+            check_gac_reduction(source, enc, EnumerationPolicy(ASSIGNMENT_STYLE))
 
 
 def clause_list(target):
@@ -504,15 +531,19 @@ def broken_encodings(enc):
 
 def literal_sweep():
     """Every shipped encoding of the bundled Card, Xor and Clause instances
-    at n <= 3, and identity over one variable outside the scope."""
-    for n in range(1, 4):
-        for c in (c for family in ("card", "xor", "clause") for c, _ in _instances(family, n)):
-            names = {Card: ["totalizer", "binary-adder"], Xor: ["xor-direct"],
-                     Clause: ["clause-to-neq:gac", "clause-to-neq:non-gac"]}[type(c)]
-            if isinstance(c, Card) and c.lo == c.hi == 1:
-                names += ["exactly-one:pairwise", "exactly-one:sequential"]
-            for name in names:
-                yield c, build_encoding(name, c, bools(n))
+    at n <= 3 and of four sources over three variables that repeat a
+    literal's variable, and identity over one variable outside the scope."""
+    bundled = [(c, n) for n in range(1, 4) for family in ("card", "xor", "clause")
+               for c, _ in _instances(family, n)]
+    repeated = [(c, 3) for c in (Card([1, 1, -2], 1, 2), Card([1, -2, 1], 1, 1),
+                                 Xor([1, -1, 2, 3], 1), Clause([1, -2, 1]))]
+    for c, n in bundled + repeated:
+        names = {Card: ["totalizer", "binary-adder"], Xor: ["xor-direct"],
+                 Clause: ["clause-to-neq:gac", "clause-to-neq:non-gac"]}[type(c)]
+        if isinstance(c, Card) and c.lo == c.hi == 1:
+            names += ["exactly-one:pairwise", "exactly-one:sequential"]
+        for name in names:
+            yield c, build_encoding(name, c, bools(n))
     for c in (Card([1, -2], 1, 1), Xor([1, 2], 1), Clause([-1, 2])):
         yield c, build_encoding("identity", c, bools(3))
 
@@ -526,7 +557,7 @@ def test_certified_verdicts_equal_the_plain_loop_on_broken_encodings(policy):
             want = plain_verdict("gac-reduction", source, broken, policy)
             assert_same_text(got.to_json(), want.to_json(), (source, broken.target))
             outcomes.append(got.passed)
-    assert (len(outcomes), outcomes.count(True)) == (1379, 925)
+    assert (len(outcomes), outcomes.count(True)) == (1678, 1004)
 
 
 def non_literal_sweep():
@@ -558,6 +589,34 @@ def test_hitting_set_certified_verdicts_equal_the_plain_loop_on_broken_encodings
             assert_same_text(got.to_json(), want.to_json(), (source, broken.target))
             outcomes.append(got.passed)
     assert (len(outcomes), outcomes.count(True)) == (266, 199)
+
+
+@pytest.mark.parametrize("policy", POLICIES[:2])
+def test_certified_soundness_equals_the_plain_loop_on_broken_encodings(policy):
+    outcomes = []
+    for source, enc in itertools.chain(literal_sweep(), non_literal_sweep()):
+        for broken in broken_encodings(enc):
+            got = check_soundness(source, broken, policy)
+            want = plain_verdict("soundness", source, broken, policy)
+            assert_same_text(got.to_json(), want.to_json(), (source, broken.target))
+            outcomes.append(got.passed)
+    assert (len(outcomes), outcomes.count(True)) == (1944, 1216)
+
+
+def test_a_failing_soundness_certificate_sends_the_check_to_the_walk(monkeypatch):
+    walks = []
+    real = gac_check._drive
+    monkeypatch.setattr(gac_check, "_drive", lambda *args: walks.append(args) or real(*args))
+    source, variables = Card([1, -2, 3], 1, 2), bools(3)
+    enc = build_encoding("totalizer", source, variables)
+    policy = EnumerationPolicy(FULL_SUBDOMAINS)
+    assert check_soundness(source, enc, policy).passed and not walks
+    # a unit clause on x1's channel literal refutes the accepted x1 = F, x2 = F, x3 = T
+    unsound = Encoding(CnfFormula(enc.target.num_vars, enc.target.clauses
+                                  + [(enc.channel.forward[(1, TRUE)],)]), enc.channel)
+    got = check_soundness(source, unsound, policy)
+    assert len(walks) == 1 and not got.passed and got.states_checked == 27
+    assert_same_text(got.to_json(), plain_verdict("soundness", source, unsound, policy).to_json())
 
 
 class ConsumedCertificate:
