@@ -88,7 +88,12 @@ def parse_cnet(text: str) -> CnetDocument:
         if head == "restrict":
             restricts.append(_parse_restrict(lineno, tokens, variables))
         else:
-            constraints.append(_parse_constraint(lineno, tokens, variables))
+            try:
+                constraints.append(_parse_constraint(lineno, tokens, variables))
+            except CnetParseError:
+                raise
+            except UsageError as exc:  # a constructor's check, located at the head
+                raise CnetParseError(str(exc), lineno, tokens[0][1]) from None
 
     try:
         network = Network(order, constraints)
@@ -202,11 +207,7 @@ def _parse_constraint(lineno, tokens, variables):
             lo, hi = int(rest[0][0]), int(rest[1][0])
         except ValueError:
             raise CnetParseError("card bounds must be integers", lineno, rest[0][1]) from None
-        lits = [_parse_lit(lineno, c, t, variables) for t, c in rest[2:]]
-        try:
-            return Card(lits, lo, hi)
-        except UsageError as exc:
-            raise CnetParseError(str(exc), lineno, headcol) from None
+        return Card([_parse_lit(lineno, c, t, variables) for t, c in rest[2:]], lo, hi)
     if head == "alldiff":
         if not rest:
             raise CnetParseError("alldiff needs variables", lineno, headcol)
@@ -216,10 +217,7 @@ def _parse_constraint(lineno, tokens, variables):
             raise CnetParseError("neq needs exactly two variables", lineno, headcol)
         a = _need_var(lineno, rest[0][1], rest[0][0], variables)
         b = _need_var(lineno, rest[1][1], rest[1][0], variables)
-        try:
-            return Neq(a.id, b.id)
-        except UsageError as exc:
-            raise CnetParseError(str(exc), lineno, headcol) from None
+        return Neq(a.id, b.id)
     if head == "xor":
         eq = next((i for i, (t, _) in enumerate(rest) if t == "="), None)
         if eq is None or eq != len(rest) - 2:

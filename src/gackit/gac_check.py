@@ -19,23 +19,22 @@ order: product order over each position's options, last position fastest
 samples. The options are a variable's subdomains for the gac and soundness
 checks and its singletons for equiconsistency. Each state comes with the
 first depth p at which it differs from the previous one, and per-depth
-work is redone only from p on: the counts that tell in constant time
-whether a Card, Xor or Clause source filter would hand K back unchanged,
-and the source constraints that equiconsistency tests with `accepts`. A
-side that a prefix of an assignment refutes stays refuted for every
-extension of it. The target side is one engine, `_Target`, which keeps the
-channel images of the subdomains it last mapped per depth and remaps only
-the depths past the prefix it shares with them. A DomainBox for K is built
-only where the source has to be filtered. Counterexamples are kept in walk
-order, so the verdict is the same as a state-by-state evaluation's.
+work is redone only from p on: equiconsistency tests a source constraint
+with `accepts` only past its last scope variable, and a side that a prefix
+of an assignment refutes stays refuted for every extension of it. The
+target side is one engine, `_Target`, which keeps the channel images of the
+subdomains it last mapped per depth and remaps only the depths past the
+prefix it shares with them. Counterexamples are kept in walk order, so the
+verdict is the same as a state-by-state evaluation's.
 
-Both knowledge checks certify before they walk (`_drive_knowledge`). Under
-an exhaustive policy they first judge a certificate, states that hold a
-counterexample wherever the walk holds one: for the gac check the states
-maximal for some value's lack of support (`_maximal_states`), for the
-soundness check the complete assignments the source accepts. Where none
-fails the verdict is Pass over the policy's state count, and otherwise the
-walk runs as it would have, listing every counterexample.
+Both knowledge checks judge a certificate before they walk
+(`_drive_knowledge`). Under an exhaustive policy every counterexample of
+the walk is tied to a failing certificate state: for the gac check it lies
+inside one of the states maximal for some value's lack of support
+(`_maximal_states`), for the soundness check it holds one of the complete
+assignments the source accepts. Where no certificate state fails the
+verdict is Pass over the policy's state count; otherwise the walk visits
+only the states so tied to a failing one, and lists every counterexample.
 `check_gac_reduction` and `check_soundness` give the arguments and their
 premises.
 """
@@ -54,8 +53,8 @@ from .model import (
     is_restriction, lit_false_value, lit_truth_value, lit_var, map_knowledge,
 )
 from .propagation import (
-    UnitPropagator, fixpoint_counts, gac_closure, gac_filter,
-    maximal_gap_counts, sat_solve, solve_brute_force,
+    UnitPropagator, gac_closure, gac_filter, maximal_gap_counts, sat_solve,
+    solve_brute_force,
 )
 from .encoders import Encoding
 
@@ -113,27 +112,46 @@ def auto_policy(variables, seed: int = DEFAULT_SEED,
     return EnumerationPolicy(RANDOM_SAMPLE, seed=seed, max_states=max_states)
 
 
-def _odometer(options):
+def _odometer(options, masks=None):
     """The product of the per-position option lists as `(p, state)` pairs,
     last position fastest. `state` is one list, changed in place from state
     to state, so copy what you keep; `p` is the first position at which it
-    differs from the previous state, 0 for the first."""
+    differs from the previous state, 0 for the first. `masks`, if given,
+    holds an int per option, shaped like `options`, and the walk skips
+    every prefix whose options' masks AND to 0, with all its extensions."""
     n = len(options)
-    last = [len(opts) - 1 for opts in options]
-    digits = [0] * n
-    state = [opts[0] for opts in options]
-    p = 0
-    while True:
-        yield p, state
-        p = n - 1
-        while p >= 0 and digits[p] == last[p]:  # carry: wrap this digit
-            digits[p] = 0
-            state[p] = options[p][0]
-            p -= 1
-        if p < 0:
-            return
-        digits[p] += 1
-        state[p] = options[p][digits[p]]
+    if not n:
+        yield 0, []
+        return
+    if masks is None:
+        masks = [[-1] * len(opts) for opts in options]
+    pairs = [list(zip(opts, ms)) for opts, ms in zip(options, masks)]
+    last = n - 1
+    state = [None] * n
+    acc = [-1] * n  # acc[d]: the AND of the masks of the options before d
+    its = [iter(pairs[0])] + [None] * last
+    d = p = 0  # p: the first position set since the last yield
+    while d >= 0:
+        if d == last:
+            a = acc[last]
+            for opt, m in pairs[last]:
+                if a & m:
+                    state[last] = opt
+                    yield p, state
+                    p = last
+            d -= 1
+            continue
+        for opt, m in its[d]:
+            a = acc[d] & m
+            if a:
+                state[d] = opt
+                if d < p:
+                    p = d
+                d += 1
+                acc[d], its[d] = a, iter(pairs[d])
+                break
+        else:
+            d -= 1
 
 
 def _samples(draws, count: int, seed: int):
@@ -152,13 +170,14 @@ def _samples(draws, count: int, seed: int):
         yield p, state
 
 
-def _knowledge_walk(variables, policy: EnumerationPolicy):
+def _knowledge_walk(variables, policy: EnumerationPolicy, fit=None):
     """The knowledge states of `policy` as `(p, subdomains)` pairs, one
     subdomain per variable in order. Exhaustive modes run `_odometer` over
-    each variable's subdomains; random-sample mode draws one mask per
-    variable with `_samples`, seeded with `policy.seed`. Raises
-    ResourceError when a domain exceeds MAX_DOMAIN_SIZE or an exhaustive
-    walk the policy's state budget.
+    each variable's subdomains, with `fit(d, subdomain)` as the mask of
+    each option at position d where `fit` is given; random-sample mode
+    draws one mask per variable with `_samples`, seeded with `policy.seed`.
+    Raises ResourceError when a domain exceeds MAX_DOMAIN_SIZE or an
+    exhaustive walk the policy's state budget.
     """
     for var in variables:
         if len(var.domain) > MAX_DOMAIN_SIZE:
@@ -179,10 +198,11 @@ def _knowledge_walk(variables, policy: EnumerationPolicy):
             return lambda rng: subdomain(dom, rng.randrange(1, 2 ** len(dom)))
         return _samples([draw(dom) for dom in doms], policy.sample_count, policy.seed)
     if policy.mode == FULL_SUBDOMAINS:
-        return _odometer([[subdomain(dom, mask) for mask in range(1, 2 ** len(dom))]
-                          for dom in doms])
-    # assignment-style: unrestricted, or assigned to one value
-    return _odometer([[frozenset(dom)] + [frozenset((val,)) for val in dom] for dom in doms])
+        options = [[subdomain(dom, mask) for mask in range(1, 2 ** len(dom))] for dom in doms]
+    else:  # assignment-style: unrestricted, or assigned to one value
+        options = [[frozenset(dom)] + [frozenset((val,)) for val in dom] for dom in doms]
+    return _odometer(options, fit and [[fit(d, opt) for opt in opts]
+                                       for d, opts in enumerate(options)])
 
 
 def enumerate_knowledge_states(variables, policy: EnumerationPolicy | None = None):
@@ -424,79 +444,53 @@ class _Target:
         return None if sat else bisect_left(self.ends, len(mapped))
 
 
-def _drive(walk, judge, mode: str, check: str, svars) -> Verdict:
+def _drive(walk, judge, mode: str, check: str, svars, count: int | None = None) -> Verdict:
     """The one check loop: `judge(p, state)` for each step of the walk
     returns a Counterexample or None; counterexamples are kept in walk
-    order."""
-    counterexamples = []
-    count = 0
-    for p, state in walk:
-        count += 1
+    order. The verdict counts `count` states, or the walk's steps if None."""
+    counterexamples, steps = [], 0
+    for steps, (p, state) in enumerate(walk, 1):
         ce = judge(p, state)
         if ce is not None:
             counterexamples.append(ce)
-    return Verdict(count, counterexamples, mode, check, svars)
+    return Verdict(steps if count is None else count, counterexamples, mode, check, svars)
 
 
-def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate) -> Verdict:
-    """`_drive` over the knowledge walk of `policy` (auto if None): certify,
-    else walk. Where the policy is exhaustive, the judge first sees the
-    states of `certificate(mode)`, a stream of `(p, state)` pairs; if it
-    finds no counterexample among them, the walk would find none either
-    (the caller's argument), and the verdict is Pass over the policy's
-    state count without a walk. A None step means the stream gave up, and
-    counts as a failing state. Otherwise the walk runs from its first
-    state, since only it lists every counterexample. The walk is built
-    first, so budget and domain-cap errors come out before any state is
-    judged."""
+def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
+                     inside) -> Verdict:
+    """`_drive` over the knowledge walk of `policy` (auto if None), steered
+    by the caller's argument: under an exhaustive policy, every
+    counterexample K of the walk has a failing state F of
+    `certificate(mode)` with `inside(K[d], F[d])` at every position d. So
+    the judge first sees every certificate state (`(p, state)` pairs, each
+    state a new list). Where none fails the verdict is Pass over the
+    policy's state count; otherwise the walk visits only the states that
+    have such an F, with one `_odometer` mask bit per failing state, and
+    lists every counterexample. A None step means the stream gave up, and
+    the walk then visits every state, as under a random-sample policy. The
+    walk is built first, so budget and domain-cap errors come out before
+    any state is judged."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
     walk = _knowledge_walk(svars, policy)
-    if policy.mode != RANDOM_SAMPLE and all(
-            step is not None and judge(*step) is None for step in certificate(policy.mode)):
-        return Verdict(count_states(svars, policy), [], policy.mode, check, svars)
+    if policy.mode != RANDOM_SAMPLE:
+        failing = [{} for _ in svars]  # per position: F[d] -> the bits of its states
+        bit = 1  # the next failing state's
+        for step in certificate(policy.mode):
+            if step is None:
+                break
+            if judge(*step) is not None:
+                for at, dom in zip(failing, step[1]):
+                    at[dom] = at.get(dom, 0) | bit
+                bit <<= 1
+        else:
+            if bit == 1:  # no certificate state fails
+                return Verdict(count_states(svars, policy), [], policy.mode, check, svars)
+            walk = _knowledge_walk(svars, policy, lambda d, opt: sum(
+                bits for dom, bits in failing[d].items() if inside(opt, dom)))
+            return _drive(walk, judge, policy.mode, check, svars, count_states(svars, policy))
     return _drive(walk, judge, policy.mode, check, svars)
-
-
-def _channel_lits(source, svars):
-    """Per channel position, the source's literal over that variable or
-    None, for a Card, Xor or Clause over distinct variables; None for any
-    other source."""
-    if fixpoint_counts(source) is None:
-        return None
-    lit_of = {lit_var(lit): lit for lit in source.lits}
-    return [lit_of.get(var.id) for var in svars]
-
-
-def _unchanged_test(source, svars):
-    """For a source that `_channel_lits` places, a test `unchanged(p,
-    state)` that is True exactly where `gac_filter(source, K)` hands back K
-    itself. It sums `fixpoint_counts` per depth, redoing only the depths
-    from p on, so after p = 0 it must see every state of the walk, in
-    order. None for any other source, which is filtered on every state."""
-    lits = _channel_lits(source, svars)
-    if lits is None:
-        return None
-    count, holds = fixpoint_counts(source)
-    n = len(lits)
-    memos = [{} for _ in lits]  # per depth: subdomain -> its count
-    totals = [0] * (n + 1)  # totals[d]: the sum over the depths before d
-    holds_at = {}  # total -> holds(total)
-
-    def unchanged(p, state):
-        for d in range(p, n):
-            dom = state[d]
-            c = memos[d].get(dom)
-            if c is None:
-                c = memos[d][dom] = 0 if lits[d] is None else count(lits[d], dom)
-            totals[d + 1] = totals[d] + c
-        total = totals[n]
-        answer = holds_at.get(total)
-        if answer is None:
-            answer = holds_at[total] = holds(total)
-        return answer
-    return unchanged
 
 
 def _maximal_states(source, svars, mode: str):
@@ -504,8 +498,8 @@ def _maximal_states(source, svars, mode: str):
     `mode`: every walk state that is maximal, among the walk's states, for
     some value having no support, as `(0, state)` pairs, each a new list,
     with the variables outside the scope free. `_count_placements` gives
-    them for a source that `_channel_lits` places, `_hitting_sets` for any
-    other.
+    them for a Clause, Card or Xor over distinct variables, from the counts
+    of `maximal_gap_counts`, and `_hitting_sets` for any other source.
 
     A value of a variable outside the scope has no support exactly where
     the source is inconsistent, so where the channel holds one, or the
@@ -513,24 +507,28 @@ def _maximal_states(source, svars, mode: str):
     non-empty scope they add nothing the argument needs: a gap at an
     inconsistent state keeps an unsupported scope value too).
     """
-    lits = _channel_lits(source, svars)
-    if lits is not None:
-        return _count_placements(source, svars, lits)
-    return _hitting_sets(source, svars, mode)
+    outside = len(svars) > len(source.scope) or not source.scope
+    counts = maximal_gap_counts(source, outside)
+    if counts is None:
+        return _hitting_sets(source, svars, mode, outside)
+    return _count_placements(source, svars, counts)
 
 
-def _count_placements(source, svars, lits):
-    """`_maximal_states` for a Clause, Card or Xor, lazily. State K fixes t
-    of the n literals true and f false, and the count pairs come from
-    `maximal_gap_counts`; one-step enlargement frees one fixed literal.
-    Each pair is yielded in every placement. Over Booleans both exhaustive
-    families are one, and the counts give the states without enumerating
-    solutions (a Card over 20 variables can have about 10^6)."""
+def _count_placements(source, svars, counts):
+    """`_maximal_states` for a Clause, Card or Xor over distinct variables,
+    lazily. State K fixes t of the n literals true and f false, and
+    `counts` holds the pairs `(t, f)` of the maximal states; one-step
+    enlargement frees one fixed literal. Each pair is yielded in every
+    placement. Over Booleans both exhaustive families are one, and the
+    counts give the states without enumerating solutions (a Card over 20
+    variables can have about 10^6)."""
+    lit_of = {lit_var(lit): lit for lit in source.lits}
+    lits = [lit_of.get(var.id) for var in svars]
     scoped = [d for d, lit in enumerate(lits) if lit is not None]
     free = [frozenset(var.domain) for var in svars]
     fixed = {d: (frozenset((lit_false_value(lits[d]),)), frozenset((lit_truth_value(lits[d]),)))
              for d in scoped}
-    for t, f in maximal_gap_counts(source, len(svars) > len(scoped) or not scoped):
+    for t, f in counts:
         for trues in combinations(scoped, t):
             rest = [d for d in scoped if d not in trues]
             for falses in combinations(rest, f):
@@ -550,7 +548,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _hitting_sets(source, svars, mode: str):
+def _hitting_sets(source, svars, mode: str, outside: bool):
     """`_maximal_states` for any source, lazily. The states where a scope
     value (x, v) has no support avoid every source solution s with s[x] =
     v, so the maximal ones are the minimal hitting sets of those solutions,
@@ -559,8 +557,9 @@ def _hitting_sets(source, svars, mode: str):
     subdomains it means "remove a from y" and hits s where s[y] = a, and no
     y loses its whole domain. So for non-Boolean variables the two families
     differ: a one-step enlargement frees one assigned variable in the first
-    and adds back one value in the second. The maximal inconsistent states
-    are the minimal hitting sets of all solutions.
+    and adds back one value in the second. The maximal inconsistent states,
+    which join in where `outside` is set, are the minimal hitting sets of
+    all solutions.
 
     Solutions are enumerated with `accepts` over the initial domains and
     kept as bits of int masks; `_mmcs` lists the sets. A state reached from
@@ -586,7 +585,7 @@ def _hitting_sets(source, svars, mode: str):
     usable = sum(of_var[k] for k in range(len(doms)) if cap[k])
     targets = [(sum(1 << j for j, s in enumerate(sols) if s[i] == v), usable & ~of_var[i])
                for i, dom in enumerate(doms) for v in dom]
-    if len(svars) > len(pos) or not pos:
+    if outside:
         targets.append(((1 << len(sols)) - 1, usable))
     limit = count_states(svars, EnumerationPolicy(mode))
     full = [frozenset(var.domain) for var in svars]
@@ -643,12 +642,7 @@ def check_gac_reduction(source, enc: Encoding,
 
     Where the source deduces nothing (its filter hands back K itself) the
     target side is skipped: the mapped-back deduction keeps only values of
-    K, so it restricts K whatever the target deduces. For a Card, Xor or
-    Clause source over distinct variables the walk tells these states
-    apart without building K or filtering, from counts summed per depth
-    (see `fixpoint_counts`, which applies the filter's own rule,
-    `propagation._free_literal_rule`). Every other source is filtered on
-    every state.
+    K, so it restricts K whatever the target deduces.
 
     A pass is certified from the source's maximal deducing states
     (`_maximal_states`) before any walk, under four premises: the source
@@ -668,18 +662,20 @@ def check_gac_reduction(source, enc: Encoding,
     source from the minimal hitting sets of its solutions. For non-Boolean
     variables the two exhaustive families have different one-step
     enlargements (free an assigned variable, add back one value), and so
-    different maximal states. A certificate state that fails, or a
-    generator that gives up, sends the check to the full walk, which lists
-    every gap. Random-sample policies always walk.
+    different maximal states.
+
+    Read backwards, the same argument bounds where a gap can be: the gap at
+    K lies inside the failing maximal state K*. So where certificate
+    states fail, the walk visits only the states K with K ⊆ F, position by
+    position, for some failing F, and lists every gap there. A generator
+    that gives up sends the check to the full walk, and random-sample
+    policies always walk.
     """
     _check_source(source, enc.channel)
     engine, svars = _Target(enc), enc.channel.source_vars
-    unchanged = _unchanged_test(source, svars)
     vids = [var.id for var in svars]
 
     def judge(p, state):
-        if unchanged is not None and unchanged(p, state):
-            return None
         knowledge = DomainBox._raw(dict(zip(vids, state)))
         src = gac_filter(source, knowledge).box
         if src is knowledge:
@@ -688,7 +684,8 @@ def check_gac_reduction(source, enc: Encoding,
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "gac-reduction",
-                            lambda mode: _maximal_states(source, svars, mode))
+                            lambda mode: _maximal_states(source, svars, mode),
+                            frozenset.issubset)
 
 
 def check_soundness(source, enc: Encoding,
@@ -712,22 +709,21 @@ def check_soundness(source, enc: Encoding,
     refutes v at s too, and s, which the source keeps whole, is a
     violation. So the walk passes iff every accepted assignment does; as
     in Bessiere, Katsirelos, Narodytska & Walsh (IJCAI 2009), soundness is
-    judged apart from propagation strength. A failing certificate state
-    sends the check to the walk, which lists every violation.
+    judged apart from propagation strength. The same argument bounds where
+    a violation can be: at K it repeats at the failing assignment s inside
+    K. So where accepted assignments fail, the walk visits only the states
+    K with K ⊇ s, position by position, for some failing s, and lists
+    every violation there.
     """
     _check_source(source, enc.channel)
     engine, svars = _Target(enc), enc.channel.source_vars
-    unchanged = _unchanged_test(source, svars)
     vids = [var.id for var in svars]
 
     def judge(p, state):
         knowledge = DomainBox._raw(dict(zip(vids, state)))
-        if unchanged is not None and unchanged(p, state):
-            src = knowledge
-        else:
-            src = gac_filter(source, knowledge).box
-            if src.inconsistent:
-                return None
+        src = gac_filter(source, knowledge).box
+        if src.inconsistent:
+            return None
         back = engine.deduce_back(knowledge)
         if not is_restriction(src, back):
             return Counterexample(SOUNDNESS_VIOLATION, knowledge, src, back)
@@ -738,7 +734,8 @@ def check_soundness(source, enc: Encoding,
         for values in product(*(var.domain for var in svars)):
             if source.accepts([values[d] for d in pos]):
                 yield 0, [single[val] for single, val in zip(singles, values)]
-    return _drive_knowledge(enc, policy, judge, "soundness", solutions)
+    return _drive_knowledge(enc, policy, judge, "soundness", solutions,
+                            frozenset.issuperset)
 
 
 def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:

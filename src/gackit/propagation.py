@@ -5,9 +5,8 @@ tests constraints only through `accepts`, and a small DPLL solver.
 
 Clause, Card and Xor share one GAC rule, stated once in
 `_free_literal_rule`: the number of true literals must lie in the
-constraint's `allowed` set. `_filter_literals` applies it,
-`fixpoint_counts` reads off it where the filter changes nothing, and
-`maximal_gap_counts` where a value loses its last support.
+constraint's `allowed` set. `_filter_literals` applies it, and
+`maximal_gap_counts` reads off it where a value loses its last support.
 
 All engines are single-threaded per invocation and hold no global state.
 """
@@ -141,9 +140,8 @@ def _filter_literals(c: Clause | Card | Xor, box: DomainBox) -> PropagationResul
     in `c.allowed`. Over distinct variables every free literal is alike, so
     `_free_literal_rule` decides them all from two counts. With a repeated
     variable, `_filter_weighted` runs a pass over reachable counts instead.
-    The input picks the path: the counts are several times cheaper per
-    call, and the walk's per-depth counts (`fixpoint_counts`) exist only
-    for distinct variables."""
+    The input picks the path, because the counts are several times cheaper
+    per call."""
     if len(c.scope) != len(c.lits):
         return _filter_weighted(c, box)
     t = 0
@@ -197,45 +195,19 @@ def _filter_weighted(c: Clause | Card | Xor, box: DomainBox) -> PropagationResul
     return _apply_scope_domains(box, c.scope, supported)
 
 
-def fixpoint_counts(c: Constraint):
-    """The test "`gac_filter(c, box)` hands back `box` itself" as a sum of
-    per-literal counts, for a Card, Xor or Clause over distinct variables;
-    None for any other constraint, which must run its filter.
-
-    Returns `(count, holds)`. `count(lit, dom)` is what one literal adds
-    given its variable's domain: 1 if the literal is fixed true, `1 << shift`
-    if it is free, with `shift = len(c.lits).bit_length()`, else 0. The sum
-    over c's literals packs t fixed-true and u free ones as
-    `t + (u << shift)`, and `holds` of it is True exactly where
-    `_free_literal_rule` lets a free literal keep both values, which is
-    where `_filter_literals` returns its input box.
-    """
-    if type(c) not in (Clause, Card, Xor) or len(c.scope) != len(c.lits):
-        return None
-    shift = len(c.lits).bit_length()
-    low, free, allowed = (1 << shift) - 1, 1 << shift, c.allowed
-
-    def count(lit, dom):
-        if len(dom) == 2:
-            return free
-        return 1 if lit_truth_value(lit) in dom else 0
-
-    def holds(total):
-        may_false, may_true = _free_literal_rule(allowed, total & low, total >> shift)
-        return bool(may_false and may_true)
-    return count, holds
-
-
-def maximal_gap_counts(c: Clause | Card | Xor, outside: bool) -> list[tuple[int, int]]:
-    """The count pairs `(t, f)`, t literals of `c` fixed true and f fixed
-    false over distinct variables, at which some value has no support and
-    has it again after every one-step enlargement, `(t - 1, f)` and
-    `(t, f - 1)`. A value's support depends only on `(t, f)` and its kind:
+def maximal_gap_counts(c: Constraint, outside: bool) -> list[tuple[int, int]] | None:
+    """For a Clause, Card or Xor over distinct variables, the count pairs
+    `(t, f)`, t literals of `c` fixed true and f fixed false, at which some
+    value has no support and has it again after every one-step
+    enlargement, `(t - 1, f)` and `(t, f - 1)`; None for any other
+    constraint. A value's support depends only on `(t, f)` and its kind:
     a free literal made true or false (`_free_literal_rule`), or, where
     `outside` is set, a value of a variable outside the scope, which has no
     support exactly where `c` is inconsistent. A fixed literal's value
     keeps its support status when its literal is freed, so it is maximal
     nowhere and has no kind of its own."""
+    if type(c) not in (Clause, Card, Xor) or len(c.scope) != len(c.lits):
+        return None
     n, allowed = len(c.lits), c.allowed
 
     def gap(t, f, kind):

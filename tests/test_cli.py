@@ -74,6 +74,19 @@ def test_malformed_comma_lists_are_located(files, capsys, text, line, column):
     assert err.startswith(f"error: line {line}, column {column}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("statement, message", [
+    ("neq a a", "neq needs two distinct variables"),
+    ("alldiff b a b", "alldiff scope variables must be distinct"),
+    ("table a a : (1,1)", "table scope variables must be distinct"),
+    ("card 2 1 x", "card bounds must satisfy 0 <= 2 <= 1 <= 1"),
+], ids=["neq", "alldiff", "table", "card-bounds"])
+def test_constructor_errors_are_located(files, capsys, statement, message):
+    # the constructor's own check, located at the statement's head
+    (files / "bad.cnet").write_text(f"var a 1..2\nvar b 1..2\nvar x bool\n  {statement}\n")
+    assert main(["propagate", "--in", str(files / "bad.cnet")]) == 2
+    assert capsys.readouterr().err == f"error: line 4, column 3: {message}\n"
+
+
 @pytest.mark.parametrize("source", ["clause.cnet", "no-card.cnet", "card.cnet"])
 def test_encode_unknown_scheme(files, capsys, source):
     expect_usage_error(["encode", "--in", files / source, "--scheme", "nonsense",

@@ -1,11 +1,13 @@
 """The knowledge-state walk of `check_gac_reduction` and `check_soundness`:
-the constant-time count test that stands in for the source filter, the
-target engine's reuse of the prefix it shares with its last call, the
-verdicts of the walk against a plain copy of the state-by-state loop, and
-the certificate of maximal states against an enumeration oracle and, on
-broken encodings, against the plain loop."""
+the odometer and the masks that confine it, the target engine's reuse of
+the prefix it shares with its last call, the verdicts of the walk against
+a plain copy of the state-by-state loop, the certificate of maximal states
+against an enumeration oracle and, on broken encodings, against the plain
+loop, and the confined walk that a failing certificate leaves."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -18,80 +20,25 @@ from gackit.model import (
     range_variable,
 )
 from gackit.propagation import (
-    CnfFormula, UnitPropagator, fixpoint_counts, gac_closure, gac_filter, gac_oracle,
+    CnfFormula, UnitPropagator, gac_closure, gac_filter, gac_oracle,
 )
 from gackit.encoders import Encoding, build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     SOUNDNESS_VIOLATION, Counterexample, EnumerationPolicy, Verdict,
-    _Target, _knowledge_walk, _maximal_states, _target_box, _unchanged_test, auto_policy,
+    _Target, _knowledge_walk, _maximal_states, _odometer, _target_box,
     check_gac_reduction, check_soundness, enumerate_knowledge_states,
 )
-from gackit.classify import _instances, default_config
+from gackit.classify import _instances
 from textdiff import assert_same_text
 
 
-def filter_hands_back(c, box):
-    r = gac_filter(c, box)
-    return not r.inconsistent and r.box is box
-
-
-def polarities(c):
-    """c with all literals positive, all negated, and every other negated."""
-    lits = [abs(lit) for lit in c.lits]
-    for signs in ([1] * len(lits), [-1] * len(lits), [(-1) ** i for i in range(len(lits))]):
-        flipped = [s * lit for s, lit in zip(signs, lits)]
-        yield (Card(flipped, c.lo, c.hi) if isinstance(c, Card)
-               else Xor(flipped, c.parity) if isinstance(c, Xor) else Clause(flipped))
-
-
-def bundled_instances():
-    config = default_config()
-    for job in config["jobs"]:
-        for size in job["sizes"]:
-            for c, variables in _instances(job["family"], size):
-                yield c, variables, auto_policy(variables, config["seed"], config["max_states"])
-    for size in range(1, 7):  # card under every polarity, every (lo, hi)
-        for c, variables in _instances("card", size):
-            for flipped in polarities(c):
-                yield flipped, variables, auto_policy(variables)
-
-
-def test_count_test_equals_the_filter_on_every_bundled_state():
-    kinds = set()
-    for c, variables, policy in bundled_instances():
-        unchanged = _unchanged_test(c, variables)
-        assert (unchanged is None) == (not isinstance(c, (Card, Xor, Clause))), c
-        if unchanged is None:
-            continue
-        kinds.add(c.kind())
-        vids = [var.id for var in variables]
-        for p, state in _knowledge_walk(variables, policy):
-            knowledge = DomainBox._raw(dict(zip(vids, state)))
-            assert unchanged(p, state) == filter_hands_back(c, knowledge), (c, knowledge)
-    assert kinds == {"card", "xor", "clause"}
-
-
-def test_count_test_on_sampled_states_with_unscoped_variables():
-    # samples build fresh subdomains, and x5 lies outside every scope
-    variables = [bool_variable(i, f"x{i}") for i in range(1, 6)]
-    policy = EnumerationPolicy(RANDOM_SAMPLE, sample_count=400, seed=3)
-    vids = [var.id for var in variables]
-    for c in (Card([1, -2, 3, -4], 1, 2), Xor([-1, 2, 4], 0), Clause([2, -3])):
-        unchanged = _unchanged_test(c, variables)
-        for p, state in _knowledge_walk(variables, policy):
-            knowledge = DomainBox._raw(dict(zip(vids, state)))
-            assert unchanged(p, state) == filter_hands_back(c, knowledge), (c, knowledge)
-
-
 @st.composite
-def literal_constraints(draw, distinct):
-    n = draw(st.integers(1 if distinct else 2, 8))
-    if distinct:
-        vars_ = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(0, n))]
-    else:  # at least one variable twice, with either sign
-        vars_ = draw(st.lists(st.integers(1, n), min_size=2, max_size=8))
-        vars_.append(vars_[draw(st.integers(0, len(vars_) - 1))])
+def repeated_literal_constraints(draw):
+    n = draw(st.integers(2, 8))
+    # at least one variable twice, with either sign
+    vars_ = draw(st.lists(st.integers(1, n), min_size=2, max_size=8))
+    vars_.append(vars_[draw(st.integers(0, len(vars_) - 1))])
     lits = [v if draw(st.booleans()) else -v for v in vars_]
     kind = draw(st.sampled_from(["card", "xor", "clause"]))
     if kind == "card":
@@ -107,20 +54,8 @@ def boxes(n):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_count_test_equals_the_filter_on_random_boxes(data):
-    c, n = data.draw(literal_constraints(distinct=True))
-    box = data.draw(boxes(n))
-    count, holds = fixpoint_counts(c)
-    total = sum(count(lit, box.domain(abs(lit))) for lit in c.lits)
-    assert holds(total) == filter_hands_back(c, box)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
 def test_repeated_variables_take_the_generic_path(data):
-    c, n = data.draw(literal_constraints(distinct=False))
-    variables = [bool_variable(i, f"x{i}") for i in range(1, n + 1)]
-    assert fixpoint_counts(c) is None and _unchanged_test(c, variables) is None
+    c, n = data.draw(repeated_literal_constraints())
     box = data.draw(boxes(n))
     got, want = gac_filter(c, box), gac_oracle(c, box)
     assert got.inconsistent == want.inconsistent
@@ -296,6 +231,59 @@ def test_walk_order_is_the_product_order():
             if prev is not None:
                 assert prev[:p] == state[:p] and prev[p] != state[p]
             prev = state
+
+
+def carry_odometer(options):
+    """The odometer before masks: one carry over mixed-radix digits."""
+    n = len(options)
+    last = [len(opts) - 1 for opts in options]
+    digits = [0] * n
+    state = [opts[0] for opts in options]
+    p = 0
+    while True:
+        yield p, state
+        p = n - 1
+        while p >= 0 and digits[p] == last[p]:
+            digits[p] = 0
+            state[p] = options[p][0]
+            p -= 1
+        if p < 0:
+            return
+        digits[p] += 1
+        state[p] = options[p][digits[p]]
+
+
+def filtered_product(options, masks):
+    """`(p, state)` for each state of `itertools.product` whose options'
+    masks AND to non-zero, p the first position where it differs from the
+    state before it in this list."""
+    steps, prev = [], None
+    for combo in itertools.product(*(range(len(opts)) for opts in options)):
+        if functools.reduce(operator.and_, (ms[i] for ms, i in zip(masks, combo)), -1):
+            state = [opts[i] for opts, i in zip(options, combo)]
+            p = 0 if prev is None else next(d for d, (a, b) in enumerate(zip(prev, state))
+                                             if a != b)
+            steps.append((p, state))
+            prev = state
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_masked_odometer_is_the_filtered_product(data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    options = [[f"{d}:{i}" for i in range(size)] for d, size in enumerate(sizes)]
+    masks = [[data.draw(st.integers(0, 15)) for _ in opts] for opts in options]
+    got = [(p, list(state)) for p, state in _odometer(options, masks)]
+    assert got == filtered_product(options, masks)
+    unmasked = [(p, list(state)) for p, state in _odometer(options)]
+    assert unmasked == [(p, list(state)) for p, state in carry_odometer(options)]
+    assert unmasked == filtered_product(options, [[-1] * size for size in sizes])
+
+
+def test_the_odometer_over_no_positions_yields_one_empty_state():
+    assert list(_odometer([])) == list(_odometer([], [])) == [(0, [])]
+    assert list(carry_odometer([])) == [(0, [])]
 
 
 @pytest.mark.parametrize("checker", [check_gac_reduction, check_soundness])
@@ -703,3 +691,43 @@ def test_a_short_certificate_never_passes(monkeypatch):
     got = check_gac_reduction(source, enc, policy)
     assert not got.passed and got.states_checked == 63
     assert_same_text(got.to_json(), plain_verdict("gac-reduction", source, enc, policy).to_json())
+
+
+class JudgedWalk:
+    """Wraps `_drive` and counts, per call, the walk states it judges."""
+
+    def __init__(self, monkeypatch):
+        self.counts = []
+        real = gac_check._drive
+
+        def counted(walk, *args):
+            self.counts.append(0)
+            return real(self._count(walk), *args)
+        monkeypatch.setattr(gac_check, "_drive", counted)
+
+    def _count(self, walk):
+        for step in walk:
+            self.counts[-1] += 1
+            yield step
+
+
+def test_a_failing_certificate_confines_the_walk(monkeypatch):
+    # The walk judges only the states inside a failing maximal state (gac)
+    # or around a failing accepted assignment (soundness), yet the verdict
+    # counts every state and lists every counterexample of the full walk.
+    clause, nine = _instances("clause", 9)[0]
+    card, eight = Card(range(1, 9), 2, 5), bools(8)
+    small, three = Card([1, -2, 3], 1, 2), bools(3)
+    enc = build_encoding("totalizer", small, three)
+    unsound = Encoding(CnfFormula(enc.target.num_vars, enc.target.clauses
+                                  + [(enc.channel.forward[(1, TRUE)],)]), enc.channel)
+    walk = JudgedWalk(monkeypatch)
+    for check, source, enc, judged, total, found in [
+            (check_gac_reduction, clause,
+             build_encoding("clause-to-neq:non-gac", clause, nine), 19, 3 ** 9, 10),
+            (check_gac_reduction, card, build_encoding("binary-adder", card, eight),
+             577, 3 ** 8, 408),
+            (check_soundness, small, unsound, 16, 3 ** 3, 16)]:
+        got = check(source, enc)
+        assert walk.counts[-1] == judged, (source, enc.target)
+        assert (got.states_checked, len(got.counterexamples)) == (total, found)
