@@ -18,7 +18,7 @@ from .model import Network, ResourceError, UsageError
 from .propagation import gac_closure, solve_brute_force, DEFAULT_BRUTE_FORCE_BUDGET
 from .encoders import CARD_SCHEMES, ENCODING_NAMES, build_encoding, compile_network, lookup_encoding
 from .gac_check import (
-    ASSIGNMENT_STYLE, FULL_SUBDOMAINS, RANDOM_SAMPLE, EnumerationPolicy,
+    ASSIGNMENT_STYLE, FULL_SUBDOMAINS, RANDOM_SAMPLE, EnumerationPolicy, auto_policy,
     check_equiconsistency, check_gac_reduction, check_soundness,
 )
 from .classify import default_config, render_report, run_class_suite
@@ -45,21 +45,24 @@ def _write(path: str | None, text: str | Iterable[str]):
             fh.writelines(parts)
 
 
-def _parse_policy(spec: str, seed: int) -> EnumerationPolicy | None:
+def _parse_policy(spec: str, seed: int):
+    """The policy `spec` names, as a function of the source variables."""
     if spec == "auto":
-        return None
+        return lambda variables: auto_policy(variables, seed=seed)
     if spec == "full":
-        return EnumerationPolicy(FULL_SUBDOMAINS, seed=seed)
-    if spec == "assignment":
-        return EnumerationPolicy(ASSIGNMENT_STYLE, seed=seed)
-    if spec.startswith("sample:"):
+        policy = EnumerationPolicy(FULL_SUBDOMAINS, seed=seed)
+    elif spec == "assignment":
+        policy = EnumerationPolicy(ASSIGNMENT_STYLE, seed=seed)
+    elif spec.startswith("sample:"):
         try:
             count = int(spec.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad sample count in policy {spec!r}") from None
-        return EnumerationPolicy(RANDOM_SAMPLE, sample_count=count, seed=seed)
-    raise UsageError(
-        f"bad policy {spec!r}; expected auto, full, assignment or sample:<count>")
+        policy = EnumerationPolicy(RANDOM_SAMPLE, sample_count=count, seed=seed)
+    else:
+        raise UsageError(
+            f"bad policy {spec!r}; expected auto, full, assignment or sample:<count>")
+    return lambda variables: policy
 
 
 def _single_source(doc: CnetDocument):
@@ -103,12 +106,14 @@ def _cmd_propagate(args) -> int:
     return EXIT_PASS
 
 
-def _run_check(args, checker, **options) -> int:
+def _run_check(args, checker, option) -> int:
+    """Run `checker` on the source and encoding that `args` name, with
+    `option(variables)` of the source variables as its third argument."""
     doc = parse_cnet(_read(args.source))
     lookup_encoding(args.encoding)  # an unknown name before a wrong file
     constraint, variables = _single_source(doc)
     enc = build_encoding(args.encoding, constraint, variables)
-    verdict = checker(constraint, enc, **options)
+    verdict = checker(constraint, enc, option(variables))
     if args.out:
         _write(args.out, verdict.json_chunks())
     sys.stdout.write(verdict.digest() + "\n")
@@ -116,18 +121,18 @@ def _run_check(args, checker, **options) -> int:
 
 
 def _cmd_check_gac(args) -> int:
-    return _run_check(args, check_gac_reduction, policy=_parse_policy(args.policy, args.seed))
+    return _run_check(args, check_gac_reduction, _parse_policy(args.policy, args.seed))
 
 
 def _cmd_check_sound(args) -> int:
-    return _run_check(args, check_soundness, policy=_parse_policy(args.policy, args.seed))
+    return _run_check(args, check_soundness, _parse_policy(args.policy, args.seed))
 
 
 def _cmd_equiconsistency(args) -> int:
     sampler = None
     if args.sample:
         sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=args.sample, seed=args.seed)
-    return _run_check(args, check_equiconsistency, sampler=sampler)
+    return _run_check(args, check_equiconsistency, lambda variables: sampler)
 
 
 def _cmd_solve(args) -> int:

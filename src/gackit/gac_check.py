@@ -17,24 +17,24 @@ All three checks run one walk over per-position subdomains in channel
 order: product order over each position's options, last position fastest
 (a mixed-radix odometer, Knuth TAOCP 7.2.1.1 Algorithm M), or seeded
 samples. The options are a variable's subdomains for the gac and soundness
-checks and its singletons for equiconsistency. Each state comes with the
-first depth p at which it differs from the previous one, and per-depth
-work is redone only from p on: equiconsistency tests a source constraint
-with `accepts` only past its last scope variable, and a side that a prefix
-of an assignment refutes stays refuted for every extension of it. The
-target side is one engine, `_Target`, which keeps the channel images of the
-subdomains it last mapped per depth and remaps only the depths past the
-prefix it shares with them. Counterexamples are kept in walk order, so the
-verdict is the same as a state-by-state evaluation's.
+checks and its singletons for equiconsistency. Each state comes with a
+depth p before which it equals the previous state; the odometer gives the
+first depth at which they differ, every other stream 0. Equiconsistency
+reads p: a target that a prefix of an assignment refutes stays refuted for
+every extension of it. The target side is one engine, `_Target`, which
+keeps the channel images of the subdomains it last mapped per depth and
+remaps only the depths past the prefix it shares with them, found by
+identity. Counterexamples are kept in walk order, so the verdict is the
+same as a state-by-state evaluation's.
 
 Both knowledge checks judge a certificate before they walk
 (`_drive_knowledge`). Under an exhaustive policy every counterexample of
 the walk is tied to a failing certificate state: for the gac check it lies
 inside one of the states maximal for some value's lack of support
 (`_maximal_states`), for the soundness check it holds one of the complete
-assignments the source accepts. Where no certificate state fails the
-verdict is Pass over the policy's state count; otherwise the walk visits
-only the states so tied to a failing one, and lists every counterexample.
+assignments the source accepts. So the walk visits only the states so
+tied to a failing one, none where no certificate state fails, and lists
+every counterexample; the verdict counts every state of the policy.
 `check_gac_reduction` and `check_soundness` give the arguments and their
 premises.
 """
@@ -90,9 +90,7 @@ class EnumerationPolicy:
 
 
 def count_states(variables, policy: EnumerationPolicy) -> int:
-    """Number of knowledge states the policy will enumerate."""
-    if policy.mode == RANDOM_SAMPLE:
-        return policy.sample_count
+    """Number of knowledge states an exhaustive policy enumerates."""
     total = 1
     for var in variables:
         m = len(var.domain)
@@ -155,19 +153,12 @@ def _odometer(options, masks=None):
 
 
 def _samples(draws, count: int, seed: int):
-    """`count` seeded samples as `(p, state)` pairs, `state` one list as in
-    `_odometer`. A sample takes `draws[d](rng)` at each position d in turn,
-    from one generator seeded with `seed`. `p` is the first position whose
-    draw differs from the previous sample's, `len(draws)` for a sample that
-    repeats its predecessor; the positions before p keep their objects."""
+    """`count` seeded samples as `(0, state)` pairs, each state a new list.
+    A sample takes `draws[d](rng)` at each position d in turn, from one
+    generator seeded with `seed`."""
     rng = random.Random(seed)
-    n = len(draws)
-    state = [None] * n
     for _ in range(count):
-        drawn = [draw(rng) for draw in draws]
-        p = next((d for d in range(n) if drawn[d] != state[d]), n)
-        state[p:] = drawn[p:]
-        yield p, state
+        yield 0, [draw(rng) for draw in draws]
 
 
 def _knowledge_walk(variables, policy: EnumerationPolicy, fit=None):
@@ -462,14 +453,15 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
     by the caller's argument: under an exhaustive policy, every
     counterexample K of the walk has a failing state F of
     `certificate(mode)` with `inside(K[d], F[d])` at every position d. So
-    the judge first sees every certificate state (`(p, state)` pairs, each
-    state a new list). Where none fails the verdict is Pass over the
-    policy's state count; otherwise the walk visits only the states that
-    have such an F, with one `_odometer` mask bit per failing state, and
-    lists every counterexample. A None step means the stream gave up, and
-    the walk then visits every state, as under a random-sample policy. The
-    walk is built first, so budget and domain-cap errors come out before
-    any state is judged."""
+    the judge first sees every certificate state (`(0, state)` pairs, each
+    state a new list), and the walk then visits only the states that have
+    such an F, with one `_odometer` mask bit per failing state, lists every
+    counterexample and counts every state of the policy. Where no
+    certificate state fails the walk is empty, and its masks, all 0, are
+    not built. A None step means the stream gave up, and the walk then
+    visits every state, as under a random-sample policy. The walk is built
+    first, so budget and domain-cap errors come out before any state is
+    judged."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
@@ -485,9 +477,7 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
                     at[dom] = at.get(dom, 0) | bit
                 bit <<= 1
         else:
-            if bit == 1:  # no certificate state fails
-                return Verdict(count_states(svars, policy), [], policy.mode, check, svars)
-            walk = _knowledge_walk(svars, policy, lambda d, opt: sum(
+            walk = () if bit == 1 else _knowledge_walk(svars, policy, lambda d, opt: sum(
                 bits for dom, bits in failing[d].items() if inside(opt, dom)))
             return _drive(walk, judge, policy.mode, check, svars, count_states(svars, policy))
     return _drive(walk, judge, policy.mode, check, svars)
@@ -745,12 +735,12 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
     spot-check instead (any other mode is a UsageError).
 
     The walk's options are each variable's singletons. The source is
-    tested with `accepts` where its last scope variable lies past the
-    shared prefix; the target answers with `_Target.refuted_depth`, so a CNF
-    target searches with `sat_solve` only where unit propagation leaves a
-    target variable open, and a network target is solved per assignment.
-    A refuted prefix refutes every extension, under `accepts` and unit
-    propagation alike.
+    tested with `accepts` on every assignment; the target answers with
+    `_Target.refuted_depth`, so a CNF target searches with `sat_solve` only
+    where unit propagation leaves a target variable open, and a network
+    target is solved per assignment. A refuted prefix refutes every
+    extension, so the target is asked again only where the walk's p lies
+    before the refuted depth.
     """
     _check_source(source, enc.channel)
     svars = enc.channel.source_vars
@@ -774,24 +764,17 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
         mode = RANDOM_SAMPLE
 
     n, vids = len(svars), [var.id for var in svars]
-    at = {vid: i for i, vid in enumerate(vids)}
-    scope_pos = [at[vid] for vid in source.scope]
-    # The source is decided once the walk reaches its last scope variable.
-    last = max(scope_pos, default=-1) + 1
+    scope_pos = [vids.index(vid) for vid in source.scope]
     values = [None] * n
-    # Length of the prefix that refutes each side; None while it holds.
-    src_fail = 0 if last == 0 and not source.accepts(()) else None
-    tgt_fail = None
+    tgt_fail = None  # the length of a prefix that refutes the target; None while it holds
 
     def judge(p, state):
-        nonlocal src_fail, tgt_fail
+        nonlocal tgt_fail
         for d in range(p, n):
             (values[d],) = state[d]  # the one value of a singleton
-        if p < last:
-            src_fail = None if source.accepts([values[i] for i in scope_pos]) else last
         if tgt_fail is None or tgt_fail > p:
             tgt_fail = engine.refuted_depth(state)
-        s, t = src_fail is None, tgt_fail is None
+        s, t = source.accepts([values[i] for i in scope_pos]), tgt_fail is None
         if s != t:
             box = DomainBox._raw(dict(zip(vids, state)))
             return Counterexample(CONSISTENCY_MISMATCH, box,

@@ -59,7 +59,7 @@ class CnfFormula:
         return self.num_vars
 
     def add_clause(self, lits: Sequence[int]):
-        cl = tuple(lits)
+        cl = tuple(dict.fromkeys(lits))  # a set: UnitPropagator watches two distinct literals
         for lit in cl:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise UsageError(f"literal {lit} out of range for {self.num_vars} variables")

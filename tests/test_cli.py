@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from gackit import cli
 from gackit.cli import main
 from gackit.cnet import parse_cnet
 from gackit.encoders import ENCODING_NAMES
+from gackit.gac_check import RANDOM_SAMPLE
 from gackit.propagation import solve_brute_force
 
 CARD = "var x1 bool\nvar x2 bool\nvar x3 bool\ncard 1 2 x1 -x2 x3\n"
@@ -359,3 +361,26 @@ def test_check_gac_on_the_cnf_large_instance(tmp_path, capsys, encoding):
     assert (verdict["outcome"], verdict["states_checked"], len(verdict["counterexamples"])) \
         == (want["outcome"], want["states"], want["gaps"])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+
+
+def test_auto_policy_samples_with_the_given_seed(tmp_path, monkeypatch):
+    # 3**13 assignment-style states exceed the 1,000,000-state budget, so
+    # auto samples 10,000 states, seeded with --seed
+    names = [f"x{i}" for i in range(1, 14)]
+    source = tmp_path / "clause13.cnet"
+    source.write_text("".join(f"var {v} bool\n" for v in names)
+                      + "clause " + " ".join(names) + "\n")
+
+    def run(command, policy, seed):
+        out = tmp_path / f"{command}-{policy}-{seed}.json"
+        code = main([command, "--source", str(source), "--encoding", "clause-to-neq:non-gac",
+                     "--policy", policy, "--seed", str(seed), "--out", str(out)])
+        return code, out.read_bytes()
+    auto = run("check-gac", "auto", 2)
+    assert auto == run("check-gac", "sample:10000", 2) and auto != run("check-gac", "auto", 42)
+    # every sampled soundness verdict passes here, so ask the checker for its policy
+    policies, real = [], cli.check_soundness
+    monkeypatch.setattr(cli, "check_soundness",
+                        lambda *args: policies.append(args[2]) or real(*args))
+    assert run("check-sound", "auto", 2)[0] == 0
+    assert [(p.mode, p.sample_count, p.seed) for p in policies] == [(RANDOM_SAMPLE, 10_000, 2)]

@@ -487,8 +487,8 @@ def pin_digest(name):
 # name -> (digest, sources built); a new digest means an encoder's output,
 # or the text of an error it raises, changed
 PINNED = {
-    "totalizer": ("d4713009f9505442f16a386f85b3d3a344b8f5ef703f0b5c8ce4e25665df72bf", 4),
-    "binary-adder": ("522448dd5a244c7ac33f67adb88e5a5525bf16e991bf06acf1b8e96d70d65432", 4),
+    "totalizer": ("9811667c0969c2046606b663ba0dfa3850aefc9aff86b83e0855673ec427eb77", 4),
+    "binary-adder": ("194d3ded392a2f0ec5489e6f4b9bd40d8e5e9c954d620cf231b594c3a2645cb2", 4),
     "exactly-one:pairwise": ("b76b297dc4358796b426fc5ff782c72f6bc668d73a98e246dac278cbd06c639e", 1),
     "exactly-one:sequential": ("b38cdf257ba67651918244015423efe1b688b5e4a9161b0e8bee3db8726ddfd4", 1),
     "neq:pairwise": ("4f2aebf08b96b132f58c171b28cd133829a8cff4ff9d1ac4535aabf93b2a3e83", 2),

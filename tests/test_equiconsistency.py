@@ -196,8 +196,8 @@ def test_a_target_that_unit_propagation_leaves_open(reference):
 
 def test_a_source_refuted_on_a_prefix_of_the_channel():
     # The source's scope is the first two of the channel's four variables,
-    # so the walk carries a source refutation over from one assignment to
-    # the next.
+    # so a source refutation on that prefix must show at every extension
+    # of it.
     variables = [bool_variable(i, f"x{i}") for i in range(1, 5)]
     source = Card([1, 2], 0, 1)
     enc = build_encoding("totalizer", source, variables)
@@ -221,8 +221,8 @@ def test_a_source_refuted_on_a_prefix_of_the_channel():
 
 
 def test_a_source_scope_out_of_channel_order():
-    # The last scope variable in channel order decides where the walk tests
-    # the source; an empty scope is decided before the first assignment.
+    # The source is tested on every assignment, wherever its scope lies in
+    # channel order, an empty scope included.
     variables = [bool_variable(i, f"x{i}") for i in range(1, 5)]
     every = list(itertools.product(*(var.domain for var in variables)))
     cases = [

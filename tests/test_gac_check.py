@@ -119,6 +119,15 @@ def test_every_shipped_encoding_is_sound_and_equiconsistent(family, encoding, si
                 assert verdict.states_checked > 0
 
 
+@pytest.mark.parametrize("encoding", ["totalizer", "exactly-one:pairwise"])
+def test_a_repeated_literal_loses_no_deduction(encoding):
+    # These encoders emit (1, 1, -3) and (-1, -1) for x counted twice; as a
+    # set of literals, each clause still propagates once one literal is left
+    source, variables = Card([1, 1, 2], 1, 1), bools("x", "y")
+    verdict = check_gac_reduction(source, build_encoding(encoding, source, variables))
+    assert verdict.passed and verdict.states_checked == 9
+
+
 def reference_map_knowledge(channel, knowledge):
     """`map_knowledge` as a plain loop over every source value, unmemoized."""
     if channel.kind == ChannelMap.CNF:

@@ -206,16 +206,29 @@ def test_soundness_walk_equals_the_plain_loop_on_unsound_targets(policy):
 @pytest.mark.parametrize("checker", [check_gac_reduction, check_soundness])
 def test_walk_equals_the_plain_loop_when_samples_repeat(checker):
     # two Booleans have 9 states, so 60 samples repeat some state back to
-    # back: the walk then redoes no depth at all
+    # back; the target engine then meets equal subdomains that are other
+    # objects
     source, variables = Card([1, -2], 1, 1), bools(2)
     policy = EnumerationPolicy(RANDOM_SAMPLE, sample_count=60, seed=1)
-    repeats = sum(p == 2 for p, _ in _knowledge_walk(variables, policy))
-    assert repeats > 0
+    states = [state for _, state in _knowledge_walk(variables, policy)]
+    assert sum(a == b for a, b in zip(states, states[1:])) > 0
     for encoding in ("totalizer", "binary-adder"):
         enc = build_encoding(encoding, source, variables)
         want = plain_verdict("gac-reduction" if checker is check_gac_reduction
                              else "soundness", source, enc, policy)
         assert_same_text(checker(source, enc, policy).to_json(), want.to_json())
+
+
+def test_samples_are_new_lists_at_depth_zero():
+    # the seeded stream of states is the one `plain_states` draws; each
+    # sample is a list of its own, and no sample reports a shared prefix
+    variables = [bool_variable(1, "a"), range_variable(2, "B", 1, 3), bool_variable(3, "c")]
+    policy = EnumerationPolicy(RANDOM_SAMPLE, sample_count=50, seed=3)
+    steps = list(_knowledge_walk(variables, policy))
+    assert all(p == 0 for p, _ in steps)
+    assert len({id(state) for _, state in steps}) == len(steps)
+    assert [DomainBox(dict(zip((1, 2, 3), state))) for _, state in steps] == \
+        list(plain_states(variables, policy))
 
 
 def test_walk_order_is_the_product_order():
@@ -545,7 +558,7 @@ def test_certified_verdicts_equal_the_plain_loop_on_broken_encodings(policy):
             want = plain_verdict("gac-reduction", source, broken, policy)
             assert_same_text(got.to_json(), want.to_json(), (source, broken.target))
             outcomes.append(got.passed)
-    assert (len(outcomes), outcomes.count(True)) == (1678, 1004)
+    assert (len(outcomes), outcomes.count(True)) == (1678, 1044)
 
 
 def non_literal_sweep():
@@ -592,18 +605,17 @@ def test_certified_soundness_equals_the_plain_loop_on_broken_encodings(policy):
 
 
 def test_a_failing_soundness_certificate_sends_the_check_to_the_walk(monkeypatch):
-    walks = []
-    real = gac_check._drive
-    monkeypatch.setattr(gac_check, "_drive", lambda *args: walks.append(args) or real(*args))
+    walk = JudgedWalk(monkeypatch)
     source, variables = Card([1, -2, 3], 1, 2), bools(3)
     enc = build_encoding("totalizer", source, variables)
     policy = EnumerationPolicy(FULL_SUBDOMAINS)
-    assert check_soundness(source, enc, policy).passed and not walks
+    got = check_soundness(source, enc, policy)
+    assert got.passed and got.states_checked == 27 and walk.counts == [0]
     # a unit clause on x1's channel literal refutes the accepted x1 = F, x2 = F, x3 = T
     unsound = Encoding(CnfFormula(enc.target.num_vars, enc.target.clauses
                                   + [(enc.channel.forward[(1, TRUE)],)]), enc.channel)
     got = check_soundness(source, unsound, policy)
-    assert len(walks) == 1 and not got.passed and got.states_checked == 27
+    assert walk.counts[-1] > 0 and not got.passed and got.states_checked == 27
     assert_same_text(got.to_json(), plain_verdict("soundness", source, unsound, policy).to_json())
 
 
