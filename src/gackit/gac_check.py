@@ -161,15 +161,9 @@ def _samples(draws, count: int, seed: int):
         yield 0, [draw(rng) for draw in draws]
 
 
-def _knowledge_walk(variables, policy: EnumerationPolicy, fit=None):
-    """The knowledge states of `policy` as `(p, subdomains)` pairs, one
-    subdomain per variable in order. Exhaustive modes run `_odometer` over
-    each variable's subdomains, with `fit(d, subdomain)` as the mask of
-    each option at position d where `fit` is given; random-sample mode
-    draws one mask per variable with `_samples`, seeded with `policy.seed`.
-    Raises ResourceError when a domain exceeds MAX_DOMAIN_SIZE or an
-    exhaustive walk the policy's state budget.
-    """
+def _check_walk(variables, policy: EnumerationPolicy):
+    """Raise ResourceError where a domain exceeds MAX_DOMAIN_SIZE, or an
+    exhaustive walk the policy's state budget."""
     for var in variables:
         if len(var.domain) > MAX_DOMAIN_SIZE:
             raise ResourceError(
@@ -179,6 +173,17 @@ def _knowledge_walk(variables, policy: EnumerationPolicy, fit=None):
         raise ResourceError(
             f"{count_states(variables, policy)} knowledge states exceed the "
             f"budget of {policy.max_states}")
+
+
+def _knowledge_walk(variables, policy: EnumerationPolicy, fit=None):
+    """The knowledge states of `policy` as `(p, subdomains)` pairs, one
+    subdomain per variable in order. Exhaustive modes run `_odometer` over
+    each variable's subdomains, with `fit(d, subdomain)` as the mask of
+    each option at position d where `fit` is given; random-sample mode
+    draws one mask per variable with `_samples`, seeded with `policy.seed`.
+    Raises the errors of `_check_walk` before it builds anything.
+    """
+    _check_walk(variables, policy)
     doms = [var.domain for var in variables]
 
     def subdomain(dom, mask):
@@ -265,24 +270,27 @@ class Verdict:
         verdict can be written out without being held as one string.
 
         Built without the pure-Python indenting encoder: each variable's
-        indented `"name": [labels]` block is built once per subdomain, and
-        a box joins its blocks in sorted-name order (the last variable of a
-        repeated name wins, as in the dict)."""
+        indented `"name": [labels]` block is rendered once per subdomain,
+        into that variable's memo, and a box joins its blocks in
+        sorted-name order (the last variable of a repeated name wins, as in
+        the dict)."""
         order = sorted({var.name: var for var in self.source_vars}.values(),
                        key=lambda var: var.name)
-        blocks = {}
+        memos = [(var, {}) for var in order]
 
         def box(b):
             if b.inconsistent:
                 return '{\n        "inconsistent": true\n      }'
+            domains = b._domains
             lines = []
-            for var in order:
-                key = (var.id, b.domain(var.id))
-                if key not in blocks:  # a consistent box has no empty domain
-                    name, labels = self._entry(var, key[1])
+            for var, memo in memos:
+                dom = domains[var.id]
+                block = memo.get(dom)
+                if block is None:  # a consistent box has no empty domain
+                    name, labels = self._entry(var, dom)
                     items = ",\n          ".join(map(json.dumps, labels))
-                    blocks[key] = f"        {json.dumps(name)}: [\n          {items}\n        ]"
-                lines.append(blocks[key])
+                    block = memo[dom] = f"        {json.dumps(name)}: [\n          {items}\n        ]"
+                lines.append(block)
             return "{\n" + ",\n".join(lines) + "\n      }" if lines else "{}"
 
         yield f'{{\n  "check": {json.dumps(self.check)},\n  "counterexamples": '
@@ -341,38 +349,32 @@ def _target_box(target: Network, mapped) -> DomainBox:
     return DomainBox._raw(domains)
 
 
-def map_back(channel: ChannelMap, payload, base: DomainBox) -> DomainBox:
-    """Project a target deduction back to the source variables.
+def map_back(channel: ChannelMap, payload, doms) -> DomainBox:
+    """Project a target deduction back onto the knowledge state `doms`, one
+    subdomain per source variable in channel order.
 
     `payload` is the target engine's output: the value list of
     `UnitPropagator.propagate` (indexed by CNF variable, entries
     True/False/None) for CNF channels, the target DomainBox for network
     channels, and None for a target inconsistency, which maps to the source
-    inconsistent state. The candidates are the values of `base`, the
-    knowledge deduced from; one survives unless its image is refuted.
-    Auxiliary variables are ignored.
+    inconsistent state. A value of `doms` survives unless the target
+    refutes its image, read from the channel's table `backs`. Auxiliary
+    variables are ignored.
     """
     if payload is None:
         return DomainBox.bottom()
     cnf = channel.kind == ChannelMap.CNF
-    forward = channel.forward
     domains = {}
-    for var in channel.source_vars:
-        vid = var.id
-        candidates = base.domain(vid)
+    for var, dom, back in zip(channel.source_vars, doms, channel.backs):
         keep = []
-        for value in candidates:
-            image = forward[(vid, value)]
-            if cnf:
-                iv = payload[image] if image > 0 else payload[-image]
-                if iv is None or iv == (image > 0):
-                    keep.append(value)
-            elif image[1] in payload.domain(image[0]):
+        for value in dom:
+            tv, tval = back[value]
+            if payload[tv] is not tval if cnf else tval in payload.domain(tv):
                 keep.append(value)
         if not keep:
             return DomainBox.bottom()
-        # base's own subdomain where nothing was refuted
-        domains[vid] = candidates if len(keep) == len(candidates) else frozenset(keep)
+        # the state's own subdomain where nothing was refuted
+        domains[var.id] = dom if len(keep) == len(dom) else frozenset(keep)
     return DomainBox._raw(domains)
 
 
@@ -386,7 +388,9 @@ class _Target:
     and remaps only the depths past it; an equal subdomain that is another
     object is remapped, which costs time but changes no answer. A CNF
     target propagates the list on one `UnitPropagator`; a network target
-    builds its box from the list with `_target_box`.
+    builds its box from the list with `_target_box`. Both calls take the
+    walk's state, one subdomain per source variable in channel order, and
+    `deduce_back` maps the deduction back onto that list with `map_back`.
     """
 
     def __init__(self, enc: Encoding):
@@ -411,14 +415,15 @@ class _Target:
         old[p:] = doms[p:]
         return mapped
 
-    def deduce_back(self, knowledge: DomainBox) -> DomainBox:
-        """The target's deduction from `knowledge`, mapped back onto it."""
-        mapped = self._map([knowledge.domain(var.id) for var in self.channel.source_vars])
+    def deduce_back(self, doms) -> DomainBox:
+        """The target's deduction from the knowledge state `doms`, one
+        subdomain per source variable in channel order, mapped back onto
+        it."""
+        mapped = self._map(doms)
         if self.prop is not None:
-            return map_back(self.channel, self.prop.propagate(mapped), base=knowledge)
+            return map_back(self.channel, self.prop.propagate(mapped), doms)
         result = gac_closure(self.target, _target_box(self.target, mapped))
-        return map_back(self.channel, None if result.inconsistent else result.box,
-                        base=knowledge)
+        return map_back(self.channel, None if result.inconsistent else result.box, doms)
 
     def refuted_depth(self, doms) -> int | None:
         """None if the target is satisfiable under the images of `doms`,
@@ -459,13 +464,13 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
     counterexample and counts every state of the policy. Where no
     certificate state fails the walk is empty, and its masks, all 0, are
     not built. A None step means the stream gave up, and the walk then
-    visits every state, as under a random-sample policy. The walk is built
-    first, so budget and domain-cap errors come out before any state is
-    judged."""
+    visits every state, as under a random-sample policy. Budget and
+    domain-cap errors come out before any state is judged, and a walk's
+    options are built only where it runs."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
-    walk = _knowledge_walk(svars, policy)
+    _check_walk(svars, policy)
     if policy.mode != RANDOM_SAMPLE:
         failing = [{} for _ in svars]  # per position: F[d] -> the bits of its states
         bit = 1  # the next failing state's
@@ -480,7 +485,7 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
             walk = () if bit == 1 else _knowledge_walk(svars, policy, lambda d, opt: sum(
                 bits for dom, bits in failing[d].items() if inside(opt, dom)))
             return _drive(walk, judge, policy.mode, check, svars, count_states(svars, policy))
-    return _drive(walk, judge, policy.mode, check, svars)
+    return _drive(_knowledge_walk(svars, policy), judge, policy.mode, check, svars)
 
 
 def _maximal_states(source, svars, mode: str):
@@ -670,7 +675,7 @@ def check_gac_reduction(source, enc: Encoding,
         src = gac_filter(source, knowledge).box
         if src is knowledge:
             return None
-        back = engine.deduce_back(knowledge)
+        back = engine.deduce_back(state)
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "gac-reduction",
@@ -714,7 +719,7 @@ def check_soundness(source, enc: Encoding,
         src = gac_filter(source, knowledge).box
         if src.inconsistent:
             return None
-        back = engine.deduce_back(knowledge)
+        back = engine.deduce_back(state)
         if not is_restriction(src, back):
             return Counterexample(SOUNDNESS_VIOLATION, knowledge, src, back)
 
@@ -790,4 +795,5 @@ def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, Doma
     reproduces the recorded deductions exactly.
     """
     _check_source(source, enc.channel)
-    return gac_filter(source, knowledge).box, _Target(enc).deduce_back(knowledge)
+    doms = [knowledge.domain(var.id) for var in enc.channel.source_vars]
+    return gac_filter(source, knowledge).box, _Target(enc).deduce_back(doms)

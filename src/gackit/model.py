@@ -358,10 +358,14 @@ class ChannelMap:
     Source variable names must be distinct, since verdicts name variables.
     Target variables without an image are auxiliary: they are projected
     out of deductions. `images` memoizes, per source variable, what each
-    knowledge subdomain mapped so far asserts on the target.
+    knowledge subdomain mapped so far asserts on the target. `backs` holds,
+    per source variable, each value's image in the form `map_back` reads:
+    for CNF channels `(target variable, refuting truth)`, the truth of the
+    target variable that falsifies the image literal; for network channels
+    the `(tvid, tval)` atom itself.
     """
 
-    __slots__ = ("kind", "source_vars", "forward", "images")
+    __slots__ = ("kind", "source_vars", "forward", "images", "backs")
 
     CNF = "cnf"
     NETWORK = "network"
@@ -374,15 +378,21 @@ class ChannelMap:
         self.source_vars = tuple(source_vars)
         self.forward = dict(forward)
         names = set()
+        backs = []
         for var in self.source_vars:
             if var.name in names:
                 raise UsageError(f"two source variables named {var.name!r}")
             names.add(var.name)
+            back = {}
             for value in var.domain:
                 if (var.id, value) not in self.forward:
                     raise UsageError(
                         f"channel not total: no image for ({var.name!r}, {var.label(value)})")
+                image = self.forward[(var.id, value)]
+                back[value] = (abs(image), image < 0) if kind == self.CNF else image
+            backs.append(back)
         self.images = tuple({} for _ in self.source_vars)
+        self.backs = tuple(backs)
 
     def _image(self, var: Variable, kdom: frozenset) -> tuple:
         """What knowing `var` in `kdom` asserts on the target: literals for

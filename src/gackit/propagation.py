@@ -1,7 +1,7 @@
 """Propagation engines: per-constraint GAC filtering, network closure via a
-FIFO worklist fixpoint, watched-literal unit propagation for CNF, and two
-deterministic complete solvers: a backtracking search over a network that
-tests constraints only through `accepts`, and a small DPLL solver.
+FIFO worklist fixpoint, unit propagation for CNF, and two deterministic
+complete solvers: a backtracking search over a network that tests
+constraints only through `accepts`, and a small DPLL solver.
 
 Clause, Card and Xor share one GAC rule, stated once in
 `_free_literal_rule`: the number of true literals must lie in the
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
-    AllDiff, Card, Clause, Constraint, DomainBox, Neq, Network, ResourceError,
-    Table, UsageError, Xor, lit_false_value, lit_truth_value, lit_var,
+    FALSE, TRUE, AllDiff, Card, Clause, Constraint, DomainBox, Neq, Network,
+    ResourceError, Table, UsageError, Xor, lit_truth_value,
 )
 
 DEFAULT_BRUTE_FORCE_BUDGET = 1 << 24
@@ -59,7 +59,7 @@ class CnfFormula:
         return self.num_vars
 
     def add_clause(self, lits: Sequence[int]):
-        cl = tuple(dict.fromkeys(lits))  # a set: UnitPropagator watches two distinct literals
+        cl = tuple(dict.fromkeys(lits))  # a set: UnitPropagator counts open literals
         for lit in cl:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise UsageError(f"literal {lit} out of range for {self.num_vars} variables")
@@ -135,6 +135,9 @@ def _free_literal_rule(allowed: int, t: int, u: int):
     return allowed >> t & window, allowed >> (t + 1) & window
 
 
+_SINGLETONS = (frozenset((FALSE,)), frozenset((TRUE,)))
+
+
 def _filter_literals(c: Clause | Card | Xor, box: DomainBox) -> PropagationResult:
     """GAC for a Clause, Card or Xor: the number of true literals must lie
     in `c.allowed`. Over distinct variables every free literal is alike, so
@@ -146,11 +149,12 @@ def _filter_literals(c: Clause | Card | Xor, box: DomainBox) -> PropagationResul
         return _filter_weighted(c, box)
     t = 0
     free: list[int] = []
+    domain = box.domain
     for lit in c.lits:
-        dom = box.domain(lit_var(lit))
+        dom = domain(lit if lit > 0 else -lit)
         if len(dom) == 2:
             free.append(lit)
-        elif lit_truth_value(lit) in dom:
+        elif (TRUE if lit > 0 else FALSE) in dom:
             t += 1
     may_false, may_true = _free_literal_rule(c.allowed, t, len(free))
     if may_false and may_true:
@@ -158,9 +162,12 @@ def _filter_literals(c: Clause | Card | Xor, box: DomainBox) -> PropagationResul
     if not (may_false or may_true):
         return PropagationResult(DomainBox.bottom())
     domains = box.domains()
+    negative, positive = _SINGLETONS if may_true else _SINGLETONS[::-1]  # kept per literal sign
     for lit in free:
-        value = lit_truth_value(lit) if may_true else lit_false_value(lit)
-        domains[lit_var(lit)] = frozenset((value,))
+        if lit > 0:
+            domains[lit] = positive
+        else:
+            domains[-lit] = negative
     return PropagationResult(DomainBox._raw(domains))
 
 
@@ -401,37 +408,47 @@ def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
 # --- unit propagation --------------------------------------------------------
 
 class UnitPropagator:
-    """Two-watched-literal unit propagation on a trail (MiniSat's, Een &
-    Sorensson, SAT 2003), reusable across assumption lists.
+    """Unit propagation on a trail, reusable across assumption lists.
 
-    It keeps the values, the trail of literals set, the assumptions
-    propagated so far and the trail mark before each. A call undoes the
-    trail to the end of the prefix it shares with the previous call's
-    assumptions and asserts the rest one at a time, BCP after each; watches
-    stay put. After a call, `assumed` is the list of leading assumptions
-    that propagated without conflict: all of them, or those before the one
-    that failed, so its length locates a conflict. The formula's units are
-    propagated once, at construction.
-    The unit-rule closure, and whether it conflicts, do not depend on order,
-    so this equals a fresh propagation. `sat_solve` runs its DPLL on the
-    same object, so one propagator serves a whole check.
+    Truth is held per literal: `lit` has 2n+1 slots, negative literals
+    indexing from the end, so `lit[l]` is True, False or None for any
+    literal l. A binary clause (a, b) becomes two implications, -a -> b and
+    -b -> a, in the lists `implied`. A longer clause is listed in `occurs`
+    under the negation of each literal l it holds, as its other literals,
+    and these are checked in full whenever l turns false. No clause is ever
+    changed or moved, so undoing is only clearing the trail's literals
+    (Lynce & Marques-Silva, AMAI 2005, compare such schemes with watched
+    literals).
+
+    It keeps the trail of literals set, the assumptions propagated so far
+    and the trail mark before each. A call undoes the trail to the end of
+    the prefix it shares with the previous call's assumptions and asserts
+    the rest one at a time, propagating after each. After a call,
+    `assumed` is the list of leading assumptions that propagated without
+    conflict: all of them, or those before the one that failed, so its
+    length locates a conflict. The formula's units are propagated once, at
+    construction. The unit-rule closure, and whether it conflicts, do not
+    depend on order, so this equals a fresh propagation. `sat_solve` runs
+    its DPLL on the same object, so one propagator serves a whole check.
     """
 
     def __init__(self, formula: CnfFormula):
         self.num_vars = n = formula.num_vars
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
-        self.val: list = [None] * (n + 1)
+        self.lit: list = [None] * (2 * n + 1)
+        self.implied: list[list[int]] = [[] for _ in self.lit]
+        self.occurs: list[list[tuple[int, ...]]] = [[] for _ in self.lit]  # other literals
         self.trail, self.assumed, self.marks = [], [], []
         units = []
         for cl in formula.clauses:
             if len(cl) == 1:
                 units.append(cl[0])
-            elif len(cl) > 1:
-                idx = len(self.clauses)
-                self.clauses.append(list(cl))
-                self.watches[cl[0] + n].append(idx)
-                self.watches[cl[1] + n].append(idx)
+            elif len(cl) == 2:
+                a, b = cl
+                self.implied[-a].append(b)
+                self.implied[-b].append(a)
+            else:
+                for i, l in enumerate(cl):
+                    self.occurs[-l].append(cl[:i] + cl[i + 1:])
         self.falsum = (any(not cl for cl in formula.clauses)
                        or not self._assert(units))
         self.assumed, self.marks = [], []  # the units stay on the trail for good
@@ -456,22 +473,22 @@ class UnitPropagator:
             del assumed[keep:], self.marks[keep:]
         if not self._assert(lits[keep:]):
             return None
-        return self.val[:]
+        return self.lit[:self.num_vars + 1]
 
     def _assert(self, lits) -> bool:
-        """Assume each literal in turn, with BCP after each. On a conflict,
-        undo to the failing literal's mark and return False."""
-        val, trail = self.val, self.trail
-        for lit in lits:
+        """Assume each literal in turn, propagating after each. On a
+        conflict, undo to the failing literal's mark and return False."""
+        truth, trail = self.lit, self.trail
+        for l in lits:
             self.marks.append(len(trail))
-            self.assumed.append(lit)
-            v = lit if lit > 0 else -lit
-            if val[v] is None:
-                val[v] = lit > 0
-                trail.append(lit)
+            self.assumed.append(l)
+            t = truth[l]
+            if t is None:
+                truth[l], truth[-l] = True, False
+                trail.append(l)
                 ok = self._bcp(len(trail) - 1)
             else:
-                ok = val[v] == (lit > 0)
+                ok = t
             if not ok:
                 self._undo(self.marks.pop())
                 self.assumed.pop()
@@ -480,44 +497,38 @@ class UnitPropagator:
 
     def _bcp(self, head: int) -> bool:
         """Unit rule from trail position `head` on; False on a conflict."""
-        n = self.num_vars
-        val, trail, watches, clauses = self.val, self.trail, self.watches, self.clauses
+        truth, trail, implied, occurs = self.lit, self.trail, self.implied, self.occurs
         while head < len(trail):
-            falsified = -trail[head]
+            l = trail[head]
             head += 1
-            wl = watches[falsified + n]
-            i = 0
-            while i < len(wl):
-                ci = wl[i]
-                cl = clauses[ci]
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], cl[0]
-                other = cl[0]
-                ov = val[other if other > 0 else -other]
-                if ov is not None and ov == (other > 0):
-                    i += 1  # clause satisfied by the other watch
-                    continue
-                for j in range(2, len(cl)):
-                    lj = cl[j]
-                    vj = val[lj if lj > 0 else -lj]
-                    if vj is None or vj == (lj > 0):
-                        cl[1], cl[j] = cl[j], cl[1]
-                        watches[lj + n].append(ci)
-                        wl[i] = wl[-1]
-                        wl.pop()
-                        break
+            for m in implied[l]:
+                t = truth[m]
+                if t is None:
+                    truth[m], truth[-m] = True, False
+                    trail.append(m)
+                elif not t:
+                    return False
+            for cl in occurs[l]:
+                unit = 0
+                for m in cl:
+                    t = truth[m]
+                    if t is None:
+                        if unit:
+                            break  # two open literals
+                        unit = m
+                    elif t:
+                        break  # satisfied
                 else:
-                    if ov is not None:
-                        return False  # clause became empty
-                    val[other if other > 0 else -other] = other > 0
-                    trail.append(other)
-                    i += 1
+                    if not unit:
+                        return False  # every literal false
+                    truth[unit], truth[-unit] = True, False
+                    trail.append(unit)
         return True
 
     def _undo(self, mark: int):
-        val, trail = self.val, self.trail
-        for lit in trail[mark:]:
-            val[lit if lit > 0 else -lit] = None
+        truth, trail = self.lit, self.trail
+        for l in trail[mark:]:
+            truth[l] = truth[-l] = None
         del trail[mark:]
 
 

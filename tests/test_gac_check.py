@@ -31,6 +31,11 @@ def bools(*names):
     return [bool_variable(i, n) for i, n in enumerate(names, 1)]
 
 
+def subdomains(box):
+    """A box over x1..x3 as the state list `map_back` reads."""
+    return [box.domain(vid) for vid in (1, 2, 3)]
+
+
 class TestMapBack:
     def setup_method(self):
         self.variables = bools("x1", "x2", "x3")
@@ -41,22 +46,24 @@ class TestMapBack:
     def test_cnf_unassigned_channel_literals_keep_their_values(self):
         values = self.prop.propagate([])
         assert values[1] is None  # x1's channel literal is left unassigned
-        assert map_back(self.enc.channel, values, self.full) == self.full
+        assert map_back(self.enc.channel, values, subdomains(self.full)) == self.full
 
     def test_cnf_refuted_literal_removes_the_value(self):
         x1, x2 = (self.enc.channel.forward[(vid, TRUE)] for vid in (1, 2))
-        back = map_back(self.enc.channel, self.prop.propagate([x1, x2]), self.full)
+        back = map_back(self.enc.channel, self.prop.propagate([x1, x2]),
+                        subdomains(self.full))
         assert back == DomainBox({1: [TRUE], 2: [TRUE], 3: [FALSE]})
 
     def test_base_limits_the_candidates(self):
         base = DomainBox({1: [FALSE], 2: [FALSE, TRUE], 3: [FALSE, TRUE]})
         values = self.prop.propagate(map_knowledge(self.enc.channel, base))
-        assert map_back(self.enc.channel, values, base=base) == base
+        assert map_back(self.enc.channel, values, subdomains(base)) == base
 
     def test_target_inconsistency_maps_to_bottom(self):
-        assert map_back(self.enc.channel, None, self.full).inconsistent
+        assert map_back(self.enc.channel, None, subdomains(self.full)).inconsistent
         lits = [self.enc.channel.forward[(vid, FALSE)] for vid in (1, 2, 3)]
-        assert map_back(self.enc.channel, self.prop.propagate(lits), self.full).inconsistent
+        assert map_back(self.enc.channel, self.prop.propagate(lits),
+                        subdomains(self.full)).inconsistent
 
     def test_network_target(self):
         variables = bools("a", "b")
@@ -64,10 +71,10 @@ class TestMapBack:
         start = enc.target.initial_box()
         tvid, tval = enc.channel.forward[(2, TRUE)]
         result = gac_closure(enc.target, start.assign(tvid, tval))  # b = T
-        back = map_back(enc.channel, result.box, DomainBox.from_variables(variables))
+        back = map_back(enc.channel, result.box, [frozenset(var.domain) for var in variables])
         assert back == DomainBox({1: [TRUE], 2: [TRUE]})
         base = DomainBox({1: [TRUE], 2: [FALSE, TRUE]})
-        assert map_back(enc.channel, enc.target.initial_box(), base=base) == base
+        assert map_back(enc.channel, enc.target.initial_box(), [base.domain(1), base.domain(2)]) == base
 
 
 @pytest.mark.parametrize("family, encoding, size", [

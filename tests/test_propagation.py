@@ -292,13 +292,20 @@ class TestUnitPropagation:
     def test_trail_reuse_equals_fresh_propagation(self):
         # One propagator fed sequences of assumption lists that share
         # prefixes must answer every list as a fresh one and as a naive
-        # clause-scan fixpoint do.
+        # clause-scan fixpoint do. Clauses of two literals take the
+        # implication lists and longer ones the occurrence lists, so both
+        # meet tautologies. `assumed` is the longest prefix of the list
+        # that propagates without conflict, which `refuted_depth` reads.
         rng = random.Random(17)
         for _ in range(300):
             nv = rng.randint(1, 8)
             clauses = [[rng.choice((1, -1)) * rng.randint(1, nv)
-                        for _ in range(rng.choice((1, 1, 2, 2, 3, 4)))]
+                        for _ in range(rng.choice((1, 1, 2, 2, 3, 4, 5, 6)))]
                        for _ in range(rng.randint(0, 14))]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                a = rng.choice((1, -1)) * rng.randint(1, nv)
+                clauses.append([a, -a] + [rng.choice((1, -1)) * rng.randint(1, nv)
+                                          for _ in range(rng.choice((0, 0, 1, 3)))])
             if rng.random() < 0.05:
                 clauses.append([])
             formula = CnfFormula(nv, clauses)
@@ -309,6 +316,9 @@ class TestUnitPropagation:
                 got = shared.propagate(lits)
                 assert got == UnitPropagator(formula).propagate(lits) == \
                     naive_unit_closure(formula, lits), (clauses, lits)
+                longest = max((k for k in range(len(lits) + 1)
+                               if naive_unit_closure(formula, lits[:k]) is not None), default=0)
+                assert shared.assumed == lits[:longest], (clauses, lits)
                 if got is not None:
                     got[1:] = [True] * nv  # the caller owns the returned list
 

@@ -22,7 +22,7 @@ from gackit.model import (
 from gackit.propagation import (
     CnfFormula, UnitPropagator, gac_closure, gac_filter, gac_oracle,
 )
-from gackit.encoders import Encoding, build_encoding
+from gackit.encoders import ENCODING_NAMES, Encoding, build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, COMPLETENESS_GAP, FULL_SUBDOMAINS, RANDOM_SAMPLE,
     SOUNDNESS_VIOLATION, Counterexample, EnumerationPolicy, Verdict,
@@ -246,6 +246,58 @@ def test_walk_order_is_the_product_order():
             prev = state
 
 
+def bundled_encodings():
+    """Every named encoding over the first bundled instance at size 3 of
+    each family it fits."""
+    families = ("card", "exactly-one", "neq", "alldiff", "xor", "clause")
+    for name in ENCODING_NAMES:
+        for family in families:
+            source, variables = _instances(family, 3)[0]
+            try:
+                yield name, build_encoding(name, source, variables)
+            except UsageError:
+                continue
+
+
+def random_payload(rng, enc):
+    """A target deduction that need not follow from any state: each CNF
+    variable True, False or open, each network domain a random subset."""
+    target = enc.target
+    if isinstance(target, CnfFormula):
+        return [None] + [rng.choice((True, False, None)) for _ in range(target.num_vars)]
+    return DomainBox({var.id: [val for val in var.domain if rng.random() < 0.7]
+                      or [var.domain[0]] for var in target.variables})
+
+
+def test_map_back_reads_the_channel_tables_as_the_plain_map_back():
+    # map_back reads each value's image from `ChannelMap.backs`, built
+    # once per channel; plain_map_back reads `forward` image by image
+    rng = random.Random(11)
+    names, kinds, negative, refuted = set(), set(), False, 0
+    for name, enc in bundled_encodings():
+        channel, target = enc.channel, enc.target
+        names.add(name)
+        kinds.add(channel.kind)
+        negative |= channel.kind == ChannelMap.CNF and any(
+            image < 0 for image in channel.forward.values())
+        for _ in range(40):
+            doms = [frozenset(rng.sample(var.domain, rng.randint(1, len(var.domain))))
+                    for var in channel.source_vars]
+            knowledge = DomainBox(dict(zip((var.id for var in channel.source_vars), doms)))
+            mapped = map_knowledge(channel, knowledge)
+            if isinstance(target, Network):
+                res = gac_closure(target, _target_box(target, mapped))
+                deduced = None if res.inconsistent else res.box
+            else:
+                deduced = UnitPropagator(target).propagate(mapped)
+            for payload in (deduced, random_payload(rng, enc)):
+                got = gac_check.map_back(channel, payload, doms)
+                assert got == plain_map_back(channel, payload, knowledge), (name, doms)
+                refuted += got != knowledge
+    assert names == set(ENCODING_NAMES)
+    assert kinds == {ChannelMap.CNF, ChannelMap.NETWORK} and negative and refuted
+
+
 def carry_odometer(options):
     """The odometer before masks: one carry over mixed-radix digits."""
     n = len(options)
@@ -329,7 +381,7 @@ def test_target_reuse_equals_a_fresh_target_per_state(source, variables, encodin
     enc = build_encoding(encoding, source, variables)
     options = [[frozenset(sub) for r in range(1, len(var.domain) + 1)
                 for sub in itertools.combinations(var.domain, r)] for var in variables]
-    vids, n = [var.id for var in variables], len(variables)
+    n = len(variables)
     engine, state = _Target(enc), [opts[-1] for opts in options]
     for _ in range(data.draw(st.integers(1, 12))):
         move = data.draw(st.sampled_from(["redraw", "repeat", "copies"]))
@@ -341,8 +393,7 @@ def test_target_reuse_equals_a_fresh_target_per_state(source, variables, encodin
                 if data.draw(st.booleans()):
                     state[d] = frozenset(list(state[d]))
         if data.draw(st.booleans()):
-            knowledge = DomainBox._raw(dict(zip(vids, state)))
-            assert engine.deduce_back(knowledge) == _Target(enc).deduce_back(knowledge)
+            assert engine.deduce_back(state) == _Target(enc).deduce_back(list(state))
         else:
             assert engine.refuted_depth(state) == _Target(enc).refuted_depth(state)
 
@@ -743,3 +794,34 @@ def test_a_failing_certificate_confines_the_walk(monkeypatch):
         got = check(source, enc)
         assert walk.counts[-1] == judged, (source, enc.target)
         assert (got.states_checked, len(got.counterexamples)) == (total, found)
+
+
+class BuiltWalks:
+    """Wraps `_knowledge_walk` and counts the walks built."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        real = gac_check._knowledge_walk
+
+        def counted(*args):
+            self.built += 1
+            return real(*args)
+        monkeypatch.setattr(gac_check, "_knowledge_walk", counted)
+
+
+def test_a_certified_pass_builds_no_walk(monkeypatch):
+    # A passing certificate decides the check, so no walk's options are
+    # built: over 19 values they are 524,287 subdomains. A failing one
+    # builds the confined walk.
+    walks = BuiltWalks(monkeypatch)
+    wide = [range_variable(1, "A", 1, 19), range_variable(2, "B", 1, 1)]
+    small, three = Card([1, -2, 3], 1, 2), bools(3)
+    for source, variables, encoding in [(Neq(1, 2), wide, "identity"),
+                                        (small, three, "totalizer")]:
+        enc = build_encoding(encoding, source, variables)
+        for checker in (check_gac_reduction, check_soundness):
+            got = checker(source, enc)
+            assert got.passed and walks.built == 0, (checker, encoding)
+    clause, variables = _instances("clause", 3)[0]
+    got = check_gac_reduction(clause, build_encoding("clause-to-neq:non-gac", clause, variables))
+    assert not got.passed and walks.built == 1
