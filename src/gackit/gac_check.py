@@ -21,11 +21,11 @@ checks and its singletons for equiconsistency. Each state comes with a
 depth p before which it equals the previous state; the odometer gives the
 first depth at which they differ, every other stream 0. Equiconsistency
 reads p: a target that a prefix of an assignment refutes stays refuted for
-every extension of it. The target side is one engine, `_Target`, which
-keeps the channel images of the subdomains it last mapped per depth and
-remaps only the depths past the prefix it shares with them, found by
-identity. Counterexamples are kept in walk order, so the verdict is the
-same as a state-by-state evaluation's.
+every extension of it, and the walk skips them where the prefix refutes the
+source too. The target side is one engine, `_Target`, which maps only the
+depths past the prefix it shares with its last call: p, extended by
+identity (the knowledge checks pass 0). Counterexamples are kept in walk
+order, so the verdict is the same as a state-by-state evaluation's.
 
 Both knowledge checks judge a certificate before they walk
 (`_drive_knowledge`). Under an exhaustive policy every counterexample of
@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import combinations, product
 from dataclasses import dataclass, field
 
@@ -116,7 +116,9 @@ def _odometer(options, masks=None):
     to state, so copy what you keep; `p` is the first position at which it
     differs from the previous state, 0 for the first. `masks`, if given,
     holds an int per option, shaped like `options`, and the walk skips
-    every prefix whose options' masks AND to 0, with all its extensions."""
+    every prefix whose options' masks AND to 0, with all its extensions.
+    A depth c < n sent in (`generator.send`) skips every later state that
+    shares the first c positions of the last one."""
     n = len(options)
     if not n:
         yield 0, []
@@ -132,12 +134,15 @@ def _odometer(options, masks=None):
     while d >= 0:
         if d == last:
             a = acc[last]
+            d -= 1
             for opt, m in pairs[last]:
                 if a & m:
                     state[last] = opt
-                    yield p, state
+                    cut = yield p, state
                     p = last
-            d -= 1
+                    if cut is not None:
+                        d = cut - 1
+                        break
             continue
         for opt, m in its[d]:
             a = acc[d] & m
@@ -379,76 +384,96 @@ def map_back(channel: ChannelMap, payload, doms) -> DomainBox:
 
 
 class _Target:
-    """The target side of every check. It keeps the source subdomains it
-    last mapped, in channel order, and their images under the channel as
-    one list with per-depth ends: `map_knowledge`'s list, assumption
-    literals for a CNF target and `(tvid, removed, pinned)` triples for a
-    network. A call finds, by object identity, the prefix of subdomains it
-    shares with the last call, as `UnitPropagator` does for assumptions,
-    and remaps only the depths past it; an equal subdomain that is another
-    object is remapped, which costs time but changes no answer. A CNF
-    target propagates the list on one `UnitPropagator`; a network target
-    builds its box from the list with `_target_box`. Both calls take the
-    walk's state, one subdomain per source variable in channel order, and
-    `deduce_back` maps the deduction back onto that list with `map_back`.
+    """The target side of every check. Both calls take a depth p and the
+    walk's state `doms`, one subdomain per source variable in channel
+    order, equal to the last call's before p. The engine extends that
+    prefix by object identity (an equal subdomain that is another object
+    is remapped, which costs time but changes no answer) and maps only the
+    depths past it: assumption literals for a CNF target, which one
+    `UnitPropagator` holds, keeping the prefix's `ends[q]`; `(tvid,
+    removed, pinned)` triples for a network, whose box `_target_box` builds
+    from `map_knowledge`'s list. `ends[d]` counts the images of the first d
+    subdomains. `deduce_back` maps the deduction back onto `doms`.
     """
 
     def __init__(self, enc: Encoding):
         self.channel, self.target = enc.channel, enc.target
         self.prop = None if isinstance(enc.target, Network) else UnitPropagator(enc.target)
-        self.doms = []  # the subdomains last mapped
-        self.mapped, self.ends = [], [0]  # ends[d]: len(mapped) once d subdomains are mapped
+        self.doms, self.ends = [], [0]  # the subdomains mapped; ends[d]: images of doms[:d]
+        self.mapped = []  # a network target's images
 
-    def _map(self, doms) -> list:
-        """`map_knowledge`'s list for `doms`, one subdomain per source
-        variable in channel order, remapped past the shared prefix only."""
-        old, mapped, ends, image = self.doms, self.mapped, self.ends, self.channel.image
-        p = 0
-        for a, b in zip(old, doms):
-            if a is not b:
-                break
-            p += 1
-        del mapped[ends[p]:], ends[p + 1:]
-        for d in range(p, len(doms)):
-            mapped.extend(image(d, doms[d]))
-            ends.append(len(mapped))
-        old[p:] = doms[p:]
-        return mapped
+    def _map(self, p: int, doms):
+        """The images of `doms[q:]` and `ends[q]`, for the depth q of the
+        shared prefix: the arguments of `UnitPropagator.propagate`."""
+        old, ends, image = self.doms, self.ends, self.channel.image
+        q = min(p, len(old))
+        while q < len(old) and old[q] is doms[q]:
+            q += 1
+        del ends[q + 1:]
+        new, end = [], ends[q]
+        for d in range(q, len(doms)):
+            new += image(d, doms[d])
+            ends.append(end + len(new))
+        old[q:] = doms[q:]
+        return new, end
 
-    def deduce_back(self, doms) -> DomainBox:
-        """The target's deduction from the knowledge state `doms`, one
-        subdomain per source variable in channel order, mapped back onto
-        it."""
-        mapped = self._map(doms)
+    def _propagate(self, p: int, doms):
+        """`UnitPropagator.propagate` on the images of `doms`. A conflict
+        keeps only the depths whose literals all held, as the propagator
+        does, so `len(ends)` is the depth of the literal that failed."""
+        values = self.prop.propagate(*self._map(p, doms))
+        if values is None:
+            f = bisect_right(self.ends, len(self.prop.assumed))
+            del self.ends[f:], self.doms[f - 1:]
+        return values
+
+    def _box(self, p: int, doms) -> DomainBox:
+        """A network target's initial box under the images of `doms`."""
+        new, end = self._map(p, doms)
+        del self.mapped[end:]
+        self.mapped += new
+        return _target_box(self.target, self.mapped)
+
+    def deduce_back(self, p: int, doms) -> DomainBox:
+        """The target's deduction from the knowledge state `doms`."""
         if self.prop is not None:
-            return map_back(self.channel, self.prop.propagate(mapped), doms)
-        result = gac_closure(self.target, _target_box(self.target, mapped))
+            return map_back(self.channel, self._propagate(p, doms), doms)
+        result = gac_closure(self.target, self._box(p, doms))
         return map_back(self.channel, None if result.inconsistent else result.box, doms)
 
-    def refuted_depth(self, doms) -> int | None:
+    def refuted_depth(self, p: int, doms) -> int | None:
         """None if the target is satisfiable under the images of `doms`,
         else a depth d whose prefix `doms[:d]` already refutes it: on a unit
         propagation conflict, the depth of the literal that failed; after a
         search, all of `doms`."""
-        mapped, prop = self._map(doms), self.prop
+        prop = self.prop
         if prop is None:
-            sat = solve_brute_force(self.target, _target_box(self.target, mapped)).sat
-        elif prop.propagate(mapped) is None:
-            return bisect_left(self.ends, len(prop.assumed) + 1)
+            sat = solve_brute_force(self.target, self._box(p, doms)).sat
+        elif self._propagate(p, doms) is None:
+            return len(self.ends)
         else:  # no conflict; search only if the trail leaves a variable open
-            sat = len(prop.trail) == prop.num_vars or sat_solve(prop, mapped).sat
-        return None if sat else bisect_left(self.ends, len(mapped))
+            sat = len(prop.trail) == prop.num_vars or sat_solve(prop, prop.assumed).sat
+        return None if sat else bisect_left(self.ends, self.ends[-1])
 
 
 def _drive(walk, judge, mode: str, check: str, svars, count: int | None = None) -> Verdict:
-    """The one check loop: `judge(p, state)` for each step of the walk
-    returns a Counterexample or None; counterexamples are kept in walk
-    order. The verdict counts `count` states, or the walk's steps if None."""
-    counterexamples, steps = [], 0
-    for steps, (p, state) in enumerate(walk, 1):
-        ce = judge(p, state)
-        if ce is not None:
-            counterexamples.append(ce)
+    """The one check loop: `judge(p, state)` for each step of the iterator
+    `walk` returns a Counterexample or None, or a depth c where no later state
+    that shares the state's first c positions is a counterexample either;
+    c is sent to the walk, an `_odometer`, which skips those states.
+    Counterexamples are kept in walk order. The verdict counts `count`
+    states, or the walk's steps if None."""
+    counterexamples, steps, cut = [], 0, None
+    while True:
+        try:
+            p, state = next(walk) if cut is None else walk.send(cut)
+        except StopIteration:
+            break
+        steps += 1
+        cut = judge(p, state)
+        if cut is not None and type(cut) is not int:
+            counterexamples.append(cut)
+            cut = None
     return Verdict(steps if count is None else count, counterexamples, mode, check, svars)
 
 
@@ -482,7 +507,7 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
                     at[dom] = at.get(dom, 0) | bit
                 bit <<= 1
         else:
-            walk = () if bit == 1 else _knowledge_walk(svars, policy, lambda d, opt: sum(
+            walk = iter(()) if bit == 1 else _knowledge_walk(svars, policy, lambda d, opt: sum(
                 bits for dom, bits in failing[d].items() if inside(opt, dom)))
             return _drive(walk, judge, policy.mode, check, svars, count_states(svars, policy))
     return _drive(_knowledge_walk(svars, policy), judge, policy.mode, check, svars)
@@ -675,7 +700,7 @@ def check_gac_reduction(source, enc: Encoding,
         src = gac_filter(source, knowledge).box
         if src is knowledge:
             return None
-        back = engine.deduce_back(state)
+        back = engine.deduce_back(0, state)
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "gac-reduction",
@@ -719,7 +744,7 @@ def check_soundness(source, enc: Encoding,
         src = gac_filter(source, knowledge).box
         if src.inconsistent:
             return None
-        back = engine.deduce_back(state)
+        back = engine.deduce_back(0, state)
         if not is_restriction(src, back):
             return Counterexample(SOUNDNESS_VIOLATION, knowledge, src, back)
 
@@ -739,13 +764,16 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
     assignments; pass an EnumerationPolicy in random-sample mode to
     spot-check instead (any other mode is a UsageError).
 
-    The walk's options are each variable's singletons. The source is
-    tested with `accepts` on every assignment; the target answers with
-    `_Target.refuted_depth`, so a CNF target searches with `sat_solve` only
-    where unit propagation leaves a target variable open, and a network
-    target is solved per assignment. A refuted prefix refutes every
+    The walk's options are each variable's singletons. The target answers
+    with `_Target.refuted_depth`, so a CNF target searches with `sat_solve`
+    only where unit propagation leaves a target variable open, and a
+    network target is solved per assignment. A refuted prefix refutes every
     extension, so the target is asked again only where the walk's p lies
-    before the refuted depth.
+    before the refuted depth f. On the exhaustive walk, where f < n, the
+    GAC `gac_filter` deduces bottom on the prefix's box (full domains from
+    f on) exactly where no source solution extends the prefix (Bessiere,
+    Handbook of CP 2006); then the walk skips every extension, which still
+    counts. Elsewhere the source is tested with `accepts`.
     """
     _check_source(source, enc.channel)
     svars = enc.channel.source_vars
@@ -758,7 +786,7 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
             raise ResourceError(f"{total} complete assignments exceed the "
                                 f"budget of {EQUICONSISTENCY_BUDGET}")
         walk = _odometer([list(single.values()) for single in singles])
-        mode = EXHAUSTIVE_ASSIGNMENTS
+        mode, count = EXHAUSTIVE_ASSIGNMENTS, total
     elif sampler.mode != RANDOM_SAMPLE:
         raise UsageError(f"equiconsistency samples only in {RANDOM_SAMPLE!r} mode")
     else:
@@ -766,10 +794,11 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
             return lambda rng: single[rng.choice(dom)]
         walk = _samples([draw(var.domain, single) for var, single in zip(svars, singles)],
                         sampler.sample_count, sampler.seed)
-        mode = RANDOM_SAMPLE
+        mode, count = RANDOM_SAMPLE, None
 
     n, vids = len(svars), [var.id for var in svars]
     scope_pos = [vids.index(vid) for vid in source.scope]
+    full = [frozenset(var.domain) for var in svars]
     values = [None] * n
     tgt_fail = None  # the length of a prefix that refutes the target; None while it holds
 
@@ -778,14 +807,17 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
         for d in range(p, n):
             (values[d],) = state[d]  # the one value of a singleton
         if tgt_fail is None or tgt_fail > p:
-            tgt_fail = engine.refuted_depth(state)
+            f = tgt_fail = engine.refuted_depth(p, state)
+            if count and f is not None and f < n and gac_filter(source, DomainBox._raw(
+                    dict(zip(vids, state[:f] + full[f:])))).inconsistent:  # count: exhaustive
+                return f  # neither side has a solution below state[:f]
         s, t = source.accepts([values[i] for i in scope_pos]), tgt_fail is None
         if s != t:
             box = DomainBox._raw(dict(zip(vids, state)))
             return Counterexample(CONSISTENCY_MISMATCH, box,
                                   box if s else DomainBox.bottom(),
                                   box if t else DomainBox.bottom())
-    return _drive(walk, judge, mode, "equiconsistency", svars)
+    return _drive(walk, judge, mode, "equiconsistency", svars, count)
 
 
 def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:
@@ -796,4 +828,4 @@ def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, Doma
     """
     _check_source(source, enc.channel)
     doms = [knowledge.domain(var.id) for var in enc.channel.source_vars]
-    return gac_filter(source, knowledge).box, _Target(enc).deduce_back(doms)
+    return gac_filter(source, knowledge).box, _Target(enc).deduce_back(0, doms)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Mapping, Sequence
 
 FALSE = 0
@@ -228,7 +229,7 @@ class _LiteralConstraint(Constraint):
     is allowed: bit k of `allowed` is set. `scope` lists each literal's
     variable once."""
 
-    __slots__ = ("lits", "scope", "_positions", "allowed")
+    __slots__ = ("lits", "scope", "_positions", "_truths", "allowed")
 
     def __init__(self, lits: Iterable[int], allows):
         self.lits = tuple(lits)
@@ -237,10 +238,11 @@ class _LiteralConstraint(Constraint):
         self.scope = tuple(dict.fromkeys(lit_var(l) for l in self.lits))
         pos = {v: i for i, v in enumerate(self.scope)}
         self._positions = tuple(pos[lit_var(l)] for l in self.lits)
+        self._truths = tuple(map(lit_truth_value, self.lits))
         self.allowed = sum(1 << k for k in range(len(self.lits) + 1) if allows(k))
 
     def accepts(self, values):
-        k = sum(values[p] == lit_truth_value(l) for l, p in zip(self.lits, self._positions))
+        k = sum(map(operator.eq, map(values.__getitem__, self._positions), self._truths))
         return self.allowed >> k & 1 == 1
 
 

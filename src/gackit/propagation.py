@@ -421,15 +421,19 @@ class UnitPropagator:
     literals).
 
     It keeps the trail of literals set, the assumptions propagated so far
-    and the trail mark before each. A call undoes the trail to the end of
-    the prefix it shares with the previous call's assumptions and asserts
-    the rest one at a time, propagating after each. After a call,
-    `assumed` is the list of leading assumptions that propagated without
-    conflict: all of them, or those before the one that failed, so its
-    length locates a conflict. The formula's units are propagated once, at
-    construction. The unit-rule closure, and whether it conflicts, do not
-    depend on order, so this equals a fresh propagation. `sat_solve` runs
-    its DPLL on the same object, so one propagator serves a whole check.
+    (`assumed`) and the trail mark before each. The caller says how many of
+    them stay: a call keeps the first `keep`, undoes the trail to the mark
+    after them and asserts the new literals one at a time, propagating
+    after each; it never compares literals, so a caller that moves along a
+    walk passes the depth it shares with the last call (chronological
+    backtracking on a trail, as in Eén & Sörensson, SAT 2003). After a
+    call, `assumed` is the list of leading assumptions that propagated
+    without conflict: all of them, or those before the one that failed, so
+    its length locates a conflict. The formula's units are propagated once,
+    at construction. The unit-rule closure, and whether it conflicts, do
+    not depend on order, so this equals a fresh propagation. `sat_solve`
+    runs its DPLL on the same object, so one propagator serves a whole
+    check.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -453,25 +457,24 @@ class UnitPropagator:
                        or not self._assert(units))
         self.assumed, self.marks = [], []  # the units stay on the trail for good
 
-    def propagate(self, assumptions: Iterable[int] = ()) -> list | None:
-        """Closure under the unit rule; returns values list or None on conflict.
+    def propagate(self, assumptions: Iterable[int] = (), keep: int = 0) -> list | None:
+        """Closure under the unit rule of `assumed[:keep]`, the first `keep`
+        assumptions that held, then `assumptions`; returns the values list,
+        or None on a conflict. A `keep` past `len(assumed)` is refused with
+        UsageError.
 
         The returned list is indexed by variable (1-based); entries are
         True/False/None. It is a copy: the caller may keep or change it.
         """
+        assumed = self.assumed
+        if not 0 <= keep <= len(assumed):
+            raise UsageError(f"cannot keep {keep} of {len(assumed)} assumptions")
         if self.falsum:
             return None
-        lits = list(assumptions)
-        assumed = self.assumed
-        keep = 0
-        for old, new in zip(assumed, lits):
-            if old != new:
-                break
-            keep += 1
         if keep < len(assumed):
             self._undo(self.marks[keep])
             del assumed[keep:], self.marks[keep:]
-        if not self._assert(lits[keep:]):
+        if not self._assert(assumptions):
             return None
         return self.lit[:self.num_vars + 1]
 
@@ -586,21 +589,24 @@ def sat_solve(formula: CnfFormula | UnitPropagator,
     """DPLL: unit propagation plus branching on the lowest-index unassigned
     variable, trying False before True, with an explicit decision stack.
     Deterministic by construction. Given a `UnitPropagator` it searches on
-    that propagator, which repeated calls can share."""
+    that propagator, which repeated calls can share: the first propagation
+    asserts every assumption, and each later one keeps all but the
+    decision just pushed or flipped."""
     prop = formula if isinstance(formula, UnitPropagator) else UnitPropagator(formula)
     n = prop.num_vars
     assums = list(assumptions)
-    base = len(assums)
+    base, keep = len(assums), 0
     while True:
-        val = prop.propagate(assums)
+        val = prop.propagate(assums[keep:], keep)
         if val is not None:
             branch = next((v for v in range(1, n + 1) if val[v] is None), None)
             if branch is None:
                 return SolveResult(True, {v: val[v] for v in range(1, n + 1)})
             assums.append(-branch)
-            continue
-        while len(assums) > base and assums[-1] > 0:  # both branches failed
-            assums.pop()
-        if len(assums) == base:
-            return SolveResult(False)
-        assums[-1] = -assums[-1]
+        else:
+            while len(assums) > base and assums[-1] > 0:  # both branches failed
+                assums.pop()
+            if len(assums) == base:
+                return SolveResult(False)
+            assums[-1] = -assums[-1]
+        keep = len(assums) - 1

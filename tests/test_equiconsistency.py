@@ -96,6 +96,58 @@ def test_broken_totalizers_match_the_reference(reference):
     assert all(0 < n < checked for n in failed.values()), failed
 
 
+def broken_channels(enc):
+    """`enc` without each one of its clauses, then with each added unit
+    clause over a channel literal."""
+    for index in range(len(enc.target.clauses)):
+        yield drop_clause(enc, index)
+    for lit in enc.channel.forward.values():
+        yield add_clause(enc, [lit])
+
+
+CUT_CASES = [pytest.param(*_instances("alldiff", n)[0], "alldiff-pairwise", id=f"hall{n}")
+             for n in (3, 4)] + [
+    pytest.param(*_instances("exactly-one", 4)[0], name, id=name)
+    for name in ("exactly-one:pairwise", "exactly-one:sequential")]
+
+
+@pytest.mark.parametrize("constraint, variables, encoding", CUT_CASES)
+def test_skipped_subtrees_match_the_reference_and_the_plain_loop(
+        reference, constraint, variables, encoding):
+    # Where a prefix refutes both sides the walk skips its extensions.
+    # Every mutant's verdict must still be the naive reference's and the
+    # plain loop's, over every assignment.
+    enc = build_encoding(encoding, constraint, variables)
+    assignments = list(itertools.product(*(var.domain for var in variables)))
+    failed = 0
+    for broken in [enc, *broken_channels(enc)]:
+        verdict = check_equiconsistency(constraint, broken)
+        assert_same_text(verdict.to_json(), reference.equiconsistency_verdict(constraint, broken),
+                         broken.target.clauses)
+        assert verdict.counterexamples == plain_loop(constraint.accepts, broken, assignments)
+        failed += not verdict.passed
+    assert failed > 0
+
+
+def test_a_skipped_subtree_is_not_tested_but_counted(monkeypatch):
+    # Under alldiff-pairwise two equal values refute both sides at once, at
+    # the depth of the second one, so the source is tested only where the
+    # first three values differ: 3 * 2 * 1 prefixes times 4 values of X4.
+    constraint, variables = _instances("alldiff", 4)[0]
+    enc = build_encoding("alldiff-pairwise", constraint, variables)
+    calls = []
+    accepts = AllDiff.accepts
+    monkeypatch.setattr(AllDiff, "accepts", lambda self, values: (
+        calls.append(values), accepts(self, values))[1])
+    verdict = check_equiconsistency(constraint, enc)
+    total = 3 * 3 * 3 * 4
+    assert verdict.passed and verdict.states_checked == total
+    assert len(calls) == 24
+    sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=50, seed=2)
+    calls.clear()
+    assert check_equiconsistency(constraint, enc, sampler).states_checked == len(calls) == 50
+
+
 def plain_loop(source_sat, enc, assignments):
     """Counterexamples of an equiconsistency check, one assignment at a
     time: a fresh propagator and DPLL search for each."""

@@ -1,5 +1,7 @@
 """Model layer: variables, boxes, the restriction order, satisfaction."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -154,6 +156,25 @@ class TestSatisfies:
         box = DomainBox({1: [1], 2: [2]})
         assert satisfies(Neq(1, 2), box) is True
         assert satisfies(Table([1, 2], [(1, 1), (2, 2)]), box) is False
+
+
+    def test_literal_accepts_counts_as_the_literal_by_literal_sum(self):
+        # Every literal list of up to 4 literals over 3 variables, negations
+        # and repeated variables included (`card 1 1 x x y`), under every
+        # exact count, both parities and the clause, on every assignment of
+        # the scope, against the count taken one literal at a time.
+        lits_of = [l for v in (1, 2, 3) for l in (v, -v)]
+        for size in range(5):
+            for lits in itertools.product(lits_of, repeat=size):
+                constraints = [Card(lits, k, k) for k in range(size + 1)]
+                constraints += [Xor(lits, 0), Xor(lits, 1)] + ([Clause(lits)] if lits else [])
+                scope = constraints[0].scope
+                for values in itertools.product((FALSE, TRUE), repeat=len(scope)):
+                    at = dict(zip(scope, values))
+                    k = sum(at[abs(l)] == (TRUE if l > 0 else FALSE) for l in lits)
+                    for c in constraints:
+                        assert c.accepts(values) == bool(c.allowed >> k & 1), (c, values)
+                        assert c.accepts(list(values)) == c.accepts(values)
 
 
 class TestNetworkValidation:

@@ -294,8 +294,10 @@ class TestUnitPropagation:
         # prefixes must answer every list as a fresh one and as a naive
         # clause-scan fixpoint do. Clauses of two literals take the
         # implication lists and longer ones the occurrence lists, so both
-        # meet tautologies. `assumed` is the longest prefix of the list
-        # that propagates without conflict, which `refuted_depth` reads.
+        # meet tautologies. Each call keeps the prefix the list shares with
+        # `assumed`, found here by value, and passes only the rest.
+        # `assumed` is the longest prefix of the list that propagates
+        # without conflict, which `refuted_depth` reads.
         rng = random.Random(17)
         for _ in range(300):
             nv = rng.randint(1, 8)
@@ -313,7 +315,8 @@ class TestUnitPropagation:
             lits: list[int] = []
             for _ in range(12):
                 lits = self.next_assumptions(rng, nv, lits)
-                got = shared.propagate(lits)
+                keep = shared_prefix(shared.assumed, lits)
+                got = shared.propagate(lits[keep:], keep)
                 assert got == UnitPropagator(formula).propagate(lits) == \
                     naive_unit_closure(formula, lits), (clauses, lits)
                 longest = max((k for k in range(len(lits) + 1)
@@ -321,6 +324,20 @@ class TestUnitPropagation:
                 assert shared.assumed == lits[:longest], (clauses, lits)
                 if got is not None:
                     got[1:] = [True] * nv  # the caller owns the returned list
+
+    def test_a_stale_keep_is_refused(self):
+        # A conflict leaves `assumed` short of the list, so keeping the
+        # whole list after it would keep literals that were never asserted.
+        prop = UnitPropagator(CnfFormula(3, [[-1, -2]]))
+        assert prop.propagate([1, 3, 2], 0) is None
+        assert prop.assumed == [1, 3]
+        with pytest.raises(UsageError):
+            prop.propagate([], 3)
+        with pytest.raises(UsageError):
+            prop.propagate([], -1)
+        assert prop.propagate([-2], 2) == [None, True, False, True]
+        with pytest.raises(UsageError):  # even where the formula is false
+            UnitPropagator(CnfFormula(1, [[]])).propagate([], 1)
 
     @staticmethod
     def next_assumptions(rng, nv, lits):
@@ -340,6 +357,11 @@ class TestUnitPropagation:
             at = rng.randint(0, len(lits))
             return lits[:at] + [-rng.choice(lits)] + lits[at:] + [lit()]
         return [lit() for _ in range(rng.randint(0, nv))]
+
+
+def shared_prefix(old, new):
+    """The length of the longest common prefix of two literal lists."""
+    return next((k for k, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
 
 
 def naive_unit_closure(formula, assumptions):
@@ -454,9 +476,12 @@ class TestSolvers:
                        for _ in range(rng.randint(0, 20))]
             formula = CnfFormula(nv, clauses)
             shared = UnitPropagator(formula)
+            lits: list[int] = []
             for _ in range(4):
-                shared.propagate([rng.choice((1, -1)) * rng.randint(1, nv)
-                                  for _ in range(rng.randint(0, 3))])
+                lits = TestUnitPropagation.next_assumptions(rng, nv, lits)
+                keep = shared_prefix(shared.assumed, lits)
+                assert shared.propagate(lits[keep:], keep) == \
+                    UnitPropagator(formula).propagate(lits), (clauses, lits)
                 assumptions = [rng.choice((1, -1)) * rng.randint(1, nv)
                                for _ in range(rng.randint(0, 2))]
                 assert sat_solve(shared, assumptions) == \

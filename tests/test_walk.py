@@ -377,25 +377,53 @@ def test_target_reuse_equals_a_fresh_target_per_state(source, variables, encodin
     # One engine sees a sequence of states in one list changed in place, as
     # the walk passes them: a suffix or every position redrawn (jumping back
     # or forward), the same objects again, or equal subdomains that are
-    # other objects. Each answer must be a fresh engine's on that state.
+    # other objects. Each call is given a depth p before which no position
+    # was redrawn since the last call, anywhere from 0 to the first redrawn
+    # one. Each answer must be a fresh engine's on that state.
     enc = build_encoding(encoding, source, variables)
     options = [[frozenset(sub) for r in range(1, len(var.domain) + 1)
                 for sub in itertools.combinations(var.domain, r)] for var in variables]
     n = len(variables)
     engine, state = _Target(enc), [opts[-1] for opts in options]
+    redrawn = 0  # the first position redrawn since the last call
     for _ in range(data.draw(st.integers(1, 12))):
         move = data.draw(st.sampled_from(["redraw", "repeat", "copies"]))
         if move == "redraw":
-            for d in range(data.draw(st.integers(0, n - 1)), n):
+            start = data.draw(st.integers(0, n - 1))
+            redrawn = min(redrawn, start)
+            for d in range(start, n):
                 state[d] = data.draw(st.sampled_from(options[d]))
         elif move == "copies":
             for d in range(n):
                 if data.draw(st.booleans()):
                     state[d] = frozenset(list(state[d]))
+        p = data.draw(st.integers(0, redrawn))
         if data.draw(st.booleans()):
-            assert engine.deduce_back(state) == _Target(enc).deduce_back(list(state))
+            assert engine.deduce_back(p, state) == _Target(enc).deduce_back(0, list(state))
         else:
-            assert engine.refuted_depth(state) == _Target(enc).refuted_depth(state)
+            assert engine.refuted_depth(p, state) == _Target(enc).refuted_depth(0, state)
+        redrawn = n
+
+
+def test_a_conflict_inside_a_depth_is_forgotten_before_a_longer_shared_prefix():
+    # Hall n=4 under alldiff-pairwise: X1 := 1 makes literal 4 false, and
+    # X2 := 1 maps to (-5, -6, 4), whose second literal conflicts, inside
+    # depth 1. The next state changes X4 only, so it shares three
+    # subdomains with the last, one more than the literals that held.
+    source, variables = _instances("alldiff", 4)[0]
+    enc = build_encoding("alldiff-pairwise", source, variables)
+    one, full = frozenset((1,)), [frozenset(var.domain) for var in variables]
+    engine = _Target(enc)
+    state = [one, one, full[2], full[3]]
+    assert engine.deduce_back(0, state).inconsistent
+    assert enc.channel.image(1, one) == (-5, -6, 4) and engine.prop.assumed == [-2, -3, 1, -5]
+    state[3] = frozenset((4,))
+    assert engine.refuted_depth(3, state) == _Target(enc).refuted_depth(0, state) == 2
+    state[0] = state[1] = frozenset((2,))
+    assert engine.deduce_back(0, state) == _Target(enc).deduce_back(0, state)
+    policy = EnumerationPolicy(ASSIGNMENT_STYLE)
+    assert_same_text(check_gac_reduction(source, enc, policy).to_json(),
+                     plain_verdict("gac-reduction", source, enc, policy).to_json())
 
 
 # --- the certificate against its oracle and against the walk -----------------
