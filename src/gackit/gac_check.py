@@ -13,19 +13,20 @@ deduction is GAC, it keeps exactly the values that extend to a source
 solution inside K, and the target must keep them all. Equiconsistency
 compares satisfiability over complete source assignments.
 
-All three checks run one walk over per-position subdomains in channel
-order: product order over each position's options, last position fastest
-(a mixed-radix odometer, Knuth TAOCP 7.2.1.1 Algorithm M), or seeded
-samples. The options are a variable's subdomains for the gac and soundness
-checks and its singletons for equiconsistency. Each state comes with a
-depth p before which it equals the previous state; the odometer gives the
-first depth at which they differ, every other stream 0. Equiconsistency
-reads p: a target that a prefix of an assignment refutes stays refuted for
-every extension of it, and the walk skips them where the prefix refutes the
-source too. The target side is one engine, `_Target`, which maps only the
-depths past the prefix it shares with its last call: p, extended by
-identity (the knowledge checks pass 0). Counterexamples are kept in walk
-order, so the verdict is the same as a state-by-state evaluation's.
+Every check runs one walk over per-position subdomains in channel order:
+product order over each position's options, last position fastest (a
+mixed-radix odometer, Knuth TAOCP 7.2.1.1 Algorithm M), or seeded samples.
+The options are a variable's subdomains in the knowledge walk, and its
+singletons in `_assignments`, the walk of equiconsistency and of the
+soundness certificate. Each state comes with a depth p before which it
+equals the previous state: the odometer's first changed depth, 0 from the
+samples. Only `_assignments` reads p: a target that a prefix of an
+assignment refutes stays refuted for every extension of it, and the walk
+skips them where the prefix refutes the source too. The target side is
+one engine, `_Target`, which maps only the depths past the prefix it
+shares with its last call: p, extended by identity (the knowledge walk
+passes 0). Counterexamples are kept in walk order, so the verdict is the
+same as a state-by-state evaluation's.
 
 Both knowledge checks judge a certificate before they walk
 (`_drive_knowledge`). Under an exhaustive policy every counterexample of
@@ -386,15 +387,15 @@ def map_back(channel: ChannelMap, payload, doms) -> DomainBox:
 class _Target:
     """The target side of every check. Both calls take a depth p and the
     walk's state `doms`, one subdomain per source variable in channel
-    order, equal to the last call's before p. The engine extends that
-    prefix by object identity (an equal subdomain that is another object
-    is remapped, which costs time but changes no answer) and maps only the
-    depths past it: assumption literals for a CNF target, which one
-    `UnitPropagator` holds, keeping the prefix's `ends[q]`; `(tvid,
-    removed, pinned)` triples for a network, whose box `_target_box` builds
-    from `map_knowledge`'s list. `ends[d]` counts the images of the first d
-    subdomains. `deduce_back` maps the deduction back onto `doms`.
-    """
+    order, equal to the last call's before p: the walk's p from
+    `_assignments` (0 where it skips states), 0 from the knowledge checks.
+    The engine extends that prefix by object identity, remapping an equal
+    subdomain that is another object, and maps only the depths past it:
+    assumption literals for a CNF target, which one `UnitPropagator` holds,
+    keeping the prefix's `ends[q]`; `(tvid, removed, pinned)` triples for a
+    network, whose box `_target_box` builds from `map_knowledge`'s list.
+    `ends[d]` counts the images of the first d subdomains. `deduce_back`
+    maps the deduction back onto `doms`."""
 
     def __init__(self, enc: Encoding):
         self.channel, self.target = enc.channel, enc.target
@@ -441,57 +442,52 @@ class _Target:
         result = gac_closure(self.target, self._box(p, doms))
         return map_back(self.channel, None if result.inconsistent else result.box, doms)
 
-    def refuted_depth(self, p: int, doms) -> int | None:
-        """None if the target is satisfiable under the images of `doms`,
-        else a depth d whose prefix `doms[:d]` already refutes it: on a unit
-        propagation conflict, the depth of the literal that failed; after a
-        search, all of `doms`."""
+    def refuted_depth(self, p: int, doms, search=True) -> int | None:
+        """None if the target is satisfiable (without `search`: if its
+        propagation is consistent) under the images of `doms`, else a depth d
+        whose prefix `doms[:d]` already refutes it: on a unit propagation
+        conflict, the depth of the literal that failed, else all of `doms`."""
         prop = self.prop
         if prop is None:
-            sat = solve_brute_force(self.target, self._box(p, doms)).sat
+            box = self._box(p, doms)
+            sat = (solve_brute_force(self.target, box).sat if search
+                   else not gac_closure(self.target, box).inconsistent)
         elif self._propagate(p, doms) is None:
             return len(self.ends)
         else:  # no conflict; search only if the trail leaves a variable open
-            sat = len(prop.trail) == prop.num_vars or sat_solve(prop, prop.assumed).sat
+            sat = not search or len(prop.trail) == prop.num_vars or sat_solve(prop, prop.assumed).sat
         return None if sat else bisect_left(self.ends, self.ends[-1])
 
 
-def _drive(walk, judge, mode: str, check: str, svars, count: int | None = None) -> Verdict:
+def _drive(walk, judge):
     """The one check loop: `judge(p, state)` for each step of the iterator
-    `walk` returns a Counterexample or None, or a depth c where no later state
-    that shares the state's first c positions is a counterexample either;
-    c is sent to the walk, an `_odometer`, which skips those states.
-    Counterexamples are kept in walk order. The verdict counts `count`
-    states, or the walk's steps if None."""
-    counterexamples, steps, cut = [], 0, None
+    `walk` returns a finding (a Counterexample, say) or None, or a depth c
+    where no later state that shares the state's first c positions has a
+    finding either; c is sent to the walk, an `_odometer`, which skips
+    those states. Returns the walk's steps and the findings in walk order."""
+    found, steps, cut = [], 0, None
     while True:
         try:
             p, state = next(walk) if cut is None else walk.send(cut)
         except StopIteration:
-            break
+            return steps, found
         steps += 1
         cut = judge(p, state)
         if cut is not None and type(cut) is not int:
-            counterexamples.append(cut)
+            found.append(cut)
             cut = None
-    return Verdict(steps if count is None else count, counterexamples, mode, check, svars)
 
 
 def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
                      inside) -> Verdict:
-    """`_drive` over the knowledge walk of `policy` (auto if None), steered
-    by the caller's argument: under an exhaustive policy, every
-    counterexample K of the walk has a failing state F of
-    `certificate(mode)` with `inside(K[d], F[d])` at every position d. So
-    the judge first sees every certificate state (`(0, state)` pairs, each
-    state a new list), and the walk then visits only the states that have
-    such an F, with one `_odometer` mask bit per failing state, lists every
-    counterexample and counts every state of the policy. Where no
-    certificate state fails the walk is empty, and its masks, all 0, are
-    not built. A None step means the stream gave up, and the walk then
-    visits every state, as under a random-sample policy. Budget and
-    domain-cap errors come out before any state is judged, and a walk's
-    options are built only where it runs."""
+    """`_drive` over the knowledge walk of `policy` (auto if None). Under an
+    exhaustive policy `certificate(mode)` gives only its failing states F,
+    as lists, and every counterexample K has one with `inside(K[d], F[d])`
+    at every position d; the walk visits only such K, with one `_odometer`
+    mask bit per F, and counts every state of the policy. With no F it is
+    empty and unbuilt. A None step means the certificate gave up: the walk
+    then visits every state, as under a random-sample policy. Budget and
+    domain-cap errors come out before any state is judged."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
@@ -499,18 +495,18 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
     if policy.mode != RANDOM_SAMPLE:
         failing = [{} for _ in svars]  # per position: F[d] -> the bits of its states
         bit = 1  # the next failing state's
-        for step in certificate(policy.mode):
-            if step is None:
+        for state in certificate(policy.mode):
+            if state is None:
                 break
-            if judge(*step) is not None:
-                for at, dom in zip(failing, step[1]):
-                    at[dom] = at.get(dom, 0) | bit
-                bit <<= 1
+            for at, dom in zip(failing, state):
+                at[dom] = at.get(dom, 0) | bit
+            bit <<= 1
         else:
             walk = iter(()) if bit == 1 else _knowledge_walk(svars, policy, lambda d, opt: sum(
                 bits for dom, bits in failing[d].items() if inside(opt, dom)))
-            return _drive(walk, judge, policy.mode, check, svars, count_states(svars, policy))
-    return _drive(_knowledge_walk(svars, policy), judge, policy.mode, check, svars)
+            return Verdict(count_states(svars, policy), _drive(walk, judge)[1],
+                           policy.mode, check, svars)
+    return Verdict(*_drive(_knowledge_walk(svars, policy), judge), policy.mode, check, svars)
 
 
 def _maximal_states(source, svars, mode: str):
@@ -703,9 +699,9 @@ def check_gac_reduction(source, enc: Encoding,
         back = engine.deduce_back(0, state)
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
-    return _drive_knowledge(enc, policy, judge, "gac-reduction",
-                            lambda mode: _maximal_states(source, svars, mode),
-                            frozenset.issubset)
+    return _drive_knowledge(enc, policy, judge, "gac-reduction", lambda mode: (
+        step and step[1] for step in _maximal_states(source, svars, mode)
+        if step is None or judge(*step)), frozenset.issubset)
 
 
 def check_soundness(source, enc: Encoding,
@@ -729,11 +725,12 @@ def check_soundness(source, enc: Encoding,
     refutes v at s too, and s, which the source keeps whole, is a
     violation. So the walk passes iff every accepted assignment does; as
     in Bessiere, Katsirelos, Narodytska & Walsh (IJCAI 2009), soundness is
-    judged apart from propagation strength. The same argument bounds where
-    a violation can be: at K it repeats at the failing assignment s inside
-    K. So where accepted assignments fail, the walk visits only the states
-    K with K ⊇ s, position by position, for some failing s, and lists
-    every violation there.
+    judged apart from propagation strength. The source keeps an accepted
+    assignment whole, and a target propagation that does not conflict keeps
+    every pinned image, so it fails iff the target's propagation refutes
+    it: the certificate is `_assignments` without search. Read backwards,
+    a violation at K repeats at the failing s inside K, so the walk visits
+    only the states K ⊇ s, position by position, for some failing s.
     """
     _check_source(source, enc.channel)
     engine, svars = _Target(enc), enc.channel.source_vars
@@ -747,15 +744,50 @@ def check_soundness(source, enc: Encoding,
         back = engine.deduce_back(0, state)
         if not is_restriction(src, back):
             return Counterexample(SOUNDNESS_VIOLATION, knowledge, src, back)
-
-    def solutions(mode):
-        singles = [{val: frozenset((val,)) for val in var.domain} for var in svars]
-        pos = [vids.index(vid) for vid in source.scope]
-        for values in product(*(var.domain for var in svars)):
-            if source.accepts([values[d] for d in pos]):
-                yield 0, [single[val] for single, val in zip(singles, values)]
-    return _drive_knowledge(enc, policy, judge, "soundness", solutions,
+    return _drive_knowledge(enc, policy, judge, "soundness", lambda mode: _assignments(
+        source, enc, lambda s, state: list(state) if s else None, search=False),
                             frozenset.issuperset)
+
+
+def _assignments(source, enc, found, sampler=None, search=True):
+    """The findings of `_drive` over the complete source assignments as
+    singleton states, on their odometer or `sampler`'s samples: `found(s,
+    state)` where the answer s of `accepts` is not the target's, which holds
+    where `_Target.refuted_depth(p, state, search)` is None. A refuted
+    prefix refutes every extension, so the target is asked again only where
+    p lies before the refuted depth f. On the odometer, where f < n, the GAC
+    `gac_filter` is bottom on the prefix's box (full domains from f on)
+    exactly where no source solution extends the prefix (Bessiere, Handbook
+    of CP 2006); then the walk skips every extension. Without `search` only
+    an accepted state is a finding, and a network target (refuted depth n)
+    cuts nothing, so it is asked only where the source, asked first, accepts."""
+    svars, engine = enc.channel.source_vars, _Target(enc)
+    options = [[frozenset((val,)) for val in var.domain] for var in svars]
+    walk = _samples(
+        [lambda rng, opts=opts: rng.choice(opts) for opts in options],
+        sampler.sample_count, sampler.seed) if sampler else _odometer(options)
+    n, vids = len(svars), [var.id for var in svars]
+    scope_pos = [vids.index(vid) for vid in source.scope]
+    full = [frozenset(var.domain) for var in svars]
+    values = [None] * n
+    tgt_fail = None  # the length of a prefix that refutes the target; None while it holds
+    ask = search or engine.prop is not None  # ask the target before the source
+
+    def judge(p, state):
+        nonlocal tgt_fail
+        for d in range(p, n):
+            (values[d],) = state[d]  # the one value of a singleton
+        if tgt_fail is None or tgt_fail > p:
+            if not (ask or source.accepts([values[i] for i in scope_pos])):
+                return None  # a network target skipped: the next call shares no prefix
+            f = tgt_fail = engine.refuted_depth(p if ask else 0, state, search)
+            if not sampler and f is not None and f < n and gac_filter(source, DomainBox._raw(
+                    dict(zip(vids, state[:f] + full[f:])))).inconsistent:
+                return f  # neither side has a solution below state[:f]
+        s = source.accepts([values[i] for i in scope_pos])
+        if s != (tgt_fail is None):
+            return found(s, state)
+    return _drive(walk, judge)[1]
 
 
 def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
@@ -764,60 +796,26 @@ def check_equiconsistency(source, enc: Encoding, sampler=None) -> Verdict:
     assignments; pass an EnumerationPolicy in random-sample mode to
     spot-check instead (any other mode is a UsageError).
 
-    The walk's options are each variable's singletons. The target answers
-    with `_Target.refuted_depth`, so a CNF target searches with `sat_solve`
-    only where unit propagation leaves a target variable open, and a
-    network target is solved per assignment. A refuted prefix refutes every
-    extension, so the target is asked again only where the walk's p lies
-    before the refuted depth f. On the exhaustive walk, where f < n, the
-    GAC `gac_filter` deduces bottom on the prefix's box (full domains from
-    f on) exactly where no source solution extends the prefix (Bessiere,
-    Handbook of CP 2006); then the walk skips every extension, which still
-    counts. Elsewhere the source is tested with `accepts`.
+    The walk is `_assignments` with search: `sat_solve` only where unit
+    propagation leaves a target variable open, a network target solved per
+    assignment. Skipped extensions still count.
     """
     _check_source(source, enc.channel)
     svars = enc.channel.source_vars
-    engine = _Target(enc)
-    singles = [{val: frozenset((val,)) for val in var.domain} for var in svars]
-
-    if sampler is None:
-        total = math.prod(len(var.domain) for var in svars)
-        if total > EQUICONSISTENCY_BUDGET:
-            raise ResourceError(f"{total} complete assignments exceed the "
-                                f"budget of {EQUICONSISTENCY_BUDGET}")
-        walk = _odometer([list(single.values()) for single in singles])
-        mode, count = EXHAUSTIVE_ASSIGNMENTS, total
-    elif sampler.mode != RANDOM_SAMPLE:
+    vids = [var.id for var in svars]
+    total = math.prod(len(var.domain) for var in svars)
+    if not sampler and total > EQUICONSISTENCY_BUDGET:
+        raise ResourceError(f"{total} complete assignments exceed the "
+                            f"budget of {EQUICONSISTENCY_BUDGET}")
+    if sampler and sampler.mode != RANDOM_SAMPLE:
         raise UsageError(f"equiconsistency samples only in {RANDOM_SAMPLE!r} mode")
-    else:
-        def draw(dom, single):
-            return lambda rng: single[rng.choice(dom)]
-        walk = _samples([draw(var.domain, single) for var, single in zip(svars, singles)],
-                        sampler.sample_count, sampler.seed)
-        mode, count = RANDOM_SAMPLE, None
 
-    n, vids = len(svars), [var.id for var in svars]
-    scope_pos = [vids.index(vid) for vid in source.scope]
-    full = [frozenset(var.domain) for var in svars]
-    values = [None] * n
-    tgt_fail = None  # the length of a prefix that refutes the target; None while it holds
-
-    def judge(p, state):
-        nonlocal tgt_fail
-        for d in range(p, n):
-            (values[d],) = state[d]  # the one value of a singleton
-        if tgt_fail is None or tgt_fail > p:
-            f = tgt_fail = engine.refuted_depth(p, state)
-            if count and f is not None and f < n and gac_filter(source, DomainBox._raw(
-                    dict(zip(vids, state[:f] + full[f:])))).inconsistent:  # count: exhaustive
-                return f  # neither side has a solution below state[:f]
-        s, t = source.accepts([values[i] for i in scope_pos]), tgt_fail is None
-        if s != t:
-            box = DomainBox._raw(dict(zip(vids, state)))
-            return Counterexample(CONSISTENCY_MISMATCH, box,
-                                  box if s else DomainBox.bottom(),
-                                  box if t else DomainBox.bottom())
-    return _drive(walk, judge, mode, "equiconsistency", svars, count)
+    def mismatch(s, state):
+        box, bottom = DomainBox._raw(dict(zip(vids, state))), DomainBox.bottom()
+        return Counterexample(CONSISTENCY_MISMATCH, box, box if s else bottom, bottom if s else box)
+    return Verdict(sampler.sample_count if sampler else total,
+                   _assignments(source, enc, mismatch, sampler),
+                   RANDOM_SAMPLE if sampler else EXHAUSTIVE_ASSIGNMENTS, "equiconsistency", svars)
 
 
 def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, DomainBox]:

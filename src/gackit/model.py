@@ -407,7 +407,7 @@ class ChannelMap:
             lits = [-forward[(var.id, value)] for value in var.domain if value not in kdom]
             if len(kdom) == 1:
                 lits.append(forward[(var.id, next(iter(kdom)))])
-            return tuple(lits)
+            return tuple(dict.fromkeys(lits))  # a Boolean's pin repeats its removal
         by_target: dict[int, list] = {}
         for value in var.domain:
             tvid, tval = forward[(var.id, value)]

@@ -129,6 +129,17 @@ def test_encode_network_bytes_are_pinned(files, source, scheme, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_encode_writes_a_restricted_boolean_as_one_unit(files):
+    # a Boolean restricted to {F} removes T and pins F: both assert -x
+    (files / "restrict.cnet").write_text(
+        "var x bool\nvar y bool\nclause x y\nrestrict x {F}\n")
+    out = files / "out.cnf"
+    assert main(["encode", "--in", str(files / "restrict.cnet"), "--scheme", "totalizer",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == ("c map x F -1\nc map x T 1\nc map y F -2\nc map y T 2\n"
+                               "p cnf 2 2\n1 2 0\n-1 0\n")
+
+
 def test_encode_has_no_eo_option(files, capsys):
     # the exactly-one scheme is chosen by encoding name only
     with pytest.raises(SystemExit) as exit_info:

@@ -141,11 +141,15 @@ def reference_map_knowledge(channel, knowledge):
         assumptions = []
         for var in channel.source_vars:
             kdom = knowledge.domain(var.id)
+            lits = []
             for value in var.domain:
                 if value not in kdom:
-                    assumptions.append(-channel.forward[(var.id, value)])
+                    lits.append(-channel.forward[(var.id, value)])
             if len(kdom) == 1:
-                assumptions.append(channel.forward[(var.id, next(iter(kdom)))])
+                lits.append(channel.forward[(var.id, next(iter(kdom)))])
+            for i, lit in enumerate(lits):  # each once: a Boolean's pin repeats its removal
+                if lit not in lits[:i]:
+                    assumptions.append(lit)
         return assumptions
     triples = []
     for var in channel.source_vars:

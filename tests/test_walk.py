@@ -3,7 +3,9 @@ the odometer and the masks that confine it, the target engine's reuse of
 the prefix it shares with its last call, the verdicts of the walk against
 a plain copy of the state-by-state loop, the certificate of maximal states
 against an enumeration oracle and, on broken encodings, against the plain
-loop, and the confined walk that a failing certificate leaves."""
+loop, the confined walk that a failing certificate leaves, and the
+soundness certificate on the walk over complete assignments against the
+whole judge of every accepted assignment."""
 
 import functools
 import itertools
@@ -689,7 +691,8 @@ def test_a_failing_soundness_certificate_sends_the_check_to_the_walk(monkeypatch
     enc = build_encoding("totalizer", source, variables)
     policy = EnumerationPolicy(FULL_SUBDOMAINS)
     got = check_soundness(source, enc, policy)
-    assert got.passed and got.states_checked == 27 and walk.counts == [0]
+    # the certificate walks the 8 complete assignments; the knowledge walk is empty
+    assert got.passed and got.states_checked == 27 and walk.counts == [8, 0]
     # a unit clause on x1's channel literal refutes the accepted x1 = F, x2 = F, x3 = T
     unsound = Encoding(CnfFormula(enc.target.num_vars, enc.target.clauses
                                   + [(enc.channel.forward[(1, TRUE)],)]), enc.channel)
@@ -853,3 +856,133 @@ def test_a_certified_pass_builds_no_walk(monkeypatch):
     clause, variables = _instances("clause", 3)[0]
     got = check_gac_reduction(clause, build_encoding("clause-to-neq:non-gac", clause, variables))
     assert not got.passed and walks.built == 1
+
+
+# --- the soundness certificate on the walk over complete assignments ---------
+
+def reference_soundness_certificate(source, enc):
+    """The failing states of the soundness certificate judged as before it
+    shared equiconsistency's walk: every complete channel assignment the
+    source accepts, in product order, through the whole knowledge judge of
+    `check_soundness` (source filter, target, map-back, comparison)."""
+    svars, engine = enc.channel.source_vars, _Target(enc)
+    vids = [var.id for var in svars]
+    pos = [vids.index(vid) for vid in source.scope]
+    failing = []
+    for values in itertools.product(*(var.domain for var in svars)):
+        if source.accepts([values[d] for d in pos]):
+            state = [frozenset((val,)) for val in values]
+            src = gac_filter(source, DomainBox(dict(zip(vids, state)))).box
+            if not src.inconsistent and not is_restriction(src, engine.deduce_back(0, state)):
+                failing.append(state)
+    return failing
+
+
+class FailingCertificateStates:
+    """Wraps `_drive_knowledge` and keeps, per call, the failing states its
+    certificate gives; the check goes on to its verdict only while `walk`
+    is set, and returns None otherwise."""
+
+    def __init__(self, monkeypatch):
+        self.failing, self.walk = [], True
+        real = gac_check._drive_knowledge
+
+        def spied(enc, policy, judge, check, certificate, inside):
+            self.failing.append([list(state) for state in certificate(policy.mode)])
+            return real(enc, policy, judge, check, certificate, inside) if self.walk else None
+        monkeypatch.setattr(gac_check, "_drive_knowledge", spied)
+
+
+def shipped_encodings_up_to_4():
+    """`(source, encoding, variant)` for every named encoding over every
+    bundled instance with n <= 4 that it fits, "intact"; a CNF one also
+    without each one of its clauses, "deletion", and with a unit clause on
+    each channel literal, "unit"."""
+    for name in ENCODING_NAMES:
+        for family in ("card", "neq", "alldiff", "xor", "clause"):
+            for n in range(2 if family == "alldiff" else 1, 5):
+                for source, variables in _instances(family, n):
+                    try:
+                        enc = build_encoding(name, source, variables)
+                    except UsageError:
+                        continue
+                    yield source, enc, "intact"
+                    if isinstance(enc.target, CnfFormula):
+                        clauses = enc.target.clauses
+                        for i in range(len(clauses)):
+                            yield (source, with_clauses(enc, clauses[:i] + clauses[i + 1:]),
+                                   "deletion")
+                        for lit in enc.channel.forward.values():
+                            yield source, with_clauses(enc, clauses + [(lit,)]), "unit"
+
+
+def test_the_soundness_certificate_equals_the_judged_accepted_assignments(monkeypatch):
+    # Under both exhaustive policies, every variant's failing certificate
+    # states are those of the whole judge. The verdict is compared with the
+    # plain loop on the intact encodings, and on the channel units where the
+    # walk has at most 1,000 states (not Hall n = 4 over full subdomains,
+    # 5,145); the plain loop on every deletion would take half a minute, and
+    # the broken-encoding tests above compare every variant at n <= 3.
+    spy = FailingCertificateStates(monkeypatch)
+    kinds, variants, compared = set(), [], 0
+    for source, enc, variant in shipped_encodings_up_to_4():
+        want = reference_soundness_certificate(source, enc)
+        for policy in (EnumerationPolicy(FULL_SUBDOMAINS), EnumerationPolicy(ASSIGNMENT_STYLE)):
+            spy.walk = variant == "intact" or (
+                variant == "unit" and gac_check.count_states(enc.channel.source_vars, policy) <= 1000)
+            got = check_soundness(source, enc, policy)
+            assert spy.failing[-1] == want, (source, enc.target, policy.mode)
+            if spy.walk:
+                plain = plain_verdict("soundness", source, enc, policy)
+                assert_same_text(got.to_json(), plain.to_json(), (source, enc.target))
+                compared += 1
+        kinds.add(enc.channel.kind)
+        variants.append((variant, bool(want)))
+    assert kinds == {ChannelMap.CNF, ChannelMap.NETWORK}
+    assert (len(variants), compared, variants.count(("unit", True))) == (2852, 1464, 530)
+
+
+class MapBackCalls:
+    """Wraps `map_back` and counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = gac_check.map_back
+
+        def counted(*args):
+            self.calls += 1
+            return real(*args)
+        monkeypatch.setattr(gac_check, "map_back", counted)
+
+
+def test_a_certified_soundness_pass_maps_nothing_back(monkeypatch):
+    # The certificate asks only whether the target's propagation refutes an
+    # accepted assignment, so a pass maps no deduction back; judging each of
+    # the 792 accepted assignments of card n=10 [3..6] in full would.
+    calls = MapBackCalls(monkeypatch)
+    source, variables = Card(range(1, 11), 3, 6), bools(10)
+    for encoding in ("totalizer", "binary-adder"):
+        got = check_soundness(source, build_encoding(encoding, source, variables))
+        assert got.passed and got.states_checked == 3 ** 10 and calls.calls == 0, encoding
+    # a failing certificate state is judged by the walk, which maps back
+    enc = build_encoding("totalizer", source, variables)
+    unsound = with_clauses(enc, enc.target.clauses + [(-enc.channel.forward[(1, TRUE)],)])
+    assert not check_soundness(source, unsound).passed and calls.calls > 0
+
+
+def test_a_network_certificate_asks_the_target_only_where_the_source_accepts(monkeypatch):
+    # A network target's refuted depth is n, so a rejected assignment can
+    # neither fail the soundness certificate nor cut: of the 108 complete
+    # assignments of the Hall instance n = 4, only the 6 accepted ones are
+    # closed on the target, and a failing one still gives the plain verdict.
+    calls = []
+    real = gac_check.gac_closure
+    monkeypatch.setattr(gac_check, "gac_closure", lambda *args: calls.append(1) or real(*args))
+    source, variables = hall(4)
+    enc = build_encoding("identity", source, variables)
+    policy = EnumerationPolicy(ASSIGNMENT_STYLE)
+    assert check_soundness(source, enc, policy).passed and len(calls) == 6
+    unsound = with_clauses(enc, enc.target.constraints + [Table([4], [(4,)]), Table([1], [(1,)])])
+    got = check_soundness(source, unsound, policy)
+    assert not got.passed
+    assert_same_text(got.to_json(), plain_verdict("soundness", source, unsound, policy).to_json())
