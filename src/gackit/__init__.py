@@ -17,8 +17,7 @@ from .propagation import (
 )
 from .encoders import (
     Encoding, EncodingStats, build_encoding, compile_network,
-    encode_alldiff_pairwise, encode_clause_to_neq, encode_exactly_one,
-    identity_encoding,
+    encode_clause_to_neq, encode_exactly_one, identity_encoding,
 )
 from .gac_check import (
     Counterexample, EnumerationPolicy, Verdict, check_equiconsistency,

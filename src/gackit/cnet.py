@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass
 
 from .model import (
-    FALSE, TRUE, AllDiff, Card, Clause, DomainBox, Neq, Network, Table,
-    UsageError, Variable, Xor, bool_variable, range_variable, restrict,
+    FALSE, TRUE, AllDiff, Card, Clause, DomainBox, Neq, Network, ResourceError,
+    Table, UsageError, Variable, Xor, bool_variable, range_variable, restrict,
 )
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
@@ -120,6 +120,8 @@ def _parse_var(lineno, tokens, next_id) -> Variable:
             return range_variable(next_id, name, int(lo_s), int(hi_s))
         except ValueError:
             raise CnetParseError(f"bad range {words[2]!r}", lineno, tokens[2][1]) from None
+        except ResourceError as exc:
+            raise CnetParseError(str(exc), lineno, tokens[2][1]) from None
     if words[2] == "{":
         values = _parse_value_set(lineno, tokens[2:], None)
         return Variable(next_id, name, values)

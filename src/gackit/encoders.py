@@ -13,8 +13,15 @@ encoders never list them, `Encoding.stats` counts them from the channel.
 
 Named encodings are dispatched only through `build_encoding`'s table of
 (source class, builder), and `ENCODING_NAMES` is that table's keys. The
-card and xor ones are `compile_network` on the one-constraint network; the
-card ones are named after the `CARD_SCHEMES` entry they compile with.
+card, xor, neq and alldiff ones are `compile_network` on the one-constraint
+network; the card ones are named after the `CARD_SCHEMES` entry they
+compile with, the neq and alldiff ones after their one-hot scheme.
+
+Every CNF encoding accepts any declared variables, also those outside the
+constraint's scope: a Boolean variable becomes one CNF variable, any other
+gets one-hot selectors. A literal constraint (clause, card, xor) needs
+Boolean variables in its scope, which `Network` checks. The clause-to-neq
+networks need every declared variable Boolean.
 
 Encoders are pure functions of their inputs and safe for concurrent use.
 """
@@ -66,12 +73,6 @@ class Encoding:
         return EncodingStats(size, size - len(named), clauses)
 
 
-def _check_boolean(variables):
-    for var in variables:
-        if not var.is_boolean:
-            raise UsageError(f"{var.name!r} must be Boolean for this encoder")
-
-
 def _cnf_lits(forward: dict, lits) -> list[int]:
     """The CNF literals of source literals over directly channelled Booleans."""
     return [forward[(lit_var(l), lit_truth_value(l))] for l in lits]
@@ -111,44 +112,6 @@ def encode_exactly_one(formula: CnfFormula, lits: list[int], scheme: str) -> Non
     for i in range(1, n):
         formula.add_clause([-s[i - 1], -lits[i]])   # at most one
     formula.add_clause([s[n - 2], lits[n - 1]])     # at least one
-
-
-def _one_hot_into(formula: CnfFormula, forward: dict, variable: Variable,
-                  scheme: str) -> None:
-    """Add one selector per value to `forward` plus their exactly-one
-    clauses."""
-    sel = []
-    for value in variable.domain:
-        idx = formula.new_var()
-        forward[(variable.id, value)] = idx
-        sel.append(idx)
-    encode_exactly_one(formula, sel, scheme)
-
-
-def _forbid_shared(formula: CnfFormula, forward: dict, a: Variable, b: Variable):
-    """Difference clauses: `a` and `b` may not take a common value."""
-    for value in a.domain:
-        if (b.id, value) in forward:
-            formula.add_clause([-forward[(a.id, value)], -forward[(b.id, value)]])
-
-
-# --- binary difference and alldiff -------------------------------------------
-
-def encode_alldiff_pairwise(variables, scheme: str = PAIRWISE) -> Encoding:
-    """Decompose AllDiff into one-hot selectors plus pairwise difference
-    clauses. Equisatisfiable, but the decomposition is propagation-weak on
-    Hall-set instances; see gac_check. On one variable it is a plain
-    one-hot encoding, on two the pairwise encoding of a difference."""
-    if not variables:
-        raise UsageError("alldiff needs at least one variable")
-    formula = CnfFormula()
-    forward: dict = {}
-    for var in variables:
-        _one_hot_into(formula, forward, var, scheme)
-    for i, va in enumerate(variables):
-        for vb in variables[i + 1:]:
-            _forbid_shared(formula, forward, va, vb)
-    return Encoding(formula, ChannelMap(ChannelMap.CNF, variables, forward))
 
 
 # --- cardinality: unary counters ---------------------------------------------
@@ -372,7 +335,9 @@ def encode_clause_to_neq(constraint: Clause, variables,
       of d; when one token remains, d pins the last h and that pins the
       literal's variable to its satisfying value.
     """
-    _check_boolean(variables)
+    for var in variables:
+        if not var.is_boolean:
+            raise UsageError(f"{var.name!r} must be Boolean for this encoder")
     if variant not in (NON_GAC, GAC):
         raise UsageError(f"unknown clause gadget variant {variant!r}")
     if not constraint.lits:
@@ -443,13 +408,17 @@ def encode_clause_to_neq(constraint: Clause, variables,
                     ChannelMap(ChannelMap.NETWORK, variables, forward))
 
 
-def compile_network(net: Network, box=None, card_scheme: str = "totalizer") -> Encoding:
+def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
+                    one_hot: str = PAIRWISE) -> Encoding:
     """Compile a whole network to one CNF with a shared channel.
 
-    Boolean variables map directly to CNF variables; multi-valued variables
-    get one-hot selectors with pairwise exactly-one clauses. Cardinality
-    constraints use the `CARD_SCHEMES` entry named `card_scheme`. Initial
-    restrictions in `box` land as unit clauses.
+    Boolean variables map directly to CNF variables; every other variable
+    gets one selector per value, tied by the `encode_exactly_one` scheme
+    named `one_hot` (the direct encoding). Neq and AllDiff forbid each
+    shared value pairwise, so that decomposition is propagation-weak on
+    Hall-set instances. Cardinality constraints use the `CARD_SCHEMES`
+    entry named `card_scheme`. Initial restrictions in `box` land as unit
+    clauses.
     """
     formula = CnfFormula()
     forward: dict = {}
@@ -459,7 +428,9 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer") -> E
             forward[(var.id, TRUE)] = idx
             forward[(var.id, FALSE)] = -idx
         else:
-            _one_hot_into(formula, forward, var, PAIRWISE)
+            for value in var.domain:
+                forward[(var.id, value)] = formula.new_var()
+            encode_exactly_one(formula, [forward[(var.id, v)] for v in var.domain], one_hot)
 
     for c in net.constraints:
         if isinstance(c, Clause):
@@ -470,12 +441,12 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer") -> E
             CARD_SCHEMES[card_scheme](formula, _cnf_lits(forward, c.lits), c.lo, c.hi)
         elif isinstance(c, Xor):
             _xor_into(formula, _cnf_lits(forward, c.lits), c.parity)
-        elif isinstance(c, Neq):
-            _forbid_shared(formula, forward, net.variable(c.a), net.variable(c.b))
-        elif isinstance(c, AllDiff):
+        elif isinstance(c, (Neq, AllDiff)):  # no two of the scope share a value
             for i, a in enumerate(c.scope):
                 for b in c.scope[i + 1:]:
-                    _forbid_shared(formula, forward, net.variable(a), net.variable(b))
+                    for value in net.variable(a).domain:
+                        if (b, value) in forward:
+                            formula.add_clause([-forward[(a, value)], -forward[(b, value)]])
         else:
             raise UsageError(f"no CNF encoder for {c.kind()} constraints")
 
@@ -503,39 +474,32 @@ def identity_encoding(constraint: Constraint, variables) -> Encoding:
 # Builders look `compile_network` up as a module global at call time, so a
 # wrapper installed on the module sees their calls too.
 
-def _compiled(constraint, variables, *options) -> Encoding:
-    _check_boolean(variables)
-    return compile_network(Network(variables, [constraint]), None, *options)
+def _compiled(constraint, variables, **options) -> Encoding:
+    return compile_network(Network(variables, [constraint]), None, **options)
 
 
 def _exactly_one(constraint: Card, variables, scheme: str) -> Encoding:
     if (constraint.lo, constraint.hi) != (1, 1):
         raise UsageError("exactly-one encoder needs a card[1..1] source")
-    _check_boolean(variables)
-    enc = compile_network(Network(variables, []))
+    enc = compile_network(Network(variables, []), one_hot=scheme)
     encode_exactly_one(enc.target, _cnf_lits(enc.channel.forward, constraint.lits), scheme)
     return enc
 
 
-def _alldiff_over_scope(constraint, variables, scheme: str) -> Encoding:
-    by_id = {v.id: v for v in variables}
-    return encode_alldiff_pairwise([by_id[v] for v in constraint.scope], scheme)
-
-
-# name -> (source class, its label in errors, builder, builder options);
-# shared by the CLI and the classification suite
+# name -> (source class, its label in errors, builder, builder keyword
+# options); shared by the CLI and the classification suite
 _ENCODINGS = {
-    **{scheme: (Card, "card", _compiled, scheme) for scheme in CARD_SCHEMES},
-    "exactly-one:pairwise": (Card, "card[1..1]", _exactly_one, PAIRWISE),
-    "exactly-one:sequential": (Card, "card[1..1]", _exactly_one, SEQUENTIAL),
-    "neq:pairwise": (Neq, "neq", _alldiff_over_scope, PAIRWISE),
-    "neq:sequential": (Neq, "neq", _alldiff_over_scope, SEQUENTIAL),
-    "alldiff-pairwise": (AllDiff, "alldiff", _alldiff_over_scope, PAIRWISE),
-    "alldiff-pairwise:sequential": (AllDiff, "alldiff", _alldiff_over_scope, SEQUENTIAL),
-    "xor-direct": (Xor, "xor", _compiled),
-    "clause-to-neq:gac": (Clause, "clause", encode_clause_to_neq, GAC),
-    "clause-to-neq:non-gac": (Clause, "clause", encode_clause_to_neq, NON_GAC),
-    "identity": (Constraint, "any", identity_encoding),
+    **{scheme: (Card, "card", _compiled, {"card_scheme": scheme}) for scheme in CARD_SCHEMES},
+    "exactly-one:pairwise": (Card, "card[1..1]", _exactly_one, {"scheme": PAIRWISE}),
+    "exactly-one:sequential": (Card, "card[1..1]", _exactly_one, {"scheme": SEQUENTIAL}),
+    "neq:pairwise": (Neq, "neq", _compiled, {"one_hot": PAIRWISE}),
+    "neq:sequential": (Neq, "neq", _compiled, {"one_hot": SEQUENTIAL}),
+    "alldiff-pairwise": (AllDiff, "alldiff", _compiled, {"one_hot": PAIRWISE}),
+    "alldiff-pairwise:sequential": (AllDiff, "alldiff", _compiled, {"one_hot": SEQUENTIAL}),
+    "xor-direct": (Xor, "xor", _compiled, {}),
+    "clause-to-neq:gac": (Clause, "clause", encode_clause_to_neq, {"variant": GAC}),
+    "clause-to-neq:non-gac": (Clause, "clause", encode_clause_to_neq, {"variant": NON_GAC}),
+    "identity": (Constraint, "any", identity_encoding, {}),
 }
 ENCODING_NAMES = tuple(_ENCODINGS)
 
@@ -555,8 +519,8 @@ def build_encoding(name: str, constraint: Constraint, variables) -> Encoding:
     on anything but a cardinality constraint), and where `Network` rejects
     the constraint over `variables`.
     """
-    cls, label, build, *options = lookup_encoding(name)
+    cls, label, build, options = lookup_encoding(name)
     if not isinstance(constraint, cls):
         raise UsageError(f"encoding {name!r} needs a {label} source constraint")
     Network(variables, [constraint])
-    return build(constraint, variables, *options)
+    return build(constraint, variables, **options)

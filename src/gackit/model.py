@@ -74,9 +74,15 @@ def bool_variable(vid: int, name: str) -> Variable:
     return Variable(vid, name, (FALSE, TRUE), BOOL_LABELS)
 
 
+RANGE_LIMIT = 1 << 20  # values in one range domain
+
+
 def range_variable(vid: int, name: str, lo: int, hi: int) -> Variable:
     if lo > hi:
         raise UsageError(f"empty range domain {lo}..{hi} for {name!r}")
+    if hi - lo >= RANGE_LIMIT:
+        raise ResourceError(f"range domain {lo}..{hi} for {name!r} has more than "
+                            f"{RANGE_LIMIT} values")
     return Variable(vid, name, range(lo, hi + 1))
 
 

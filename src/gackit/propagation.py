@@ -240,13 +240,11 @@ def _filter_neq(c: Neq, box: DomainBox) -> PropagationResult:
             return PropagationResult(DomainBox.bottom())
         domains = box.domains()
         domains[c.b] = nb
+    # da == db == {w} returned bottom above, so da - db is not empty here
     if len(db) == 1 and next(iter(db)) in da:
-        na = da - db
-        if not na:
-            return PropagationResult(DomainBox.bottom())
         if domains is None:
             domains = box.domains()
-        domains[c.a] = na
+        domains[c.a] = da - db
     if domains is None:
         return PropagationResult(box)
     return PropagationResult(DomainBox._raw(domains))

@@ -12,7 +12,7 @@ import pytest
 
 from gackit import cli
 from gackit.cli import main
-from gackit.cnet import parse_cnet
+from gackit.cnet import CnetParseError, parse_cnet
 from gackit.encoders import ENCODING_NAMES
 from gackit.gac_check import RANDOM_SAMPLE
 from gackit.propagation import solve_brute_force
@@ -61,19 +61,68 @@ def test_input_that_is_not_utf8(files, capsys):
     expect_usage_error(["propagate", "--in", files / "bad.cnet"], capsys)
 
 
-@pytest.mark.parametrize("text, line, column", [
-    ("var x {1 2}\n", 1, 10),
-    ("var x {1} extra\n", 1, 11),
-    ("var x 1..2\nvar y 1..2\ntable x y : (1 2)\n", 3, 16),
-    ("var x 1..2\ntable x : (2,)\n", 2, 14),
-    ("var x bool\nrestrict x {T} extra\n", 2, 16),
-], ids=["set-without-comma", "words-after-set", "tuple-without-comma", "trailing-comma",
-        "words-after-restrict"])
-def test_malformed_comma_lists_are_located(files, capsys, text, line, column):
+# one malformed text per parse error that CNET text can reach
+PARSE_ERRORS = {
+    "var-too-short": ("var x\n", 1, 5, "var needs a name and a domain"),
+    "var-bad-name": ("var 1x bool\n", 1, 5, "bad variable name '1x'"),
+    "var-bad-range": ("var x 1..y\n", 1, 7, "bad range '1..y'"),
+    "var-empty-range": ("var x 3..1\n", 1, 7, "bad range '3..1'"),
+    "var-oversized-range": ("var x 1..99999999999\n", 1, 7,
+                            "range domain 1..99999999999 for 'x' has more than 1048576 values"),
+    "var-bad-domain": ("var x int\n", 1, 7, "bad domain 'int'"),
+    "set-without-opener": ("var x bool\nrestrict x T\n", 2, 12, "expected '{'"),
+    "set-missing-value": ("var x {,}\n", 1, 8, "expected a value"),
+    "set-cut-short": ("var x {1,\n", 1, 9, "expected a value"),
+    "set-without-comma": ("var x {1 2}\n", 1, 10, "expected ',' or '}'"),
+    "set-empty": ("var x {}\n", 1, 8, "empty value set"),
+    "words-after-set": ("var x {1} extra\n", 1, 11, "unexpected 'extra' after the value set"),
+    "bad-value": ("var x {a}\n", 1, 8, "bad value 'a'"),
+    "value-outside-domain": ("var x 1..3\nrestrict x {5}\n", 2, 13,
+                             "value 5 outside the domain of 'x'"),
+    "words-after-restrict": ("var x bool\nrestrict x {T} extra\n", 2, 16,
+                             "unexpected 'extra' after the value set"),
+    "restrict-too-short": ("var x bool\nrestrict x\n", 2, 1,
+                           "restrict needs a variable and a value set"),
+    "unknown-variable": ("var x 1..2\nneq x y\n", 2, 7, "unknown variable 'y'"),
+    "literal-on-range": ("var x 1..2\nclause x\n", 2, 8, "literal on non-Boolean variable 'x'"),
+    "clause-empty": ("clause\n", 1, 1, "clause needs at least one literal"),
+    "card-too-short": ("var a bool\ncard 1 2\n", 2, 1, "card needs bounds and literals"),
+    "card-bounds-not-integers": ("var a bool\ncard x 1 a\n", 2, 6,
+                                 "card bounds must be integers"),
+    "alldiff-empty": ("alldiff\n", 1, 1, "alldiff needs variables"),
+    "neq-one-variable": ("var a 1..2\nneq a\n", 2, 1, "neq needs exactly two variables"),
+    "xor-without-parity": ("var a bool\nxor a\n", 2, 1, "xor needs '= 0' or '= 1' at the end"),
+    "xor-bad-parity": ("var a bool\nxor a = 2\n", 2, 9, "xor parity must be 0 or 1"),
+    "xor-empty": ("xor = 1\n", 1, 1, "xor needs at least one literal"),
+    "table-without-colon": ("var a bool\ntable a\n", 2, 1,
+                            "table needs 'table <vars> : (tuples)'"),
+    "tuple-without-comma": ("var x 1..2\nvar y 1..2\ntable x y : (1 2)\n", 3, 16,
+                            "expected ',' or ')'"),
+    "trailing-comma": ("var x 1..2\ntable x : (2,)\n", 2, 14, "expected a value"),
+    "tuple-too-long": ("var a 1..2\ntable a : (1,2)\n", 2, 14,
+                       "tuple longer than the variable list"),
+    "tuple-too-short": ("var a 1..2\nvar b 1..2\ntable a b : (1)\n", 3, 15,
+                        "tuple arity 1 does not match 2 variables"),
+    "unknown-statement": ("var x bool\nfoo x\n", 2, 1, "unknown statement 'foo'"),
+    "declared-twice": ("var x bool\n\nvar x 1..2\n", 3, 1, "variable 'x' declared twice"),
+}
+
+
+@pytest.mark.parametrize("text, line, column, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_cnet_parse_errors_are_located(files, capsys, text, line, column, message):
+    with pytest.raises(CnetParseError) as info:
+        parse_cnet(text)
+    assert (info.value.line, info.value.column) == (line, column)
     (files / "bad.cnet").write_text(text)
     assert main(["propagate", "--in", str(files / "bad.cnet")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}, column {column}: ") and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: line {line}, column {column}: {message}\n"
+
+
+def test_blank_and_comment_lines_parse(files, capsys):
+    (files / "notes.cnet").write_text(
+        "# a network\n\nvar a bool   # first\n   \n\t# indented comment\nclause a\n\n")
+    assert main(["propagate", "--in", str(files / "notes.cnet")]) == 0
+    assert capsys.readouterr().out == "a = {T}\n"
 
 
 @pytest.mark.parametrize("statement, message", [
@@ -395,3 +444,63 @@ def test_auto_policy_samples_with_the_given_seed(tmp_path, monkeypatch):
                         lambda *args: policies.append(args[2]) or real(*args))
     assert run("check-sound", "auto", 2)[0] == 0
     assert [(p.mode, p.sample_count, p.seed) for p in policies] == [(RANDOM_SAMPLE, 10_000, 2)]
+
+
+def test_a_one_hot_check_walks_every_declared_variable(tmp_path):
+    # Z is outside the scope: every encoding walks its 3 subdomains too
+    source = tmp_path / "neq.cnet"
+    source.write_text("var X 1..2\nvar Y 1..2\nvar Z 1..2\nneq X Y\n")
+    states = {}
+    for encoding in ("neq:pairwise", "neq:sequential", "identity"):
+        out = tmp_path / f"{encoding}.json"
+        assert main(["check-gac", "--source", str(source), "--encoding", encoding,
+                     "--out", str(out)]) == 0
+        states[encoding] = json.loads(out.read_text())["states_checked"]
+    assert states == {"neq:pairwise": 27, "neq:sequential": 27, "identity": 27}
+
+
+CONTRADICTING = "var X 1..3\nvar Y 1..3\nneq X Y\nrestrict X {1}\nrestrict X {2}\n"
+
+
+def test_propagate_on_contradicting_restricts_is_inconsistent(files, capsys):
+    (files / "bad.cnet").write_text(CONTRADICTING)
+    assert main(["propagate", "--in", str(files / "bad.cnet")]) == 1
+    assert capsys.readouterr().out == "INCONSISTENT\n"
+
+
+def test_encode_on_contradicting_restricts_writes_the_empty_clause(files):
+    (files / "bad.cnet").write_text(CONTRADICTING)
+    out = files / "out.cnf"
+    assert main(["encode", "--in", str(files / "bad.cnet"), "--scheme", "totalizer",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "0"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("var a bool\nvar b bool\nclause a b\nclause -a b\n",
+     "this command needs a source file with exactly one constraint, found 2"),
+    ("var a bool\nvar b bool\nclause a b\nrestrict a {T}\n",
+     "restrict lines are not supported here; declare the domains you mean"),
+], ids=["two-constraints", "restrict"])
+@pytest.mark.parametrize("command", ["check-gac", "check-sound", "equiconsistency"])
+def test_checks_need_one_constraint_and_no_restrict(files, capsys, command, text, message):
+    (files / "source.cnet").write_text(text)
+    assert main([command, "--source", str(files / "source.cnet"),
+                 "--encoding", "identity"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_report_records_an_encoder_over_its_limit_in_the_size_entry(files):
+    # xor-direct refuses arity 13; the report keeps going and exits 0
+    (files / "suite.json").write_text(json.dumps(
+        {"jobs": [{"family": "xor", "encoding": "xor-direct", "sizes": [13]}]}))
+    out = files / "report.json"
+    assert main(["report", "--config", str(files / "suite.json"), "--format", "json",
+                 "--out", str(out)]) == 0
+    row, = json.loads(out.read_text())["rows"]
+    assert row["verdicts"] == [
+        {"size": 13, "error": "xor arity 13 exceeds the direct-expansion limit 12"}]
+    assert row["class_note"] == "not-applicable"
+    assert main(["report", "--config", str(files / "suite.json"), "--format", "markdown-table",
+                 "--out", str(out)]) == 0
+    assert "| xor | xor-direct | 13 | n=13:error | not-applicable | yes |" in out.read_text()

@@ -16,8 +16,9 @@ from gackit.propagation import (
 )
 from gackit.encoders import (
     ENCODING_NAMES, PAIRWISE, SEQUENTIAL, build_encoding, compile_network,
-    encode_alldiff_pairwise, encode_clause_to_neq, encode_exactly_one,
+    encode_clause_to_neq, encode_exactly_one,
 )
+from gackit.classify import _instances
 from gackit.cnet import CnetDocument, write_cnet
 from gackit.dimacs import write_dimacs
 from gackit.gac_check import check_equiconsistency, check_gac_reduction
@@ -79,23 +80,23 @@ class TestExactlyOne:
 class TestOneHot:
     def test_single_value_forced(self):
         v = range_variable(1, "X", 1, 1)
-        enc = encode_alldiff_pairwise([v])
+        enc = compile_network(Network([v], []))
         assert enc.stats.variables == 1 and enc.stats.clauses == 1
         assert enc.target.clauses == [(1,)]
 
     def test_three_values_pairwise(self):
         v = range_variable(1, "X", 1, 3)
-        enc = encode_alldiff_pairwise([v], PAIRWISE)
+        enc = compile_network(Network([v], []), one_hot=PAIRWISE)
         assert (enc.stats.variables, enc.stats.aux, enc.stats.clauses) == (3, 0, 4)
 
     def test_three_values_sequential(self):
         v = range_variable(1, "X", 1, 3)
-        enc = encode_alldiff_pairwise([v], SEQUENTIAL)
+        enc = compile_network(Network([v], []), one_hot=SEQUENTIAL)
         assert enc.stats.aux == 2 and enc.stats.clauses == 8
 
     def test_channel_totality(self):
         v = range_variable(1, "X", 1, 4)
-        enc = encode_alldiff_pairwise([v])
+        enc = compile_network(Network([v], []))
         assert set(enc.channel.forward) == {(1, i) for i in (1, 2, 3, 4)}
 
 
@@ -103,7 +104,7 @@ class TestEncodeNeq:
     def test_size_three_pairwise_counts(self):
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
-        enc = encode_alldiff_pairwise([a, b], PAIRWISE)
+        enc = build_encoding("neq:pairwise", Neq(1, 2), [a, b])
         assert enc.stats.variables == 6
         assert enc.stats.aux == 0
         assert enc.stats.clauses == 11  # 2 exactly-one blocks + 3 difference
@@ -111,7 +112,7 @@ class TestEncodeNeq:
     def test_up_removes_assigned_value_from_other_side(self):
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
-        enc = encode_alldiff_pairwise([a, b])
+        enc = build_encoding("neq:pairwise", Neq(1, 2), [a, b])
         out = up_values(enc, [enc.channel.forward[(1, 2)]])  # A = 2
         b2 = enc.channel.forward[(2, 2)]
         assert out[abs(b2)] is False
@@ -119,7 +120,7 @@ class TestEncodeNeq:
     def test_singleton_domains_unsat(self):
         a = range_variable(1, "A", 1, 1)
         b = range_variable(2, "B", 1, 1)
-        enc = encode_alldiff_pairwise([a, b])
+        enc = build_encoding("neq:pairwise", Neq(1, 2), [a, b])
         assert sat_solve(enc.target).sat is False
 
 
@@ -223,7 +224,7 @@ class TestAlldiffPairwise:
     def test_hall_instance_up_prunes_nothing_on_z(self):
         variables = [range_variable(1, "X", 1, 2), range_variable(2, "Y", 1, 2),
                      range_variable(3, "Z", 1, 3)]
-        enc = encode_alldiff_pairwise(variables)
+        enc = build_encoding("alldiff-pairwise", AllDiff([1, 2, 3]), variables)
         out = up_values(enc, [])
         z_lits = [enc.channel.forward[(3, v)] for v in (1, 2, 3)]
         assert all(out[abs(l)] is None for l in z_lits)
@@ -231,15 +232,54 @@ class TestAlldiffPairwise:
     def test_two_variables_matches_neq_pairwise(self):
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
-        via_alldiff = encode_alldiff_pairwise([a, b])
+        via_alldiff = build_encoding("alldiff-pairwise", AllDiff([1, 2]), [a, b])
         via_neq = build_encoding("neq:pairwise", Neq(1, 2), [a, b])
         assert via_alldiff.target.clauses == via_neq.target.clauses
         assert via_alldiff.channel.forward == via_neq.channel.forward
 
     def test_pigeonhole_unsat(self):
         variables = [range_variable(i, f"X{i}", 1, 2) for i in (1, 2, 3)]
-        enc = encode_alldiff_pairwise(variables)
+        enc = build_encoding("alldiff-pairwise", AllDiff([1, 2, 3]), variables)
         assert sat_solve(enc.target).sat is False
+
+
+def test_one_hot_encodings_channel_the_declared_variables_in_their_order():
+    x, y, z = (range_variable(1, "X", 1, 3), range_variable(2, "Y", 2, 3),
+               range_variable(3, "Z", 1, 2))
+    for name in ("neq:pairwise", "neq:sequential"):
+        enc = build_encoding(name, Neq(2, 1), [x, y, z])
+        assert [var.name for var in enc.channel.source_vars] == ["X", "Y", "Z"]
+        assert set(enc.channel.forward) == {(var.id, value) for var in (x, y, z)
+                                            for value in var.domain}
+
+
+@pytest.mark.parametrize("name", ["totalizer", "binary-adder", "exactly-one:pairwise",
+                                  "exactly-one:sequential"])
+def test_a_card_builds_beside_a_range_variable_outside_its_scope(name):
+    variables = bools("a", "b") + [range_variable(3, "Z", 1, 3)]
+    enc = build_encoding(name, Card([1, 2], 1, 1), variables)
+    z_lits = [enc.channel.forward[(3, value)] for value in (1, 2, 3)]
+    assert all(lit > 0 for lit in z_lits)  # one selector per value
+    for value, lit in zip((1, 2, 3), z_lits):
+        assert sat_solve(enc.target, [lit]).sat
+        assert not sat_solve(enc.target, [lit, z_lits[value % 3]]).sat
+
+
+def test_the_benchmarked_one_hot_builds_are_pinned():
+    # sha256 over the DIMACS text with its channel comments of the neq
+    # family n=2..5 and the alldiff Hall family n=2..6 (the report's jobs,
+    # and the Hall n=6 instance of the `solve` workload): the same bytes as
+    # when these encodings compiled apart from `compile_network`
+    digest = hashlib.sha256()
+    for names, family, sizes in (
+            (("neq:pairwise", "neq:sequential"), "neq", range(2, 6)),
+            (("alldiff-pairwise", "alldiff-pairwise:sequential"), "alldiff", range(2, 7))):
+        for name, size in itertools.product(names, sizes):
+            for source, variables in _instances(family, size):
+                enc = build_encoding(name, source, variables)
+                digest.update(write_dimacs(enc.target, enc.channel).encode())
+    assert digest.hexdigest() == \
+        "a8c8f2447f61aabce5d8a334d33b621032d20793449ff90312d421830d6241b8"
 
 
 class TestClauseGadgets:
@@ -339,7 +379,7 @@ class TestBackMapping:
         # channel totality in the solution direction
         a = range_variable(1, "A", 1, 3)
         b = range_variable(2, "B", 1, 3)
-        enc = encode_alldiff_pairwise([a, b])
+        enc = build_encoding("neq:pairwise", Neq(1, 2), [a, b])
         result = sat_solve(enc.target)
         assert result.sat
         picked = {}
@@ -491,10 +531,10 @@ PINNED = {
     "binary-adder": ("194d3ded392a2f0ec5489e6f4b9bd40d8e5e9c954d620cf231b594c3a2645cb2", 4),
     "exactly-one:pairwise": ("b76b297dc4358796b426fc5ff782c72f6bc668d73a98e246dac278cbd06c639e", 1),
     "exactly-one:sequential": ("b38cdf257ba67651918244015423efe1b688b5e4a9161b0e8bee3db8726ddfd4", 1),
-    "neq:pairwise": ("4f2aebf08b96b132f58c171b28cd133829a8cff4ff9d1ac4535aabf93b2a3e83", 2),
-    "neq:sequential": ("d01d392c711a01091606d61d612ef3d7a9040f24f90e6081cde0d2bfe8f5086c", 2),
-    "alldiff-pairwise": ("6be0bd2d3b6512401a86479ddde1c60294047a075e0ffe8fa6a4374d9773eef1", 2),
-    "alldiff-pairwise:sequential": ("22dacd5d7240dcc6cc5183778da0181dd187ffee860319013a0ee399bdba4019", 2),
+    "neq:pairwise": ("77aa3e200542e547586c0157da77e9418399acd04f279bead30fdf9ebf1d6986", 2),
+    "neq:sequential": ("29c78da07f767dff3e8c23a3e79a48230f38fa11e50b06cafc4416269ce7fabe", 2),
+    "alldiff-pairwise": ("f62c9117ed0fe0950aee148543b452e896eb5cc911ea551c699416eb4ecd243e", 2),
+    "alldiff-pairwise:sequential": ("c6e68c290c9b477b7046705d42161a3bec07896e3eb935427f669a420aadc1c7", 2),
     "xor-direct": ("1c5e615abc81ff70b0a38b0691e5d5b5dabfcabd36e08348b2c5169a31896eec", 2),
     "clause-to-neq:gac": ("6acf8205f2814064ab3e32e35f86313f35117d477fe0f38a572d3f79c4f67789", 2),
     "clause-to-neq:non-gac": ("dd4016384dfeac8f4fa355ee31a60e4fa6f5f9dc8127f5265f71330498cceaf3", 2),

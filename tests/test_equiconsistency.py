@@ -15,6 +15,7 @@ import pytest
 import gackit.cli
 from gackit.cli import main
 from gackit.classify import _instances
+from gackit.cnet import parse_cnet
 from gackit.encoders import ENCODING_NAMES, Encoding, build_encoding
 from gackit.gac_check import (
     ASSIGNMENT_STYLE, CONSISTENCY_MISMATCH, FULL_SUBDOMAINS, RANDOM_SAMPLE,
@@ -78,6 +79,41 @@ def test_shipped_encodings_match_the_reference(reference):
                                  reference.equiconsistency_verdict(constraint, enc),
                                  (encoding, size))
     assert built == set(ENCODING_NAMES)
+
+
+# sources whose declared variables are not exactly the scope in scope order
+WIDER_SOURCES = {
+    "unconstrained": "var X 1..2\nvar Y 1..2\nvar Z 1..2\nneq X Y\n",
+    "reordered": "var X 1..3\nvar Y 2..3\nneq Y X\n",
+    "boolean-neq": "var a bool\nvar b bool\nneq b a\n",
+    "boolean-alldiff": "var a bool\nvar b bool\nvar c bool\nalldiff a c\n",
+    "card-beside-range": "var a bool\nvar b bool\nvar Z 1..3\ncard 1 1 a b\n",
+    "hall-reordered": "var W bool\nvar X 1..3\nvar Y 1..2\nvar Z 1..2\nalldiff Z X Y\n",
+}
+
+
+@pytest.mark.parametrize("text", WIDER_SOURCES.values(), ids=WIDER_SOURCES)
+def test_every_declared_variable_is_checked_as_the_reference_checks_it(reference, text):
+    network = parse_cnet(text).network
+    constraint, variables = network.constraints[0], network.variables
+    subdomains = 1
+    for var in variables:
+        subdomains *= 2 ** len(var.domain) - 1
+    built = 0
+    for encoding in ENCODING_NAMES:
+        try:
+            enc = build_encoding(encoding, constraint, variables)
+        except UsageError:
+            continue  # encoding made for another kind, or clause-to-neq on a range
+        built += 1
+        assert enc.channel.source_vars == tuple(variables), encoding
+        gac = check_gac_reduction(constraint, enc)
+        assert gac.states_checked == subdomains, encoding
+        assert_same_text(gac.to_json(), reference.gac_reduction_verdict(constraint, enc),
+                         encoding)
+        assert_same_text(check_equiconsistency(constraint, enc).to_json(),
+                         reference.equiconsistency_verdict(constraint, enc), encoding)
+    assert built >= 3
 
 
 def test_broken_totalizers_match_the_reference(reference):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gackit.model import (
-    FALSE, TRUE, AllDiff, Card, Clause, DomainBox, Neq, Network, Table,
-    UsageError, Variable, Xor, bool_variable, is_restriction,
+    FALSE, RANGE_LIMIT, TRUE, AllDiff, Card, Clause, DomainBox, Neq, Network,
+    ResourceError, Table, UsageError, Variable, Xor, bool_variable, is_restriction,
     range_variable, restrict, satisfies,
 )
 
@@ -36,6 +36,13 @@ class TestVariables:
         assert x.domain == (1, 2, 3)
         with pytest.raises(UsageError):
             range_variable(2, "Y", 5, 4)
+
+    def test_an_oversized_range_is_refused_before_it_is_built(self):
+        with pytest.raises(ResourceError, match="^range domain 1..100000000000 for 'X' "
+                                               "has more than 1048576 values$"):
+            range_variable(1, "X", 1, 10**11)
+        with pytest.raises(ResourceError):
+            range_variable(1, "X", 0, RANGE_LIMIT)  # one value over the limit
 
 
 class TestDomainBox:
