@@ -130,7 +130,7 @@ def _cmd_check_sound(args) -> int:
 
 def _cmd_equiconsistency(args) -> int:
     sampler = None
-    if args.sample:
+    if args.sample is not None:
         sampler = EnumerationPolicy(RANDOM_SAMPLE, sample_count=args.sample, seed=args.seed)
     return _run_check(args, check_equiconsistency, lambda variables: sampler)
 
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare satisfiability over complete assignments")
     p.add_argument("--source", required=True)
     p.add_argument("--encoding", required=True, help="one of: " + encoding_names)
-    p.add_argument("--sample", type=int, default=0,
+    p.add_argument("--sample", type=int,
                    help="sample this many assignments instead of exhausting")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=None)

@@ -420,6 +420,10 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
     entry named `card_scheme`. Initial restrictions in `box` land as unit
     clauses.
     """
+    if card_scheme not in CARD_SCHEMES:
+        raise UsageError(f"unknown cardinality scheme {card_scheme!r}")
+    if one_hot not in EXACTLY_ONE_SCHEMES:
+        raise UsageError(f"unknown exactly-one scheme {one_hot!r}")
     formula = CnfFormula()
     forward: dict = {}
     for var in net.variables:
@@ -436,8 +440,6 @@ def compile_network(net: Network, box=None, card_scheme: str = "totalizer",
         if isinstance(c, Clause):
             formula.add_clause(_cnf_lits(forward, c.lits))
         elif isinstance(c, Card):
-            if card_scheme not in CARD_SCHEMES:
-                raise UsageError(f"unknown cardinality scheme {card_scheme!r}")
             CARD_SCHEMES[card_scheme](formula, _cnf_lits(forward, c.lits), c.lo, c.hi)
         elif isinstance(c, Xor):
             _xor_into(formula, _cnf_lits(forward, c.lits), c.parity)

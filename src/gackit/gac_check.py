@@ -577,6 +577,21 @@ def _hitting_sets(source, svars, mode: str, outside: bool):
     which join in where `outside` is set, are the minimal hitting sets of
     all solutions.
 
+    Over full subdomains each value takes its own search. In assignment
+    style one search serves every value. Its sets are the minimal nogoods
+    N (no solution extends N), and K is maximal for (x, v) iff (a)
+    K + {x := v} is a minimal nogood, or (b) K is a minimal nogood that
+    leaves x free and every K - f (f in K) extends to a solution with
+    x = v. Write K' for K + {x := v}: K is maximal for (x, v) iff it leaves
+    x free, K' is a nogood and no K' - f is. If: (a) is all three at once;
+    in (b) K is a nogood and the test says no K' - f is. Only if: take a
+    minimal nogood M inside K'. If M holds x := v, M - {x := v} lies in K,
+    and M = K' since no K' - f is a nogood: case (a). Otherwise M lies in
+    K, and M = K for the same reason; then the test is that no K' - f is
+    a nogood: case (b). So each N gives N - e for every e in N, and N
+    itself where the test holds for some x that N leaves free. At an MMCS
+    leaf the masks `crit` are the solutions that extend each N - f.
+
     Solutions are enumerated with `accepts` over the initial domains and
     kept as bits of int masks; `_mmcs` lists the sets. A state reached from
     several values is yielded once. The search gives up once it has grown
@@ -599,21 +614,30 @@ def _hitting_sets(source, svars, mode: str, outside: bool):
         return of_var[i] if (grown & of_var[i]).bit_count() == cap[i] else 0
 
     usable = sum(of_var[k] for k in range(len(doms)) if cap[k])
-    targets = [(sum(1 << j for j, s in enumerate(sols) if s[i] == v), usable & ~of_var[i])
-               for i, dom in enumerate(doms) for v in dom]
-    if outside:
+    with_value = [(of_var[i], sum(1 << j for j, s in enumerate(sols) if s[i] == v))
+                  for i, dom in enumerate(doms) for v in dom]  # (x's elements, x = v's solutions)
+    targets = [] if assign else [(sols_v, usable & ~x) for x, sols_v in with_value]
+    if outside or assign:
         targets.append(((1 << len(sols)) - 1, usable))
     limit = count_states(svars, EnumerationPolicy(mode))
     full = [frozenset(var.domain) for var in svars]
     nodes, seen = 0, set()
     for uncov, cand in targets:
-        for chosen in _mmcs(uncov, cand, 0, [], hits, hitters, spent):
-            if chosen is None:  # one more set grown
+        for leaf in _mmcs(uncov, cand, 0, [], hits, hitters, spent):
+            if leaf is None:  # one more set grown
                 nodes += 1
                 if nodes > limit:
                     yield None  # gave up: end on the failing step
                     return
-            elif chosen not in seen:
+                continue
+            chosen, crit = leaf
+            found = [chosen ^ 1 << e for e in _bits(chosen)] if assign else []
+            if not assign or outside or any(not chosen & x and all(c & sols_v for c in crit)
+                                            for x, sols_v in with_value):
+                found.append(chosen)
+            for chosen in found:
+                if chosen in seen:
+                    continue
                 seen.add(chosen)
                 state = list(full)
                 for k, d in enumerate(pos):
@@ -626,17 +650,18 @@ def _hitting_sets(source, svars, mode: str, outside: bool):
 def _mmcs(uncov, cand, chosen, crit, hits, hitters, spent):
     """MMCS (Murakami & Uno, DAM 2014), lazily: the minimal hitting sets of
     the solutions in the mask `uncov` that add elements of the mask `cand`
-    to `chosen`, as element masks, with a None before each set grown, for
-    the caller to count. `hits[e]` is the mask of the solutions element e
-    hits and `hitters[j]` the mask of the elements that hit solution j;
-    `crit` holds, per chosen element, the solutions only it hits, and
-    `spent(grown, e)` the elements barred once `grown` holds e. Branches
-    on the uncovered solution with the fewest candidates, and keeps every
-    chosen element critical. It recurses at module level: a nested
-    function that calls itself is a reference cycle, which keeps a
-    finished check's tables alive until the cyclic collector runs."""
+    to `chosen`, as pairs of an element mask and its `crit`, with a None
+    before each set grown, for the caller to count. `hits[e]` is the mask
+    of the solutions element e hits and `hitters[j]` the mask of the
+    elements that hit solution j; `crit` holds, per chosen element, the
+    solutions only it hits, and `spent(grown, e)` the elements barred once
+    `grown` holds e. Branches on the uncovered solution with the fewest
+    candidates, and keeps every chosen element critical. It recurses at
+    module level: a nested function that calls itself is a reference
+    cycle, which keeps a finished check's tables alive until the cyclic
+    collector runs."""
     if not uncov:
-        yield chosen
+        yield chosen, crit
         return
     branch = min((cand & hitters[j] for j in _bits(uncov)), key=int.bit_count)
     cand &= ~branch

@@ -49,6 +49,12 @@ def test_equiconsistency_negative_sample(files, capsys):
                         "--encoding", "totalizer", "--sample", "-2"], capsys)
 
 
+def test_equiconsistency_zero_sample(files, capsys):
+    # a zero count is refused, not read as "exhaust"
+    expect_usage_error(["equiconsistency", "--source", files / "card.cnet",
+                        "--encoding", "totalizer", "--sample", "0"], capsys)
+
+
 @pytest.mark.parametrize("text", ["{not json", json.dumps({"seed": 1}),
                                   json.dumps({"jobs": [{"family": "card"}]})])
 def test_report_bad_config(files, capsys, text):

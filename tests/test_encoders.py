@@ -99,6 +99,15 @@ class TestOneHot:
         enc = compile_network(Network([v], []))
         assert set(enc.channel.forward) == {(1, i) for i in (1, 2, 3, 4)}
 
+    @pytest.mark.parametrize("option, message", [
+        ({"card_scheme": "ladder"}, "^unknown cardinality scheme 'ladder'$"),
+        ({"one_hot": "ladder"}, "^unknown exactly-one scheme 'ladder'$")],
+        ids=["card_scheme", "one_hot"])
+    def test_unknown_scheme_names_are_refused_on_entry(self, option, message):
+        # a Clause over one Boolean needs neither scheme
+        with pytest.raises(UsageError, match=message):
+            compile_network(Network([bool_variable(1, "a")], [Clause([1])]), **option)
+
 
 class TestEncodeNeq:
     def test_size_three_pairwise_counts(self):

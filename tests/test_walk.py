@@ -584,6 +584,65 @@ def test_certificate_sizes():
             check_gac_reduction(source, enc, EnumerationPolicy(ASSIGNMENT_STYLE))
 
 
+def assignment_certificate(source, variables):
+    return {tuple(tuple(sorted(dom)) for dom in state)
+            for _, state in _maximal_states(source, variables, ASSIGNMENT_STYLE)}
+
+
+def test_the_assignment_certificate_comes_from_the_minimal_nogoods():
+    # Each minimal nogood N gives N - e for every e in N, and N itself only
+    # where it is maximal for a value that it leaves free.
+    # Hall n = 6: {X6 := a} (a < 6) is a minimal nogood, maximal for X1 = 1 say
+    source, variables = hall(6)
+    free = tuple(tuple(sorted(var.domain)) for var in variables)
+    certificate = assignment_certificate(source, variables)
+    assert all(free[:5] + ((a,),) in certificate for a in range(1, 6))
+    # {x1 := T} and {X3 := 2}, {X3 := 3} are minimal nogoods on the only
+    # scope variable, so maximal for no value; with a variable outside the
+    # scope they join in as maximal inconsistent states
+    x1, x2 = bools(2)
+    x3 = range_variable(3, "X3", 1, 3)
+    for source, var in [(Card([1, 1], 0, 0), x1), (Table([3], [(1,)]), x3)]:
+        dom, other = tuple(sorted(var.domain)), tuple(sorted(x2.domain))
+        refuted = [(v,) for v in dom if not source.accepts((v,))]
+        assert refuted and assignment_certificate(source, [var]) == {(dom,)}
+        assert assignment_certificate(source, [var, x2]) == {(d, other) for d in [dom] + refuted}
+    assert_certificate_is_exact(*hall(5), ASSIGNMENT_STYLE)
+
+
+def test_the_assignment_certificate_is_exact_on_random_sources():
+    # seeded Table, AllDiff and Neq sources, each over a channel that holds
+    # variables outside its scope
+    rng = random.Random(29)
+    checked = 0
+    while checked < 100:
+        variables = [range_variable(i, f"V{i}", lo, lo + rng.randint(0, 3))
+                     for i, lo in enumerate(rng.choices(range(1, 4), k=rng.randint(2, 5)), 1)]
+        vids = [var.id for var in variables]
+        scope = rng.sample(vids, rng.randint(1, len(vids) - 1))
+        kind = rng.choice(["table", "table", "alldiff", "neq"])
+        if kind == "table":
+            tuples = list(itertools.product(*(variables[vid - 1].domain for vid in scope)))
+            source = Table(scope, rng.sample(tuples, rng.randrange(len(tuples) + 1)))
+        elif kind == "alldiff":
+            source = AllDiff(scope)
+        elif len(scope) == 2:
+            source = Neq(*scope)
+        else:
+            continue
+        assert_certificate_is_exact(source, variables, ASSIGNMENT_STYLE)
+        checked += 1
+
+
+def test_the_nogood_search_fits_where_the_per_value_search_did_not(monkeypatch):
+    # Hall n = 6 grows 555 sets (one search per value grew 3,175), so under
+    # a limit of 1,000 the certificate finishes; at 2 the Hall instance n = 4
+    # still gives up (`test_a_generator_that_gives_up_sends_the_check_to_the_walk`)
+    monkeypatch.setattr(gac_check, "count_states", lambda svars, policy: 1000)
+    steps = list(_maximal_states(*hall(6), ASSIGNMENT_STYLE))
+    assert None not in steps and len(steps) == 81
+
+
 def clause_list(target):
     return target.clauses if isinstance(target, CnfFormula) else target.constraints
 
