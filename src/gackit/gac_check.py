@@ -46,7 +46,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from itertools import combinations, product
+from itertools import combinations
 from dataclasses import dataclass, field
 
 from .model import (
@@ -592,20 +592,26 @@ def _hitting_sets(source, svars, mode: str, outside: bool):
     itself where the test holds for some x that N leaves free. At an MMCS
     leaf the masks `crit` are the solutions that extend each N - f.
 
-    Solutions are enumerated with `accepts` over the initial domains and
-    kept as bits of int masks; `_mmcs` lists the sets. A state reached from
-    several values is yielded once. The search gives up once it has grown
-    a set more times than the walk has states, and the stream then ends
-    with a None step, which must not read as a pass."""
+    `source.solutions` lists the solutions in product order; bit j of every
+    mask is solution j, so that order fixes MMCS's tie-breaks. `_mmcs` lists
+    the sets. A state reached from several values is yielded once. The search
+    gives up once it has grown a set more times than the walk has states, and
+    the stream then ends with a None step, which must not read as a pass."""
     assign = mode == ASSIGNMENT_STYLE
     at = {var.id: d for d, var in enumerate(svars)}
     pos = [at[vid] for vid in source.scope]
     doms = [svars[d].domain for d in pos]
-    sols = [s for s in product(*doms) if source.accepts(s)]
+    sols = source.solutions(doms)
     elems = [(i, a) for i, dom in enumerate(doms) for a in dom]
-    hits = [sum(1 << j for j, s in enumerate(sols) if (s[i] == a) != assign)
-            for i, a in elems]
-    hitters = [sum(1 << e for e, h in enumerate(hits) if h >> j & 1) for j in range(len(sols))]
+    index = {elem: e for e, elem in enumerate(elems)}
+    owns = [[index[elem] for elem in enumerate(s)] for s in sols]  # s's elements (i, s[i])
+    eq = [0] * len(elems)  # per element (i, a): the solutions with s[i] = a
+    for j, own in enumerate(owns):
+        for e in own:
+            eq[e] |= 1 << j
+    every = (1 << len(elems)) - 1 if assign else 0
+    hitters = [sum(1 << e for e in own) ^ every for own in owns]
+    hits = [m ^ ((1 << len(sols)) - 1) for m in eq] if assign else eq
     of_var = [sum(1 << e for e, (i, _) in enumerate(elems) if i == k) for k in range(len(doms))]
     cap = [1 if assign else len(dom) - 1 for dom in doms]  # elements per variable
 
@@ -614,8 +620,7 @@ def _hitting_sets(source, svars, mode: str, outside: bool):
         return of_var[i] if (grown & of_var[i]).bit_count() == cap[i] else 0
 
     usable = sum(of_var[k] for k in range(len(doms)) if cap[k])
-    with_value = [(of_var[i], sum(1 << j for j, s in enumerate(sols) if s[i] == v))
-                  for i, dom in enumerate(doms) for v in dom]  # (x's elements, x = v's solutions)
+    with_value = [(of_var[i], m) for (i, _), m in zip(elems, eq)]  # per (i, a): i's elements, eq
     targets = [] if assign else [(sols_v, usable & ~x) for x, sols_v in with_value]
     if outside or assign:
         targets.append(((1 << len(sols)) - 1, usable))

@@ -226,6 +226,11 @@ class Constraint:
         """Truth of the relation on a value tuple aligned with `scope`."""
         raise NotImplementedError
 
+    def solutions(self, doms: Sequence[Sequence[int]]) -> list:
+        """The tuples of `itertools.product(*doms)` that `accepts`, in its order,
+        so callers may number them; `doms` aligns with `scope`, each ascending."""
+        return [s for s in itertools.product(*doms) if self.accepts(s)]
+
     def kind(self) -> str:
         return type(self).__name__.lower()
 
@@ -308,6 +313,12 @@ class AllDiff(Constraint):
     def accepts(self, values):
         return len(set(values)) == len(values)
 
+    def solutions(self, doms):
+        sols = [()]
+        for dom in doms:
+            sols = [s + (a,) for s in sols for a in dom if a not in s]
+        return sols
+
     def __repr__(self):
         return f"AllDiff({list(self.scope)})"
 
@@ -347,6 +358,10 @@ class Table(Constraint):
 
     def accepts(self, values):
         return tuple(values) in self.tuples
+
+    def solutions(self, doms):
+        # over ascending domains, sorted order is product order
+        return sorted(t for t in self.tuples if all(map(operator.contains, doms, t)))
 
     def __repr__(self):
         return f"Table({list(self.scope)}, {len(self.tuples)} tuples)"

@@ -184,6 +184,56 @@ class TestSatisfies:
                         assert c.accepts(list(values)) == c.accepts(values)
 
 
+def scanned_solutions(c, doms):
+    return [s for s in itertools.product(*doms) if c.accepts(s)]
+
+
+# each position's domain: distinct values of 0..5, ascending
+_doms = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(sorted),
+                 max_size=5)
+
+
+class TestSolutions:
+    """`solutions` is the scan over the domain product, in its order."""
+
+    @given(_doms)
+    def test_alldiff_builds_the_scan(self, doms):
+        c = AllDiff(range(1, len(doms) + 1))
+        assert c.solutions(doms) == scanned_solutions(c, doms)
+
+    @given(_doms, st.data())
+    def test_table_lists_the_scan(self, doms, data):
+        # rows may hold values outside the domains
+        row = st.tuples(*(st.integers(0, 6) for _ in doms))
+        c = Table(range(1, len(doms) + 1), data.draw(st.lists(row, max_size=8)))
+        assert c.solutions(doms) == scanned_solutions(c, doms)
+
+    def test_shapes(self):
+        hall = [range(1, 6)] * 5 + [range(1, 7)]
+        for c, doms in [
+                (AllDiff([]), []), (Table([], []), []), (Table([], [()]), []),
+                (AllDiff([1, 2, 3]), [(4,), (2,), (4,)]),  # singletons, one clash
+                (AllDiff([1, 2, 3]), [(1,), (2,), (3,)]),
+                (AllDiff(range(1, 5)), [range(3 * i, 3 * i + 3) for i in range(4)]),  # disjoint
+                (AllDiff(range(1, 5)), [range(1, 5)] * 4),  # equal: the 24 permutations
+                (AllDiff(range(1, 5)), [range(1, 4)] * 4),  # pigeonhole: none
+                (AllDiff(range(1, 7)), hall),
+                (Table([1, 2], []), [(1, 2), (1, 2)]),
+                (Table([1, 2], [(3, 1), (2, 1), (1, 9), (1, 2)]), [(1, 2, 3), (1, 2)]),
+                (Neq(1, 2), [(1, 2, 3), (1, 2, 3)]), (Neq(1, 2), [(1,), (1,)])]:
+            assert c.solutions(doms) == scanned_solutions(c, doms), (c, doms)
+        assert len(AllDiff(range(1, 7)).solutions(hall)) == 120
+
+    def test_repeated_variables_keep_the_scan(self):
+        lits_of = [l for v in (1, 2) for l in (v, -v)]
+        for size in range(2, 5):
+            for lits in itertools.product(lits_of, repeat=size):
+                doms = [(FALSE, TRUE)] * len({abs(l) for l in lits})
+                for c in [Card(lits, k, k) for k in range(size + 1)] + [
+                        Xor(lits, 0), Xor(lits, 1), Clause(lits)]:
+                    assert c.solutions(doms) == scanned_solutions(c, doms), c
+
+
 class TestNetworkValidation:
     def test_undeclared_scope_rejected(self):
         a, = bools("a")

@@ -643,6 +643,27 @@ def test_the_nogood_search_fits_where_the_per_value_search_did_not(monkeypatch):
     assert None not in steps and len(steps) == 81
 
 
+def test_alldiff_and_table_certificates_call_no_accepts(monkeypatch):
+    # their solutions come from `solutions`, never from a scan of the
+    # domain product; the oracle runs first, since it may call `accepts`
+    x = [range_variable(i, f"T{i}", 1, 3) for i in range(1, 5)]
+    table = Table([1, 2, 3], [(1, 2, 3), (2, 2, 1), (3, 1, 1), (1, 3, 2)])
+    cases = [(*hall(6), ASSIGNMENT_STYLE), (*hall(4), FULL_SUBDOMAINS)]
+    cases += [(table, variables, mode) for variables in (x[:3], x)
+              for mode in (ASSIGNMENT_STYLE, FULL_SUBDOMAINS)]
+    oracles = [true_maximal_states(*case)[0] for case in cases]
+
+    def refuse(self, values):
+        raise AssertionError(f"{self!r}.accepts called")
+    monkeypatch.setattr(AllDiff, "accepts", refuse)
+    monkeypatch.setattr(Table, "accepts", refuse)
+    for case, oracle in zip(cases, oracles):
+        assert {tuple(state) for _, state in _maximal_states(*case)} == oracle, case
+    assert len(oracles[0]) == 81
+    # too large a walk for the oracle
+    assert sum(1 for _ in _maximal_states(*hall(6), FULL_SUBDOMAINS)) == 457
+
+
 def clause_list(target):
     return target.clauses if isinstance(target, CnfFormula) else target.constraints
 
