@@ -257,18 +257,11 @@ class Verdict:
             "target_deduction_mapped_back": self._box_json(ce.deduced_back),
         }
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "outcome": "pass" if self.passed else "fail",
-            "states_checked": self.states_checked,
-            "policy": self.policy_mode,
-            "counterexamples": [self.counterexample_json(ce) for ce in self.counterexamples],
-        }
-
     def to_json(self) -> str:
-        """Byte for byte `json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True) + "\n"`; the pieces of `json_chunks` joined."""
+        """The verdict as JSON: `check`, `counterexamples` (each as
+        `counterexample_json`), `outcome`, `policy` and `states_checked`,
+        indented by 2 with sorted keys, as `json.dumps` writes it, and a
+        newline; the pieces of `json_chunks` joined."""
         return "".join(self.json_chunks())
 
     def json_chunks(self):
@@ -485,9 +478,8 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
     as lists, and every counterexample K has one with `inside(K[d], F[d])`
     at every position d; the walk visits only such K, with one `_odometer`
     mask bit per F, and counts every state of the policy. With no F it is
-    empty and unbuilt. A None step means the certificate gave up: the walk
-    then visits every state, as under a random-sample policy. Budget and
-    domain-cap errors come out before any state is judged."""
+    empty and unbuilt. A random-sample policy walks every sample. Budget
+    and domain-cap errors come out before any state is judged."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
@@ -496,26 +488,23 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
         failing = [{} for _ in svars]  # per position: F[d] -> the bits of its states
         bit = 1  # the next failing state's
         for state in certificate(policy.mode):
-            if state is None:
-                break
             for at, dom in zip(failing, state):
                 at[dom] = at.get(dom, 0) | bit
             bit <<= 1
-        else:
-            walk = iter(()) if bit == 1 else _knowledge_walk(svars, policy, lambda d, opt: sum(
-                bits for dom, bits in failing[d].items() if inside(opt, dom)))
-            return Verdict(count_states(svars, policy), _drive(walk, judge)[1],
-                           policy.mode, check, svars)
+        walk = iter(()) if bit == 1 else _knowledge_walk(svars, policy, lambda d, opt: sum(
+            bits for dom, bits in failing[d].items() if inside(opt, dom)))
+        return Verdict(count_states(svars, policy), _drive(walk, judge)[1],
+                       policy.mode, check, svars)
     return Verdict(*_drive(_knowledge_walk(svars, policy), judge), policy.mode, check, svars)
 
 
 def _maximal_states(source, svars, mode: str):
     """The certificate of `check_gac_reduction` under the exhaustive policy
     `mode`: every walk state that is maximal, among the walk's states, for
-    some value having no support, as `(0, state)` pairs, each a new list,
-    with the variables outside the scope free. `_count_placements` gives
-    them for a Clause, Card or Xor over distinct variables, from the counts
-    of `maximal_gap_counts`, and `_hitting_sets` for any other source.
+    some value having no support, each a new list, with the variables
+    outside the scope free. `_count_placements` gives them for a Clause,
+    Card or Xor over distinct variables, from the counts of
+    `maximal_gap_counts`, and `_hitting_sets` for any other source.
 
     A value of a variable outside the scope has no support exactly where
     the source is inconsistent, so where the channel holds one, or the
@@ -553,7 +542,7 @@ def _count_placements(source, svars, counts):
                     state[d] = fixed[d][1]
                 for d in falses:
                     state[d] = fixed[d][0]
-                yield 0, state
+                yield state
 
 
 def _bits(mask: int):
@@ -566,9 +555,9 @@ def _bits(mask: int):
 
 def _hitting_sets(source, svars, mode: str, outside: bool):
     """`_maximal_states` for any source, lazily. The states where a scope
-    value (x, v) has no support avoid every source solution s with s[x] =
+    value (k, v) has no support avoid every source solution s with s[k] =
     v, so the maximal ones are the minimal hitting sets of those solutions,
-    built from elements (y, a) with y != x. In assignment style (y, a)
+    built from elements (y, a) with y != k. In assignment style (y, a)
     means "y := a" and hits s where s[y] != a, at most one per y; over full
     subdomains it means "remove a from y" and hits s where s[y] = a, and no
     y loses its whole domain. So for non-Boolean variables the two families
@@ -577,26 +566,28 @@ def _hitting_sets(source, svars, mode: str, outside: bool):
     which join in where `outside` is set, are the minimal hitting sets of
     all solutions.
 
-    Over full subdomains each value takes its own search. In assignment
-    style one search serves every value. Its sets are the minimal nogoods
-    N (no solution extends N), and K is maximal for (x, v) iff (a)
-    K + {x := v} is a minimal nogood, or (b) K is a minimal nogood that
-    leaves x free and every K - f (f in K) extends to a solution with
-    x = v. Write K' for K + {x := v}: K is maximal for (x, v) iff it leaves
-    x free, K' is a nogood and no K' - f is. If: (a) is all three at once;
-    in (b) K is a nogood and the test says no K' - f is. Only if: take a
-    minimal nogood M inside K'. If M holds x := v, M - {x := v} lies in K,
-    and M = K' since no K' - f is a nogood: case (a). Otherwise M lies in
-    K, and M = K for the same reason; then the test is that no K' - f is
-    a nogood: case (b). So each N gives N - e for every e in N, and N
-    itself where the test holds for some x that N leaves free. At an MMCS
-    leaf the masks `crit` are the solutions that extend each N - f.
+    One search serves both families and every value: `_mmcs` over all
+    solutions, whose leaves N are the minimal hitting sets of them all (the
+    minimal nogoods in assignment style), and one rule reads the states off
+    each N. For a scope variable k let K be N without its elements on k.
+    Those hit the solutions s with s[k] in a set S of k's values that
+    leaves some value out (the caps keep one), and the masks `crit` at the
+    leaf hold each element's private solutions: K's are the ones disjoint
+    from those hit on k (`rest`). K is maximal for (k, v) iff it hits the
+    solutions with s[k] = v minimally, so iff every mask of `rest` meets
+    them. That puts v outside S, unless K is empty, where a value outside
+    S passes too. The rule finds every such K: K together with "k
+    restricted to v" hits every solution, so it holds a minimal N, and N
+    holds K, since K's private solutions have s[k] = v, which no element
+    on k hits there. A variable that N leaves free gives K = N; one that N
+    assigns, in assignment style, always passes with v its value, so N
+    gives N - e for each e in N. A state reached from several leaves or
+    variables is yielded once.
 
     `source.solutions` lists the solutions in product order; bit j of every
-    mask is solution j, so that order fixes MMCS's tie-breaks. `_mmcs` lists
-    the sets. A state reached from several values is yielded once. The search
-    gives up once it has grown a set more times than the walk has states, and
-    the stream then ends with a None step, which must not read as a pass."""
+    mask is solution j, so that order fixes MMCS's tie-breaks. MMCS grows
+    each set once, and each is a walk state on the scope, so the search
+    never grows more sets than the walk has states."""
     assign = mode == ASSIGNMENT_STYLE
     at = {var.id: d for d, var in enumerate(svars)}
     pos = [at[vid] for vid in source.scope]
@@ -613,6 +604,7 @@ def _hitting_sets(source, svars, mode: str, outside: bool):
     hitters = [sum(1 << e for e in own) ^ every for own in owns]
     hits = [m ^ ((1 << len(sols)) - 1) for m in eq] if assign else eq
     of_var = [sum(1 << e for e, (i, _) in enumerate(elems) if i == k) for k in range(len(doms))]
+    eqs = [[eq[e] for e in _bits(x)] for x in of_var]  # per variable: eq of each value
     cap = [1 if assign else len(dom) - 1 for dom in doms]  # elements per variable
 
     def spent(grown, e):  # the elements barred once `grown` holds e
@@ -620,45 +612,38 @@ def _hitting_sets(source, svars, mode: str, outside: bool):
         return of_var[i] if (grown & of_var[i]).bit_count() == cap[i] else 0
 
     usable = sum(of_var[k] for k in range(len(doms)) if cap[k])
-    with_value = [(of_var[i], m) for (i, _), m in zip(elems, eq)]  # per (i, a): i's elements, eq
-    targets = [] if assign else [(sols_v, usable & ~x) for x, sols_v in with_value]
-    if outside or assign:
-        targets.append(((1 << len(sols)) - 1, usable))
-    limit = count_states(svars, EnumerationPolicy(mode))
     full = [frozenset(var.domain) for var in svars]
-    nodes, seen = 0, set()
-    for uncov, cand in targets:
-        for leaf in _mmcs(uncov, cand, 0, [], hits, hitters, spent):
-            if leaf is None:  # one more set grown
-                nodes += 1
-                if nodes > limit:
-                    yield None  # gave up: end on the failing step
-                    return
+    seen = set()
+    for chosen, crit in _mmcs((1 << len(sols)) - 1, usable, 0, [], hits, hitters, spent):
+        found = [chosen] if outside else []
+        for on_k, eqs_k in zip(of_var, eqs):
+            kept = chosen & ~on_k
+            if kept in seen or kept in found:
                 continue
-            chosen, crit = leaf
-            found = [chosen ^ 1 << e for e in _bits(chosen)] if assign else []
-            if not assign or outside or any(not chosen & x and all(c & sols_v for c in crit)
-                                            for x, sols_v in with_value):
-                found.append(chosen)
-            for chosen in found:
-                if chosen in seen:
-                    continue
-                seen.add(chosen)
-                state = list(full)
-                for k, d in enumerate(pos):
-                    vals = {elems[e][1] for e in _bits(chosen & of_var[k])}
-                    if vals:
-                        state[d] = frozenset(vals) if assign else full[d] - vals
-                yield 0, state
+            h = 0  # the solutions hit on k
+            for e in _bits(chosen & on_k):
+                h |= hits[e]
+            rest = [c for c in crit if not c & h]
+            if any(all(c & m for c in rest) for m in eqs_k):
+                found.append(kept)
+        for kept in found:
+            if kept in seen:
+                continue
+            seen.add(kept)
+            state = list(full)
+            for k, d in enumerate(pos):
+                vals = {elems[e][1] for e in _bits(kept & of_var[k])}
+                if vals:
+                    state[d] = frozenset(vals) if assign else full[d] - vals
+            yield state
 
 
 def _mmcs(uncov, cand, chosen, crit, hits, hitters, spent):
     """MMCS (Murakami & Uno, DAM 2014), lazily: the minimal hitting sets of
     the solutions in the mask `uncov` that add elements of the mask `cand`
-    to `chosen`, as pairs of an element mask and its `crit`, with a None
-    before each set grown, for the caller to count. `hits[e]` is the mask
-    of the solutions element e hits and `hitters[j]` the mask of the
-    elements that hit solution j; `crit` holds, per chosen element, the
+    to `chosen`, as pairs of an element mask and its `crit`. `hits[e]` is
+    the mask of the solutions element e hits and `hitters[j]` the mask of
+    the elements that hit solution j; `crit` holds, per chosen element, the
     solutions only it hits, and `spent(grown, e)` the elements barred once
     `grown` holds e. Branches on the uncovered solution with the fewest
     candidates, and keeps every chosen element critical. It recurses at
@@ -673,7 +658,6 @@ def _mmcs(uncov, cand, chosen, crit, hits, hitters, spent):
     for e in _bits(branch):
         kept = [c & ~hits[e] for c in crit]
         if all(kept):
-            yield None
             grown = chosen | 1 << e
             yield from _mmcs(uncov & ~hits[e], cand & ~spent(grown, e), grown,
                              kept + [hits[e] & uncov], hits, hitters, spent)
@@ -713,8 +697,7 @@ def check_gac_reduction(source, enc: Encoding,
     Read backwards, the same argument bounds where a gap can be: the gap at
     K lies inside the failing maximal state K*. So where certificate
     states fail, the walk visits only the states K with K ⊆ F, position by
-    position, for some failing F, and lists every gap there. A generator
-    that gives up sends the check to the full walk, and random-sample
+    position, for some failing F, and lists every gap there. Random-sample
     policies always walk.
     """
     _check_source(source, enc.channel)
@@ -730,8 +713,8 @@ def check_gac_reduction(source, enc: Encoding,
         if not is_restriction(back, src):  # bottom is the strongest deduction
             return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
     return _drive_knowledge(enc, policy, judge, "gac-reduction", lambda mode: (
-        step and step[1] for step in _maximal_states(source, svars, mode)
-        if step is None or judge(*step)), frozenset.issubset)
+        state for state in _maximal_states(source, svars, mode) if judge(0, state)),
+                            frozenset.issubset)
 
 
 def check_soundness(source, enc: Encoding,

@@ -302,9 +302,20 @@ def test_text_and_markdown_reports_agree_with_the_json_report():
                                      ""]
 
 
+def verdict_json_dict(verdict):
+    """The verdict as the dict that `Verdict.to_json` renders."""
+    return {
+        "check": verdict.check,
+        "outcome": "pass" if verdict.passed else "fail",
+        "states_checked": verdict.states_checked,
+        "policy": verdict.policy_mode,
+        "counterexamples": [verdict.counterexample_json(ce) for ce in verdict.counterexamples],
+    }
+
+
 def assert_renders_as_json_dumps(verdict):
     assert_same_text(verdict.to_json(),
-                     json.dumps(verdict.to_json_dict(), indent=2, sort_keys=True) + "\n")
+                     json.dumps(verdict_json_dict(verdict), indent=2, sort_keys=True) + "\n")
     # The CLI writes these pieces one by one: one per counterexample.
     assert len(list(verdict.json_chunks())) == len(verdict.counterexamples) + 3
 

@@ -484,12 +484,10 @@ def true_maximal_states(source, variables, mode):
 
 def assert_certificate_is_exact(source, variables, mode):
     """The certificate of `source` over `variables` under `mode` is the
-    true maximal set, without repeats, as `(0, state)` pairs of walk states
-    where the source deduces something; returns its size."""
+    true maximal set, without repeats, as walk states where the source
+    deduces something; returns its size."""
     maximal, deducing = true_maximal_states(source, variables, mode)
-    steps = list(_maximal_states(source, variables, mode))
-    certificate = [tuple(state) for _, state in steps]
-    assert all(p == 0 for p, _ in steps)
+    certificate = [tuple(state) for state in _maximal_states(source, variables, mode)]
     assert len(set(certificate)) == len(certificate), (source, variables, mode)
     assert set(certificate) <= deducing, (source, variables, mode)
     assert set(certificate) == maximal, (source, variables, mode)
@@ -586,7 +584,7 @@ def test_certificate_sizes():
 
 def assignment_certificate(source, variables):
     return {tuple(tuple(sorted(dom)) for dom in state)
-            for _, state in _maximal_states(source, variables, ASSIGNMENT_STYLE)}
+            for state in _maximal_states(source, variables, ASSIGNMENT_STYLE)}
 
 
 def test_the_assignment_certificate_comes_from_the_minimal_nogoods():
@@ -610,14 +608,17 @@ def test_the_assignment_certificate_comes_from_the_minimal_nogoods():
     assert_certificate_is_exact(*hall(5), ASSIGNMENT_STYLE)
 
 
-def test_the_assignment_certificate_is_exact_on_random_sources():
-    # seeded Table, AllDiff and Neq sources, each over a channel that holds
-    # variables outside its scope
+def random_sources(mode, count):
+    """`count` seeded Table, AllDiff and Neq sources, each over a channel
+    that holds variables outside its scope: at most five variables in
+    assignment style, four over full subdomains (the oracle enumerates the
+    walk)."""
     rng = random.Random(29)
+    most = 5 if mode == ASSIGNMENT_STYLE else 4
     checked = 0
-    while checked < 100:
+    while checked < count:
         variables = [range_variable(i, f"V{i}", lo, lo + rng.randint(0, 3))
-                     for i, lo in enumerate(rng.choices(range(1, 4), k=rng.randint(2, 5)), 1)]
+                     for i, lo in enumerate(rng.choices(range(1, 4), k=rng.randint(2, most)), 1)]
         vids = [var.id for var in variables]
         scope = rng.sample(vids, rng.randint(1, len(vids) - 1))
         kind = rng.choice(["table", "table", "alldiff", "neq"])
@@ -630,17 +631,47 @@ def test_the_assignment_certificate_is_exact_on_random_sources():
             source = Neq(*scope)
         else:
             continue
-        assert_certificate_is_exact(source, variables, ASSIGNMENT_STYLE)
+        yield source, variables
         checked += 1
 
 
-def test_the_nogood_search_fits_where_the_per_value_search_did_not(monkeypatch):
-    # Hall n = 6 grows 555 sets (one search per value grew 3,175), so under
-    # a limit of 1,000 the certificate finishes; at 2 the Hall instance n = 4
-    # still gives up (`test_a_generator_that_gives_up_sends_the_check_to_the_walk`)
-    monkeypatch.setattr(gac_check, "count_states", lambda svars, policy: 1000)
-    steps = list(_maximal_states(*hall(6), ASSIGNMENT_STYLE))
-    assert None not in steps and len(steps) == 81
+@pytest.mark.parametrize("mode", [FULL_SUBDOMAINS, ASSIGNMENT_STYLE])
+def test_the_certificate_is_exact_on_random_sources(mode):
+    for source, variables in random_sources(mode, 100):
+        assert_certificate_is_exact(source, variables, mode)
+
+
+class GrownSets:
+    """Wraps `_mmcs`, whose recursion resolves the module global, and
+    records the set of every call: the root's empty set, then each set
+    grown."""
+
+    def __init__(self, monkeypatch):
+        self.sets = []
+        real = gac_check._mmcs
+
+        def recorded(uncov, cand, chosen, *rest):
+            self.sets.append(chosen)
+            return real(uncov, cand, chosen, *rest)
+        monkeypatch.setattr(gac_check, "_mmcs", recorded)
+
+
+@pytest.mark.parametrize("mode", [FULL_SUBDOMAINS, ASSIGNMENT_STYLE])
+def test_one_search_grows_each_set_once_and_no_more_than_the_walk_has_states(
+        monkeypatch, mode):
+    # every grown set is a walk state on the scope, so the search needs no limit
+    spy = GrownSets(monkeypatch)
+    policy = EnumerationPolicy(mode)
+    cases = [hall(n) for n in range(2, 7)] + _instances("neq", 4) + list(random_sources(mode, 30))
+    grown = []
+    for source, variables in cases:
+        spy.sets.clear()
+        list(_maximal_states(source, variables, mode))
+        assert spy.sets.count(0) == 1, source  # one search per certificate
+        assert len(set(spy.sets)) == len(spy.sets) <= gac_check.count_states(variables, policy)
+        grown.append(len(spy.sets) - 1)
+    if mode == ASSIGNMENT_STYLE:
+        assert grown[4] == 555  # Hall n = 6
 
 
 def test_alldiff_and_table_certificates_call_no_accepts(monkeypatch):
@@ -658,7 +689,7 @@ def test_alldiff_and_table_certificates_call_no_accepts(monkeypatch):
     monkeypatch.setattr(AllDiff, "accepts", refuse)
     monkeypatch.setattr(Table, "accepts", refuse)
     for case, oracle in zip(cases, oracles):
-        assert {tuple(state) for _, state in _maximal_states(*case)} == oracle, case
+        assert {tuple(state) for state in _maximal_states(*case)} == oracle, case
     assert len(oracles[0]) == 81
     # too large a walk for the oracle
     assert sum(1 for _ in _maximal_states(*hall(6), FULL_SUBDOMAINS)) == 457
@@ -789,15 +820,10 @@ class ConsumedCertificate:
         real = gac_check._maximal_states
 
         def counted(source, svars, mode):
-            states = real(source, svars, mode)
-            if states is None:
-                return None
-            return (self._count(item) for item in states)
+            for state in real(source, svars, mode):
+                self.consumed += 1
+                yield state
         monkeypatch.setattr(gac_check, "_maximal_states", counted)
-
-    def _count(self, item):
-        self.consumed += 1
-        return item
 
 
 def test_a_random_sample_policy_never_certifies(monkeypatch):
@@ -826,25 +852,9 @@ def test_a_failing_certificate_still_lists_every_gap(monkeypatch):
         assert total == gaps and spy.consumed > before
 
 
-def test_a_generator_that_gives_up_sends_the_check_to_the_walk(monkeypatch):
-    # the walk's state count is the search's node limit: at 2 the search
-    # gives up on the Hall instance n = 4, whose certificate has 22 states
-    source, variables = hall(4)
-    policy = EnumerationPolicy(ASSIGNMENT_STYLE)
-    real_count = gac_check.count_states
-    monkeypatch.setattr(gac_check, "count_states", lambda svars, policy: 2)
-    steps = list(_maximal_states(source, variables, ASSIGNMENT_STYLE))
-    assert steps[-1] is None and None not in steps[:-1]  # the stream ends where it gave up
-    for name, passed in [("identity", True), ("alldiff-pairwise", False)]:
-        enc = build_encoding(name, source, variables)
-        got = check_gac_reduction(source, enc, policy)
-        assert got.passed == passed and got.states_checked == real_count(variables, policy)
-        assert_same_text(got.to_json(), plain_verdict("gac-reduction", source, enc, policy).to_json())
-
-
-def test_a_short_certificate_never_passes(monkeypatch):
-    # A certificate of only the states that pass reads as a pass unless it
-    # ends in the None step of a generator that gave up.
+def test_the_check_trusts_its_certificate(monkeypatch):
+    # A certificate of only the states that pass reads as a pass, so the
+    # certificate must hold every maximal state.
     source, variables = hall(3)
     enc = build_encoding("alldiff-pairwise", source, variables)
     policy = EnumerationPolicy(FULL_SUBDOMAINS)
@@ -852,19 +862,15 @@ def test_a_short_certificate_never_passes(monkeypatch):
     vids = [var.id for var in variables]
 
     def passing(mode):
-        for p, state in real(source, variables, mode):
+        for state in real(source, variables, mode):
             knowledge = DomainBox(dict(zip(vids, state)))
             src, back = gac_check.replay(source, enc, knowledge)
             if is_restriction(back, src):
-                yield p, state
+                yield state
 
+    assert not check_gac_reduction(source, enc, policy).passed
     monkeypatch.setattr(gac_check, "_maximal_states", lambda c, svars, mode: passing(mode))
     assert check_gac_reduction(source, enc, policy).passed  # the hazard
-    monkeypatch.setattr(gac_check, "_maximal_states",
-                        lambda c, svars, mode: itertools.chain(passing(mode), [None]))
-    got = check_gac_reduction(source, enc, policy)
-    assert not got.passed and got.states_checked == 63
-    assert_same_text(got.to_json(), plain_verdict("gac-reduction", source, enc, policy).to_json())
 
 
 class JudgedWalk:
