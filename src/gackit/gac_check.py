@@ -23,10 +23,15 @@ equals the previous state: the odometer's first changed depth, 0 from the
 samples. Only `_assignments` reads p: a target that a prefix of an
 assignment refutes stays refuted for every extension of it, and the walk
 skips them where the prefix refutes the source too. The target side is
-one engine, `_Target`, which maps only the depths past the prefix it
-shares with its last call: p, extended by identity (the knowledge walk
-passes 0). Counterexamples are kept in walk order, so the verdict is the
-same as a state-by-state evaluation's.
+one engine, `_Target`, asked in two ways. The knowledge checks hand it
+their states CHUNK at a time (`_in_chunks`), and a CNF target propagates
+a whole chunk in one bit-parallel unit propagation, one bit per state
+(`UnitPropagator.propagate_batch`); a network target closes each state
+in turn. `_assignments` asks it state by state (`refuted_depth`), and it
+maps only the depths past the prefix it shares with its last such call:
+p, extended by identity, on the propagator's trail. Either way a state's
+answer is a fresh propagation's, and counterexamples are kept in walk
+order, so the verdict is the same as a state-by-state evaluation's.
 
 Both knowledge checks judge a certificate before they walk
 (`_drive_knowledge`). Under an exhaustive policy every counterexample of
@@ -46,7 +51,8 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from itertools import combinations
+from collections import defaultdict
+from itertools import combinations, islice
 from dataclasses import dataclass, field
 
 from .model import (
@@ -73,6 +79,7 @@ DEFAULT_SAMPLE_COUNT = 10_000
 DEFAULT_SEED = 42
 MAX_DOMAIN_SIZE = 20  # per source variable, in a knowledge walk
 EQUICONSISTENCY_BUDGET = 1 << 20  # complete assignments, when exhaustive
+CHUNK = 256  # knowledge states judged per target propagation
 
 
 @dataclass
@@ -352,24 +359,26 @@ def map_back(channel: ChannelMap, payload, doms) -> DomainBox:
     """Project a target deduction back onto the knowledge state `doms`, one
     subdomain per source variable in channel order.
 
-    `payload` is the target engine's output: the value list of
-    `UnitPropagator.propagate` (indexed by CNF variable, entries
-    True/False/None) for CNF channels, the target DomainBox for network
-    channels, and None for a target inconsistency, which maps to the source
-    inconsistent state. A value of `doms` survives unless the target
-    refutes its image, read from the channel's table `backs`. Auxiliary
-    variables are ignored.
+    `payload` is the target engine's output: for CNF channels a pair
+    `(true, bit)`, the truth masks of `UnitPropagator.propagate_batch` and
+    the state's bit in them, for network channels the target DomainBox, and
+    None for a target inconsistency, which maps to the source inconsistent
+    state. A value of `doms` survives unless the target refutes its image,
+    read from the channel's table `backs`: for CNF, unless the state's bit
+    is set in the mask of the value's refuting literal. Auxiliary variables
+    are ignored.
     """
     if payload is None:
         return DomainBox.bottom()
     cnf = channel.kind == ChannelMap.CNF
+    if cnf:
+        true, bit = payload
     domains = {}
     for var, dom, back in zip(channel.source_vars, doms, channel.backs):
-        keep = []
-        for value in dom:
-            tv, tval = back[value]
-            if payload[tv] is not tval if cnf else tval in payload.domain(tv):
-                keep.append(value)
+        if cnf:
+            keep = [value for value in dom if not true[back[value]] & bit]
+        else:
+            keep = [value for value in dom if back[value][1] in payload.domain(back[value][0])]
         if not keep:
             return DomainBox.bottom()
         # the state's own subdomain where nothing was refuted
@@ -378,17 +387,20 @@ def map_back(channel: ChannelMap, payload, doms) -> DomainBox:
 
 
 class _Target:
-    """The target side of every check. Both calls take a depth p and the
-    walk's state `doms`, one subdomain per source variable in channel
-    order, equal to the last call's before p: the walk's p from
-    `_assignments` (0 where it skips states), 0 from the knowledge checks.
-    The engine extends that prefix by object identity, remapping an equal
-    subdomain that is another object, and maps only the depths past it:
-    assumption literals for a CNF target, which one `UnitPropagator` holds,
-    keeping the prefix's `ends[q]`; `(tvid, removed, pinned)` triples for a
-    network, whose box `_target_box` builds from `map_knowledge`'s list.
-    `ends[d]` counts the images of the first d subdomains. `deduce_back`
-    maps the deduction back onto `doms`."""
+    """The target side of every check. `deduce_back` judges a list of
+    knowledge states at once, each a list of one subdomain per source
+    variable in channel order, and depends on no earlier call.
+
+    `refuted_depth` follows a walk instead. It takes a depth p and the
+    walk's state `doms`, equal to the last `refuted_depth` call's before p:
+    the walk's p from `_assignments` (0 where it skips states). The engine
+    extends that prefix by object identity, remapping an equal subdomain
+    that is another object, and maps only the depths past it: assumption
+    literals for a CNF target, which one `UnitPropagator` holds on its
+    trail, keeping the prefix's `ends[q]`; `(tvid, removed, pinned)`
+    triples for a network, whose box `_target_box` builds from
+    `map_knowledge`'s list. `ends[d]` counts the images of the first d
+    subdomains."""
 
     def __init__(self, enc: Encoding):
         self.channel, self.target = enc.channel, enc.target
@@ -411,16 +423,6 @@ class _Target:
         old[q:] = doms[q:]
         return new, end
 
-    def _propagate(self, p: int, doms):
-        """`UnitPropagator.propagate` on the images of `doms`. A conflict
-        keeps only the depths whose literals all held, as the propagator
-        does, so `len(ends)` is the depth of the literal that failed."""
-        values = self.prop.propagate(*self._map(p, doms))
-        if values is None:
-            f = bisect_right(self.ends, len(self.prop.assumed))
-            del self.ends[f:], self.doms[f - 1:]
-        return values
-
     def _box(self, p: int, doms) -> DomainBox:
         """A network target's initial box under the images of `doms`."""
         new, end = self._map(p, doms)
@@ -428,28 +430,63 @@ class _Target:
         self.mapped += new
         return _target_box(self.target, self.mapped)
 
-    def deduce_back(self, p: int, doms) -> DomainBox:
-        """The target's deduction from the knowledge state `doms`."""
-        if self.prop is not None:
-            return map_back(self.channel, self._propagate(p, doms), doms)
-        result = gac_closure(self.target, self._box(p, doms))
-        return map_back(self.channel, None if result.inconsistent else result.box, doms)
+    def deduce_back(self, states) -> list[DomainBox]:
+        """The target's deduction from each knowledge state of the list
+        `states`, mapped back onto it. A CNF target propagates them all in
+        one `UnitPropagator.propagate_batch`, state i on bit i, with each
+        position's image looked up once per subdomain, and `map_back` reads
+        state i as `(true, 1 << i)`, or None on its conflict bit; a state
+        that keeps all its values maps back to itself without it. A network
+        target closes the box of each state in turn."""
+        channel, image = self.channel, self.channel.image
+        if self.prop is None:
+            backs = []
+            for doms in states:
+                box = _target_box(self.target, [triple for d, dom in enumerate(doms)
+                                                for triple in image(d, dom)])
+                result = gac_closure(self.target, box)
+                backs.append(map_back(channel, None if result.inconsistent else result.box, doms))
+            return backs
+        by_dom = [defaultdict(int) for _ in channel.source_vars]
+        for at, column in zip(by_dom, zip(*states)):  # per position: subdomain -> its states' bits
+            for i, dom in enumerate(column):
+                at[dom] |= 1 << i
+        assume = defaultdict(int)
+        for d, at in enumerate(by_dom):
+            for dom, bits in at.items():
+                for lit in image(d, dom):
+                    assume[lit] |= bits
+        true, conflict = self.prop.propagate_batch(assume, len(states))
+        touched = conflict  # the states where the target refutes a value of theirs
+        for at, back in zip(by_dom, channel.backs):
+            for dom, bits in at.items():
+                for value in dom:
+                    touched |= true[back[value]] & bits
+        vids = [var.id for var in channel.source_vars]
+        return [map_back(channel, None if conflict >> i & 1 else (true, 1 << i), doms)
+                if touched >> i & 1 else DomainBox._raw(dict(zip(vids, doms)))
+                for i, doms in enumerate(states)]
 
     def refuted_depth(self, p: int, doms, search=True) -> int | None:
         """None if the target is satisfiable (without `search`: if its
         propagation is consistent) under the images of `doms`, else a depth d
         whose prefix `doms[:d]` already refutes it: on a unit propagation
-        conflict, the depth of the literal that failed, else all of `doms`."""
-        prop = self.prop
+        conflict, the depth of the literal that failed, else all of `doms`.
+        A conflict keeps only the depths whose literals all held, as the
+        propagator does, so `len(ends)` is the depth of the literal that
+        failed."""
+        prop, ends = self.prop, self.ends
         if prop is None:
             box = self._box(p, doms)
             sat = (solve_brute_force(self.target, box).sat if search
                    else not gac_closure(self.target, box).inconsistent)
-        elif self._propagate(p, doms) is None:
-            return len(self.ends)
+        elif prop.propagate(*self._map(p, doms)) is None:
+            f = bisect_right(ends, len(prop.assumed))
+            del ends[f:], self.doms[f - 1:]
+            return f
         else:  # no conflict; search only if the trail leaves a variable open
             sat = not search or len(prop.trail) == prop.num_vars or sat_solve(prop, prop.assumed).sat
-        return None if sat else bisect_left(self.ends, self.ends[-1])
+        return None if sat else bisect_left(ends, ends[-1])
 
 
 def _drive(walk, judge):
@@ -471,19 +508,57 @@ def _drive(walk, judge):
             cut = None
 
 
+def _in_chunks(states, judge):
+    """`(state, finding)` for each state of the iterable `states`, in
+    order, where `judge` gives the findings of a list of CHUNK states at a
+    time (fewer at the end). Each state is copied as it is read, since the
+    odometer changes one list in place."""
+    states = iter(states)
+    while chunk := [list(state) for state in islice(states, CHUNK)]:
+        yield from zip(chunk, judge(chunk))
+
+
+def _knowledge_judge(source, enc: Encoding, kind: str, skip, holds):
+    """The `judge` of a knowledge check, for `_in_chunks`: a Counterexample
+    of `kind` or None for each state K of a list. The source filter gives
+    its deduction src; the target side is skipped where `skip(K, src)`,
+    and otherwise K fails where `holds(src, back)` does not, for the
+    target's mapped-back deduction back. One `_Target.deduce_back` judges
+    the list's states that it asks about."""
+    engine, vids = _Target(enc), [var.id for var in enc.channel.source_vars]
+
+    def judge(states):
+        found, asked = [None] * len(states), []
+        for i, state in enumerate(states):
+            knowledge = DomainBox._raw(dict(zip(vids, state)))
+            src = gac_filter(source, knowledge).box
+            if not skip(knowledge, src):
+                asked.append((i, knowledge, src))
+        for (i, knowledge, src), back in zip(asked, engine.deduce_back(
+                [states[i] for i, _, _ in asked])):
+            if not holds(src, back):
+                found[i] = Counterexample(kind, knowledge, src, back)
+        return found
+    return judge
+
+
 def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
                      inside) -> Verdict:
-    """`_drive` over the knowledge walk of `policy` (auto if None). Under an
-    exhaustive policy `certificate(mode)` gives only its failing states F,
-    as lists, and every counterexample K has one with `inside(K[d], F[d])`
-    at every position d; the walk visits only such K, with one `_odometer`
-    mask bit per F, and counts every state of the policy. With no F it is
-    empty and unbuilt. A random-sample policy walks every sample. Budget
-    and domain-cap errors come out before any state is judged."""
+    """`_drive` over the knowledge walk of `policy` (auto if None), judged
+    by `_in_chunks` with `judge`. Under an exhaustive policy
+    `certificate(mode)` gives only its failing states F, as lists, and
+    every counterexample K has one with `inside(K[d], F[d])` at every
+    position d; the walk visits only such K, with one `_odometer` mask bit
+    per F, and counts every state of the policy. With no F it is empty and
+    unbuilt. A random-sample policy walks every sample. Budget and
+    domain-cap errors come out before any state is judged."""
     svars = enc.channel.source_vars
     if policy is None:
         policy = auto_policy(svars)
     _check_walk(svars, policy)
+
+    def drive(walk):  # `_drive`'s steps are `_in_chunks`' pairs, and its judge reads the finding
+        return _drive(_in_chunks((state for _, state in walk), judge), lambda _, found: found)
     if policy.mode != RANDOM_SAMPLE:
         failing = [{} for _ in svars]  # per position: F[d] -> the bits of its states
         bit = 1  # the next failing state's
@@ -493,9 +568,8 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
             bit <<= 1
         walk = iter(()) if bit == 1 else _knowledge_walk(svars, policy, lambda d, opt: sum(
             bits for dom, bits in failing[d].items() if inside(opt, dom)))
-        return Verdict(count_states(svars, policy), _drive(walk, judge)[1],
-                       policy.mode, check, svars)
-    return Verdict(*_drive(_knowledge_walk(svars, policy), judge), policy.mode, check, svars)
+        return Verdict(count_states(svars, policy), drive(walk)[1], policy.mode, check, svars)
+    return Verdict(*drive(_knowledge_walk(svars, policy)), policy.mode, check, svars)
 
 
 def _maximal_states(source, svars, mode: str):
@@ -701,19 +775,12 @@ def check_gac_reduction(source, enc: Encoding,
     policies always walk.
     """
     _check_source(source, enc.channel)
-    engine, svars = _Target(enc), enc.channel.source_vars
-    vids = [var.id for var in svars]
-
-    def judge(p, state):
-        knowledge = DomainBox._raw(dict(zip(vids, state)))
-        src = gac_filter(source, knowledge).box
-        if src is knowledge:
-            return None
-        back = engine.deduce_back(0, state)
-        if not is_restriction(back, src):  # bottom is the strongest deduction
-            return Counterexample(COMPLETENESS_GAP, knowledge, src, back)
+    judge = _knowledge_judge(  # bottom is the strongest deduction
+        source, enc, COMPLETENESS_GAP, lambda knowledge, src: src is knowledge,
+        lambda src, back: is_restriction(back, src))
     return _drive_knowledge(enc, policy, judge, "gac-reduction", lambda mode: (
-        state for state in _maximal_states(source, svars, mode) if judge(0, state)),
+        state for state, found in _in_chunks(
+            _maximal_states(source, enc.channel.source_vars, mode), judge) if found),
                             frozenset.issubset)
 
 
@@ -746,17 +813,9 @@ def check_soundness(source, enc: Encoding,
     only the states K ⊇ s, position by position, for some failing s.
     """
     _check_source(source, enc.channel)
-    engine, svars = _Target(enc), enc.channel.source_vars
-    vids = [var.id for var in svars]
-
-    def judge(p, state):
-        knowledge = DomainBox._raw(dict(zip(vids, state)))
-        src = gac_filter(source, knowledge).box
-        if src.inconsistent:
-            return None
-        back = engine.deduce_back(0, state)
-        if not is_restriction(src, back):
-            return Counterexample(SOUNDNESS_VIOLATION, knowledge, src, back)
+    judge = _knowledge_judge(
+        source, enc, SOUNDNESS_VIOLATION, lambda knowledge, src: src.inconsistent,
+        lambda src, back: is_restriction(src, back))
     return _drive_knowledge(enc, policy, judge, "soundness", lambda mode: _assignments(
         source, enc, lambda s, state: list(state) if s else None, search=False),
                             frozenset.issuperset)
@@ -839,4 +898,4 @@ def replay(source, enc: Encoding, knowledge: DomainBox) -> tuple[DomainBox, Doma
     """
     _check_source(source, enc.channel)
     doms = [knowledge.domain(var.id) for var in enc.channel.source_vars]
-    return gac_filter(source, knowledge).box, _Target(enc).deduce_back(0, doms)
+    return gac_filter(source, knowledge).box, _Target(enc).deduce_back([doms])[0]

@@ -383,9 +383,8 @@ class ChannelMap:
     out of deductions. `images` memoizes, per source variable, what each
     knowledge subdomain mapped so far asserts on the target. `backs` holds,
     per source variable, each value's image in the form `map_back` reads:
-    for CNF channels `(target variable, refuting truth)`, the truth of the
-    target variable that falsifies the image literal; for network channels
-    the `(tvid, tval)` atom itself.
+    for CNF channels the negated image, the literal whose truth refutes the
+    value; for network channels the `(tvid, tval)` atom itself.
     """
 
     __slots__ = ("kind", "source_vars", "forward", "images", "backs")
@@ -412,7 +411,7 @@ class ChannelMap:
                     raise UsageError(
                         f"channel not total: no image for ({var.name!r}, {var.label(value)})")
                 image = self.forward[(var.id, value)]
-                back[value] = (abs(image), image < 0) if kind == self.CNF else image
+                back[value] = -image if kind == self.CNF else image
             backs.append(back)
         self.images = tuple({} for _ in self.source_vars)
         self.backs = tuple(backs)

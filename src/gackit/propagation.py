@@ -406,7 +406,8 @@ def gac_closure(net: Network, box: DomainBox) -> PropagationResult:
 # --- unit propagation --------------------------------------------------------
 
 class UnitPropagator:
-    """Unit propagation on a trail, reusable across assumption lists.
+    """Unit propagation of a CNF formula, two ways: on a trail, one
+    assumption list after another, and in batches of lists at once.
 
     Truth is held per literal: `lit` has 2n+1 slots, negative literals
     indexing from the end, so `lit[l]` is True, False or None for any
@@ -416,22 +417,27 @@ class UnitPropagator:
     and these are checked in full whenever l turns false. No clause is ever
     changed or moved, so undoing is only clearing the trail's literals
     (Lynce & Marques-Silva, AMAI 2005, compare such schemes with watched
-    literals).
+    literals). The formula's units are propagated once, at construction,
+    and stay on the trail for good; `fixed` marks their closure.
 
-    It keeps the trail of literals set, the assumptions propagated so far
-    (`assumed`) and the trail mark before each. The caller says how many of
-    them stay: a call keeps the first `keep`, undoes the trail to the mark
-    after them and asserts the new literals one at a time, propagating
-    after each; it never compares literals, so a caller that moves along a
-    walk passes the depth it shares with the last call (chronological
-    backtracking on a trail, as in Eén & Sörensson, SAT 2003). After a
-    call, `assumed` is the list of leading assumptions that propagated
-    without conflict: all of them, or those before the one that failed, so
-    its length locates a conflict. The formula's units are propagated once,
-    at construction. The unit-rule closure, and whether it conflicts, do
-    not depend on order, so this equals a fresh propagation. `sat_solve`
-    runs its DPLL on the same object, so one propagator serves a whole
-    check.
+    The trail (`propagate`) keeps the literals set, the assumptions
+    propagated so far (`assumed`) and the trail mark before each. The
+    caller says how many of them stay: a call keeps the first `keep`,
+    undoes the trail to the mark after them and asserts the new literals
+    one at a time, propagating after each; it never compares literals, so
+    a caller that moves along a walk passes the depth it shares with the
+    last call (chronological backtracking on a trail, as in Eén &
+    Sörensson, SAT 2003). After a call, `assumed` is the list of leading
+    assumptions that propagated without conflict: all of them, or those
+    before the one that failed, so its length locates a conflict.
+    `sat_solve` runs its DPLL on the same object, so one propagator serves
+    a whole check.
+
+    The batch (`propagate_batch`) holds each literal's truth over many
+    lists as one int, one bit per list, and leaves the trail alone. The
+    unit-rule closure, and whether it conflicts, do not depend on order,
+    so each list's answer, from the trail or from a batch, equals a fresh
+    propagation's.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -454,6 +460,9 @@ class UnitPropagator:
         self.falsum = (any(not cl for cl in formula.clauses)
                        or not self._assert(units))
         self.assumed, self.marks = [], []  # the units stay on the trail for good
+        self.fixed = [0] * len(self.lit)  # -1 on the literals of the units' closure
+        for l in self.trail:
+            self.fixed[l] = -1
 
     def propagate(self, assumptions: Iterable[int] = (), keep: int = 0) -> list | None:
         """Closure under the unit rule of `assumed[:keep]`, the first `keep`
@@ -475,6 +484,76 @@ class UnitPropagator:
         if not self._assert(assumptions):
             return None
         return self.lit[:self.num_vars + 1]
+
+    def propagate_batch(self, assume, count: int) -> tuple[list, int]:
+        """The unit-rule closures of `count` assumption lists at once, bit i
+        of every mask standing for list i: `assume` maps each literal to
+        the mask of the lists that hold it. Returns `(true, conflict)`:
+        `conflict` is the mask of the lists whose closure conflicts, and for
+        every other list i, bit i of `true[l]` (indexed as `lit`) says
+        whether its closure makes literal l true. So per list this is a
+        fresh `propagate`, None exactly where the list conflicts.
+
+        Each literal's truth is one int over the lists, and the unit rule
+        runs on all of them with bitwise operations (Knuth, TAOCP 4A
+        §7.1.3): a FIFO worklist holds the literals that gained lists since
+        they were last visited, and visiting one applies `implied` and
+        `occurs` to those lists only, a clause of three literals without a
+        loop. The formula's unit closure is true in every list (-1) and is
+        never queued. The trail is not touched."""
+        if self.falsum:
+            return self.fixed[:], (1 << count) - 1
+        true, implied, occurs = self.fixed[:], self.implied, self.occurs
+        gained = [0] * len(true)  # per literal: the lists it gained since its last visit
+        queue, conflict = [], 0
+        for l, m in assume.items():
+            new = m & ~true[l]
+            if new:
+                conflict |= new & true[-l]
+                true[l] |= new
+                gained[l] = new
+                queue.append(l)
+        for l in queue:  # grows as literals gain lists: FIFO
+            d = gained[l] & ~conflict
+            gained[l] = 0
+            if not d:
+                continue
+            for m in implied[l]:
+                new = d & ~true[m]
+                if new:
+                    conflict |= new & true[-m]
+                    true[m] |= new
+                    if not gained[m]:
+                        queue.append(m)
+                    gained[m] |= new
+            for cl in occurs[l]:
+                if len(cl) == 2:  # a ternary clause: each literal is unit where the other is false
+                    a, b = cl
+                    for m, new in ((a, d & true[-b] & ~true[a]), (b, d & true[-a] & ~true[b])):
+                        if new:
+                            conflict |= new & true[-m]
+                            true[m] |= new
+                            if not gained[m]:
+                                queue.append(m)
+                            gained[m] |= new
+                    continue
+                none, one = d, 0  # the lists where no other literal is open, where one is
+                for m in cl:
+                    f = true[-m]
+                    one = one & f | none & ~f & ~true[m]
+                    none &= f
+                    if not (none | one):
+                        break
+                else:  # the lists of `none` conflict, and those of `one` are unit
+                    conflict |= none
+                    for m in cl if one else ():
+                        new = one & ~true[-m]  # the lists where m is the open one
+                        if new:
+                            true[m] |= new
+                            if not gained[m]:
+                                queue.append(m)
+                            gained[m] |= new
+        return true, conflict
 
     def _assert(self, lits) -> bool:
         """Assume each literal in turn, propagating after each. On a

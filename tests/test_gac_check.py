@@ -43,27 +43,40 @@ class TestMapBack:
         self.prop = UnitPropagator(self.enc.target)
         self.full = DomainBox.from_variables(self.variables)
 
+    def payload(self, lits):
+        """`map_back`'s CNF payload for one state that assumes `lits`: the
+        truth masks of a batch of one and its bit, None on a conflict."""
+        true, conflict = self.prop.propagate_batch({lit: 1 for lit in lits}, 1)
+        return None if conflict else (true, 1)
+
     def test_cnf_unassigned_channel_literals_keep_their_values(self):
-        values = self.prop.propagate([])
-        assert values[1] is None  # x1's channel literal is left unassigned
-        assert map_back(self.enc.channel, values, subdomains(self.full)) == self.full
+        assert self.prop.propagate([])[1] is None  # x1's channel literal is left unassigned
+        assert map_back(self.enc.channel, self.payload([]), subdomains(self.full)) == self.full
 
     def test_cnf_refuted_literal_removes_the_value(self):
         x1, x2 = (self.enc.channel.forward[(vid, TRUE)] for vid in (1, 2))
-        back = map_back(self.enc.channel, self.prop.propagate([x1, x2]),
-                        subdomains(self.full))
+        back = map_back(self.enc.channel, self.payload([x1, x2]), subdomains(self.full))
         assert back == DomainBox({1: [TRUE], 2: [TRUE], 3: [FALSE]})
 
     def test_base_limits_the_candidates(self):
         base = DomainBox({1: [FALSE], 2: [FALSE, TRUE], 3: [FALSE, TRUE]})
-        values = self.prop.propagate(map_knowledge(self.enc.channel, base))
-        assert map_back(self.enc.channel, values, subdomains(base)) == base
+        payload = self.payload(map_knowledge(self.enc.channel, base))
+        assert map_back(self.enc.channel, payload, subdomains(base)) == base
 
     def test_target_inconsistency_maps_to_bottom(self):
         assert map_back(self.enc.channel, None, subdomains(self.full)).inconsistent
         lits = [self.enc.channel.forward[(vid, FALSE)] for vid in (1, 2, 3)]
-        assert map_back(self.enc.channel, self.prop.propagate(lits),
-                        subdomains(self.full)).inconsistent
+        assert self.payload(lits) is None
+
+    def test_a_state_reads_only_its_own_bit(self):
+        # the masks of a batch of two: x1 := T refutes x3 := T in the second
+        # state only, and the first state keeps everything
+        x1, x2 = (self.enc.channel.forward[(vid, TRUE)] for vid in (1, 2))
+        true, conflict = self.prop.propagate_batch({x1: 2, x2: 2}, 2)
+        assert not conflict
+        assert map_back(self.enc.channel, (true, 1), subdomains(self.full)) == self.full
+        assert map_back(self.enc.channel, (true, 2), subdomains(self.full)) == \
+            DomainBox({1: [TRUE], 2: [TRUE], 3: [FALSE]})
 
     def test_network_target(self):
         variables = bools("a", "b")

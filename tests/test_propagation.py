@@ -301,16 +301,8 @@ class TestUnitPropagation:
         rng = random.Random(17)
         for _ in range(300):
             nv = rng.randint(1, 8)
-            clauses = [[rng.choice((1, -1)) * rng.randint(1, nv)
-                        for _ in range(rng.choice((1, 1, 2, 2, 3, 4, 5, 6)))]
-                       for _ in range(rng.randint(0, 14))]
-            for _ in range(rng.choice((0, 0, 1, 2))):
-                a = rng.choice((1, -1)) * rng.randint(1, nv)
-                clauses.append([a, -a] + [rng.choice((1, -1)) * rng.randint(1, nv)
-                                          for _ in range(rng.choice((0, 0, 1, 3)))])
-            if rng.random() < 0.05:
-                clauses.append([])
-            formula = CnfFormula(nv, clauses)
+            formula = random_formula(rng, nv)
+            clauses = formula.clauses
             shared = UnitPropagator(formula)
             lits: list[int] = []
             for _ in range(12):
@@ -324,6 +316,50 @@ class TestUnitPropagation:
                 assert shared.assumed == lits[:longest], (clauses, lits)
                 if got is not None:
                     got[1:] = [True] * nv  # the caller owns the returned list
+
+    def test_a_batch_equals_a_fresh_propagation_per_list(self):
+        # Bit i of every mask is list i. Per list the batch must conflict
+        # exactly where a fresh `propagate` does, and otherwise give every
+        # variable the value of `propagate` and of the naive fixpoint. The
+        # lists repeat and contradict literals, and a batch over zero
+        # variables holds only empty lists. The propagator's trail is left
+        # where a call on another list put it, and the batch leaves it there.
+        rng = random.Random(23)
+        for _ in range(300):
+            nv = rng.randint(0, 8)
+            formula = random_formula(rng, nv)
+            lists = [self.batch_list(rng, nv) for _ in range(rng.randint(1, 130))]
+            prop = UnitPropagator(formula)
+            prop.propagate(lists[-1])
+            trail, assumed = list(prop.trail), list(prop.assumed)
+            assume = {}
+            for i, lits in enumerate(lists):
+                for lit in lits:
+                    assume[lit] = assume.get(lit, 0) | 1 << i
+            true, conflict = prop.propagate_batch(assume, len(lists))
+            assert (prop.trail, prop.assumed) == (trail, assumed)
+            assert conflict >> len(lists) == 0
+            for i, lits in enumerate(lists):
+                want = UnitPropagator(formula).propagate(lits)
+                assert want == naive_unit_closure(formula, lits), (formula.clauses, lits)
+                if want is None:
+                    assert conflict >> i & 1, (formula.clauses, lits)
+                    continue
+                assert not conflict >> i & 1, (formula.clauses, lits)
+                got = [None] + [True if true[v] >> i & 1 else False if true[-v] >> i & 1
+                                else None for v in range(1, nv + 1)]
+                assert got == want, (formula.clauses, lits)
+
+    @staticmethod
+    def batch_list(rng, nv):
+        if not nv:
+            return []
+        lits = [rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(rng.randint(0, nv))]
+        if lits and rng.random() < 0.3:
+            lits.insert(rng.randint(0, len(lits)), rng.choice(lits))  # repeated
+        if lits and rng.random() < 0.3:
+            lits.insert(rng.randint(0, len(lits)), -rng.choice(lits))  # contradictory
+        return lits
 
     def test_a_stale_keep_is_refused(self):
         # A conflict leaves `assumed` short of the list, so keeping the
@@ -362,6 +398,24 @@ class TestUnitPropagation:
 def shared_prefix(old, new):
     """The length of the longest common prefix of two literal lists."""
     return next((k for k, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+
+
+def random_formula(rng, nv):
+    """A seeded random formula over `nv` variables: units, binary, ternary
+    and longer clauses, some tautologies, and one time in twenty an empty
+    clause. Over zero variables only the empty clause can be drawn."""
+    def lit():
+        return rng.choice((1, -1)) * rng.randint(1, nv)
+    clauses = []
+    if nv:
+        clauses = [[lit() for _ in range(rng.choice((1, 1, 2, 2, 3, 4, 5, 6)))]
+                   for _ in range(rng.randint(0, 14))]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            a = lit()
+            clauses.append([a, -a] + [lit() for _ in range(rng.choice((0, 0, 1, 3)))])
+    if rng.random() < 0.05:
+        clauses.append([])
+    return CnfFormula(nv, clauses)
 
 
 def naive_unit_closure(formula, assumptions):

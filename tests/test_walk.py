@@ -271,6 +271,20 @@ def random_payload(rng, enc):
                       or [var.domain[0]] for var in target.variables})
 
 
+def as_masks(rng, values):
+    """`map_back`'s CNF payload for the values list of `propagate`: the
+    state is a random bit i of 8, and the other bits of every literal's
+    mask are random, since a state must read only its own bit."""
+    if values is None:
+        return None
+    bit = 1 << rng.randrange(8)
+    true = [rng.getrandbits(8) & ~bit for _ in range(2 * len(values) - 1)]
+    for v, value in enumerate(values[1:], 1):
+        if value is not None:
+            true[v if value else -v] |= bit
+    return true, bit
+
+
 def test_map_back_reads_the_channel_tables_as_the_plain_map_back():
     # map_back reads each value's image from `ChannelMap.backs`, built
     # once per channel; plain_map_back reads `forward` image by image
@@ -293,7 +307,8 @@ def test_map_back_reads_the_channel_tables_as_the_plain_map_back():
             else:
                 deduced = UnitPropagator(target).propagate(mapped)
             for payload in (deduced, random_payload(rng, enc)):
-                got = gac_check.map_back(channel, payload, doms)
+                got = gac_check.map_back(channel, payload if isinstance(target, Network)
+                                         else as_masks(rng, payload), doms)
                 assert got == plain_map_back(channel, payload, knowledge), (name, doms)
                 refuted += got != knowledge
     assert names == set(ENCODING_NAMES)
@@ -379,15 +394,17 @@ def test_target_reuse_equals_a_fresh_target_per_state(source, variables, encodin
     # One engine sees a sequence of states in one list changed in place, as
     # the walk passes them: a suffix or every position redrawn (jumping back
     # or forward), the same objects again, or equal subdomains that are
-    # other objects. Each call is given a depth p before which no position
-    # was redrawn since the last call, anywhere from 0 to the first redrawn
-    # one. Each answer must be a fresh engine's on that state.
+    # other objects. Each `refuted_depth` call is given a depth p before
+    # which no position was redrawn since the last such call, anywhere from
+    # 0 to the first redrawn one; `deduce_back` follows no walk, and judges
+    # a copy of the state. Each answer must be a fresh engine's on that
+    # state.
     enc = build_encoding(encoding, source, variables)
     options = [[frozenset(sub) for r in range(1, len(var.domain) + 1)
                 for sub in itertools.combinations(var.domain, r)] for var in variables]
     n = len(variables)
     engine, state = _Target(enc), [opts[-1] for opts in options]
-    redrawn = 0  # the first position redrawn since the last call
+    redrawn = 0  # the first position redrawn since the last `refuted_depth` call
     for _ in range(data.draw(st.integers(1, 12))):
         move = data.draw(st.sampled_from(["redraw", "repeat", "copies"]))
         if move == "redraw":
@@ -399,12 +416,12 @@ def test_target_reuse_equals_a_fresh_target_per_state(source, variables, encodin
             for d in range(n):
                 if data.draw(st.booleans()):
                     state[d] = frozenset(list(state[d]))
-        p = data.draw(st.integers(0, redrawn))
         if data.draw(st.booleans()):
-            assert engine.deduce_back(p, state) == _Target(enc).deduce_back(0, list(state))
+            assert engine.deduce_back([list(state)]) == _Target(enc).deduce_back([list(state)])
         else:
+            p = data.draw(st.integers(0, redrawn))
             assert engine.refuted_depth(p, state) == _Target(enc).refuted_depth(0, state)
-        redrawn = n
+            redrawn = n
 
 
 def test_a_conflict_inside_a_depth_is_forgotten_before_a_longer_shared_prefix():
@@ -417,12 +434,14 @@ def test_a_conflict_inside_a_depth_is_forgotten_before_a_longer_shared_prefix():
     one, full = frozenset((1,)), [frozenset(var.domain) for var in variables]
     engine = _Target(enc)
     state = [one, one, full[2], full[3]]
-    assert engine.deduce_back(0, state).inconsistent
+    assert engine.deduce_back([state])[0].inconsistent
+    assert engine.refuted_depth(0, state) == 2
     assert enc.channel.image(1, one) == (-5, -6, 4) and engine.prop.assumed == [-2, -3, 1, -5]
     state[3] = frozenset((4,))
     assert engine.refuted_depth(3, state) == _Target(enc).refuted_depth(0, state) == 2
     state[0] = state[1] = frozenset((2,))
-    assert engine.deduce_back(0, state) == _Target(enc).deduce_back(0, state)
+    assert engine.refuted_depth(0, state) == _Target(enc).refuted_depth(0, state)
+    assert engine.deduce_back([state]) == _Target(enc).deduce_back([state])
     policy = EnumerationPolicy(ASSIGNMENT_STYLE)
     assert_same_text(check_gac_reduction(source, enc, policy).to_json(),
                      plain_verdict("gac-reduction", source, enc, policy).to_json())
@@ -944,6 +963,54 @@ def test_a_certified_pass_builds_no_walk(monkeypatch):
     assert not got.passed and walks.built == 1
 
 
+# --- judging in chunks -------------------------------------------------------
+
+def chunk_cases():
+    """`(source, encoding, policy)` cases whose walks cross many chunk
+    boundaries at a small chunk size: binary-adder over every card n=4
+    instance, which fails, alldiff-pairwise on the Hall instance n=4, a
+    sample of 200, and the unsound totalizer of
+    `test_a_failing_certificate_confines_the_walk`."""
+    full = EnumerationPolicy(FULL_SUBDOMAINS)
+    for source, variables in _instances("card", 4):
+        yield source, build_encoding("binary-adder", source, variables), full
+    source, variables = hall(4)
+    yield source, build_encoding("alldiff-pairwise", source, variables), full
+    source, variables = Card([1, -2, 3, -4], 1, 2), bools(4)
+    yield (source, build_encoding("binary-adder", source, variables),
+           EnumerationPolicy(RANDOM_SAMPLE, sample_count=200, seed=3))
+    small, three = Card([1, -2, 3], 1, 2), bools(3)
+    enc = build_encoding("totalizer", small, three)
+    yield small, with_clauses(enc, enc.target.clauses + [(enc.channel.forward[(1, TRUE)],)]), full
+
+
+def test_chunk_boundaries_leave_every_verdict_alone(monkeypatch):
+    # Seven states per target propagation, a prime, so that the chunks of
+    # the certificate and of the walk end at no boundary of the odometer.
+    monkeypatch.setattr(gac_check, "CHUNK", 7)
+    failed = []
+    for source, enc, policy in chunk_cases():
+        for checker, check in ((check_gac_reduction, "gac-reduction"),
+                               (check_soundness, "soundness")):
+            got = checker(source, enc, policy)
+            assert_same_text(got.to_json(), plain_verdict(check, source, enc, policy).to_json(),
+                             (source, enc.target, check))
+            failed.append(not got.passed)
+    assert (len(failed), sum(failed)) == (36, 12)
+
+
+def test_every_chunked_counterexample_replays(monkeypatch):
+    monkeypatch.setattr(gac_check, "CHUNK", 7)
+    gaps = 0
+    for source, variables in _instances("card", 5):
+        enc = build_encoding("binary-adder", source, variables)
+        for ce in check_gac_reduction(source, enc).counterexamples:
+            assert gac_check.replay(source, enc, ce.knowledge) == (
+                ce.deduced_source, ce.deduced_back), (source, ce.knowledge)
+            gaps += 1
+    assert gaps == 882
+
+
 # --- the soundness certificate on the walk over complete assignments ---------
 
 def reference_soundness_certificate(source, enc):
@@ -959,7 +1026,7 @@ def reference_soundness_certificate(source, enc):
         if source.accepts([values[d] for d in pos]):
             state = [frozenset((val,)) for val in values]
             src = gac_filter(source, DomainBox(dict(zip(vids, state)))).box
-            if not src.inconsistent and not is_restriction(src, engine.deduce_back(0, state)):
+            if not src.inconsistent and not is_restriction(src, engine.deduce_back([state])[0]):
                 failing.append(state)
     return failing
 
