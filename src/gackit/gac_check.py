@@ -51,7 +51,7 @@ import json
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import combinations, islice
 from dataclasses import dataclass, field
 
@@ -544,8 +544,8 @@ def _knowledge_judge(source, enc: Encoding, kind: str, skip, holds):
 
 def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
                      inside) -> Verdict:
-    """`_drive` over the knowledge walk of `policy` (auto if None), judged
-    by `_in_chunks` with `judge`. Under an exhaustive policy
+    """`_drive` over the knowledge walk of `policy` (auto if None), whose
+    states `_in_chunks` judges with `judge`. Under an exhaustive policy
     `certificate(mode)` gives only its failing states F, as lists, and
     every counterexample K has one with `inside(K[d], F[d])` at every
     position d; the walk visits only such K, with one `_odometer` mask bit
@@ -557,8 +557,14 @@ def _drive_knowledge(enc: Encoding, policy, judge, check: str, certificate,
         policy = auto_policy(svars)
     _check_walk(svars, policy)
 
-    def drive(walk):  # `_drive`'s steps are `_in_chunks`' pairs, and its judge reads the finding
-        return _drive(_in_chunks((state for _, state in walk), judge), lambda _, found: found)
+    def drive(walk):  # `_drive` over the walk, its judge taking each state's finding in turn
+        found = deque()
+
+        def judged():
+            for state, f in _in_chunks((state for _, state in walk), judge):
+                found.append(f)
+                yield 0, state
+        return _drive(judged(), lambda p, state: found.popleft())
     if policy.mode != RANDOM_SAMPLE:
         failing = [{} for _ in svars]  # per position: F[d] -> the bits of its states
         bit = 1  # the next failing state's

@@ -498,9 +498,8 @@ class UnitPropagator:
         runs on all of them with bitwise operations (Knuth, TAOCP 4A
         §7.1.3): a FIFO worklist holds the literals that gained lists since
         they were last visited, and visiting one applies `implied` and
-        `occurs` to those lists only, a clause of three literals without a
-        loop. The formula's unit closure is true in every list (-1) and is
-        never queued. The trail is not touched."""
+        `occurs` to those lists only. The formula's unit closure is true in
+        every list (-1) and is never queued. The trail is not touched."""
         if self.falsum:
             return self.fixed[:], (1 << count) - 1
         true, implied, occurs = self.fixed[:], self.implied, self.occurs
@@ -527,16 +526,6 @@ class UnitPropagator:
                         queue.append(m)
                     gained[m] |= new
             for cl in occurs[l]:
-                if len(cl) == 2:  # a ternary clause: each literal is unit where the other is false
-                    a, b = cl
-                    for m, new in ((a, d & true[-b] & ~true[a]), (b, d & true[-a] & ~true[b])):
-                        if new:
-                            conflict |= new & true[-m]
-                            true[m] |= new
-                            if not gained[m]:
-                                queue.append(m)
-                            gained[m] |= new
-                    continue
                 none, one = d, 0  # the lists where no other literal is open, where one is
                 for m in cl:
                     f = true[-m]
